@@ -28,6 +28,10 @@ MAX_ORDER = 60
 MAX_VERIFY_N = 20
 MAX_VERIFY_K = 5
 MAX_VERIFY_M = 12
+# Input bound for `words -k`.  The closed-form cost grows with k only
+# through the coefficient sizes (about m * log2(k) bits for length m); at
+# the cap, order 60 takes under a second.
+MAX_WORDS_K = 10**6
 
 PATTERN_CHOICES = [p.value for p in PatternId]
 
@@ -189,7 +193,8 @@ def cmd_verify(args, argv: list[str]) -> int:
 
 
 def cmd_words(args, argv: list[str]) -> int:
-    _require(args.k >= 1, "-k: alphabet size must be >= 1")
+    _require(1 <= args.k <= MAX_WORDS_K,
+             f"-k: alphabet size must be between 1 and {MAX_WORDS_K}")
     _require(0 <= args.order <= MAX_ORDER,
              f"--order: must be between 0 and {MAX_ORDER}")
     pattern = PatternId.parse(args.pattern)
@@ -275,9 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"comppat: error: {exc}\n")
         return 2
-    except (asymptotics.RootNotFoundError,
-            asymptotics.UndersamplingError,
-            asymptotics.DomainError) as exc:
+    except asymptotics.AsymptoticsError as exc:
         sys.stderr.write(f"comppat: numeric failure: {exc}\n")
         return 3
 

@@ -3,9 +3,10 @@
 Each builder returns the trivariate series whose coefficient of x^n z^m y^r
 counts compositions of n with m parts in A and exactly r occurrences of the
 statistic, truncated at a given x-order.  The same algorithms run under
-z-grading with the x-degrees forced to zero, which is how
-:mod:`comppat.words` obtains the word (x := 1) specializations, so every
-builder here is written against a small grading context.
+z-grading with the x-degrees forced to zero, which gives the word (x := 1)
+specializations; :mod:`comppat.words` computes those from closed forms in
+k and keeps this route as its cross-check.  Every builder here is written
+against a small grading context.
 
 The naturals are handled by materializing A = {1..order}: parts larger than
 the truncation order cannot appear in any composition that survives the
@@ -239,8 +240,8 @@ _NUM_DEN = {
 def _check_counts(series: TruncatedSeries) -> TruncatedSeries:
     # Builder outputs are counting series: every coefficient must be a
     # nonnegative count even though (y-1)-expansions go negative inside.
-    assert all(c >= 0 for c in series.coeffs.values()), \
-        "builder produced a negative coefficient"
+    if any(c < 0 for c in series.coeffs.values()):
+        raise RuntimeError("builder produced a negative coefficient")
     return series
 
 

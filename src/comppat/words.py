@@ -2,30 +2,37 @@
 
 A word series is a z-graded :class:`~comppat.series.TruncatedSeries` whose
 coefficient of z^m y^r counts words in {1..k}^m with exactly r occurrences
-of the statistic; no x-exponent ever appears.  The primary route is
-:func:`word_gf`, which reruns the composition builders with every part's
-x-contribution forced to 1.  The remaining functions are independent
-closed forms for the same series, used to cross-check it.
+of the statistic; no x-exponent ever appears.
+
+The primary route, :func:`word_gf`, dispatches to the paper's closed forms
+in k (:func:`w111_closed`, :func:`w112_closed`, :func:`w123_closed`,
+:func:`w_peak_closed`); 112/221 and peak/valley share a form through the
+complement i -> k+1-i on {1..k}.  Every loop in these forms is bounded by
+the truncation order, so their cost is flat in k.  Rerunning the
+composition builders with x := 1,
+``genfun.build_gf(p, range(1, k + 1), order, grading=Grading.Z)``, and the
+alternative 123 forms (:func:`w123_chebyshev`, :func:`w123_avoid_aj`) are
+cross-checks only.
 """
 
 from __future__ import annotations
 
-from . import genfun
 from .genfun import choose
 from .patterns import PatternId
 from .series import Grading, TruncatedSeries, make_monomial, one, zero
 
 
 def word_gf(p: PatternId, k: int, order: int) -> TruncatedSeries:
-    """Occurrence series for statistic p over the alphabet {1..k}."""
+    """Occurrence series for statistic p over {1..k}, from its closed form."""
     if k < 1:
         raise ValueError("alphabet size must be >= 1")
-    return genfun.build_gf(p, range(1, k + 1), order, grading=Grading.Z)
+    return _CLOSED[p](k, order)
 
 
 def word_table(series: TruncatedSeries) -> dict[tuple[int, int], int]:
     """(m, r) -> count view of a word series, for oracle comparison."""
-    assert all(n == 0 for (n, _m, _r) in series.coeffs)
+    if any(n for (n, _m, _r) in series.coeffs):
+        raise ValueError("word series has an x-exponent")
     return {(m, r): c for (n, m, r), c in series.coeffs.items()}
 
 
@@ -77,16 +84,20 @@ def w123_closed(k: int, order: int) -> TruncatedSeries:
     """
     unit = one(Grading.Z, order)
     den = unit - _z(order, 1, 0, k)
+    # Terms of z-degree p + j > order vanish under truncation, so only
+    # p <= min(k, order) contributes.
+    top = min(k, order)
     ym1_pow = [unit]
     ym1 = _z(order, 0, 1) - unit
-    for _ in range(max(k - 2, 0)):
+    for _ in range(max(top - 2, 0)):
         ym1_pow.append(ym1_pow[-1] * ym1)
-    for p in range(3, k + 1):
+    for p in range(3, top + 1):
         for j in range(p - 2):
+            if p + j > order:
+                break
             c = choose(p - 3, j) * choose(k, p + j)
-            if c == 0 or p + j > order:
-                continue
-            den = den - c * _z(order, p + j) * ym1_pow[p - 2]
+            if c:
+                den = den - c * _z(order, p + j) * ym1_pow[p - 2]
     return den.reciprocal()
 
 
@@ -195,3 +206,13 @@ def w_peak_closed(k: int, order: int) -> TruncatedSeries:
         omy_pow = omy_pow * omy
         j += 1
     return num * (num - sub).reciprocal()
+
+
+_CLOSED = {
+    PatternId.P111: w111_closed,
+    PatternId.P112: w112_closed,
+    PatternId.P221: w112_closed,
+    PatternId.P123: w123_closed,
+    PatternId.PEAK: w_peak_closed,
+    PatternId.VALLEY: w_peak_closed,
+}

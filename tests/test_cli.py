@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from comppat import asymptotics, cli
 
@@ -138,6 +139,15 @@ def test_asymptotics_numeric_failure_exits_3(monkeypatch):
     assert rc == 3
 
 
+def test_asymptotics_base_numeric_failure_exits_3(monkeypatch, capsys):
+    def boom(p):
+        raise asymptotics.AsymptoticsError("numerator nearly vanishes")
+    monkeypatch.setattr(asymptotics, "estimate", boom)
+    rc = cli.main(["asymptotics", "--pattern", "111"])
+    assert rc == 3
+    assert "numerator nearly vanishes" in capsys.readouterr().err
+
+
 # -- verify -------------------------------------------------------------------
 
 def test_verify_compositions_clean():
@@ -218,6 +228,28 @@ def test_words_csv_format():
     lines = res.stdout.splitlines()
     assert lines[0] == "m,r,count"
     assert lines[1] == "0,0,1"
+
+
+@pytest.mark.parametrize("pattern", cli.PATTERN_CHOICES)
+def test_words_at_k_cap_rows_sum_to_k_power(pattern):
+    # collapsing y := 1 counts all k^m words of length m, an identity the
+    # series algebra does not use
+    k = cli.MAX_WORDS_K
+    res = run_cli("words", "--pattern", pattern, "-k", str(k),
+                  "--order", "60", "--format", "csv")
+    assert res.returncode == 0, res.stderr
+    row_sums = [0] * 61
+    for line in res.stdout.splitlines()[1:]:
+        m, _r, count = line.split(",")
+        row_sums[int(m)] += int(count)
+    assert row_sums == [k ** m for m in range(61)]
+
+
+def test_words_k_cap():
+    res = run_cli("words", "--pattern", "111",
+                  "-k", str(cli.MAX_WORDS_K + 1), "--order", "4")
+    assert res.returncode == 2
+    assert "-k" in res.stderr
 
 
 # -- misc -------------------------------------------------------------------------

@@ -266,3 +266,11 @@ def test_qpochhammer_inverse_counts_partitions():
     inv = qpochhammer_inverse(2, 8).series
     assert [inv.coefficient(n, 0, 0) for n in range(9)] == \
         [1, 1, 2, 2, 3, 3, 4, 4, 5]
+
+
+def test_check_counts_rejects_negative_coefficient():
+    from comppat.genfun import _check_counts
+
+    s = one(Grading.X, 4) - make_monomial(Grading.X, 4, 1, 1, 1, 1)
+    with pytest.raises(RuntimeError, match="negative coefficient"):
+        _check_counts(s)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from comppat.genfun import build_gf
 from comppat.patterns import PatternId, brute_force_word_tables
 from comppat.series import Grading, make_monomial
 from comppat.words import (u_poly, u_poly_generating_function, w111_closed,
@@ -9,6 +10,11 @@ from comppat.words import (u_poly, u_poly_generating_function, w111_closed,
                            w123_closed, w_peak_closed, word_gf, word_table)
 
 P = PatternId
+
+
+def builder_route(p, k, order):
+    # the composition builders with x := 1: the cross-check of word_gf
+    return build_gf(p, range(1, k + 1), order, grading=Grading.Z)
 
 
 def geometric_z(order):
@@ -29,6 +35,12 @@ def test_one_letter_alphabet():
     s = word_gf(P.P111, 1, 9)
     assert s.coeffs == {(0, 0, 0): 1, (0, 1, 0): 1,
                         **{(0, m, m - 2): 1 for m in range(2, 10)}}
+
+
+def test_word_table_rejects_x_exponent():
+    s = make_monomial(Grading.X, 4, 1, 1, 0, 1)
+    with pytest.raises(ValueError, match="x-exponent"):
+        word_table(s)
 
 
 def test_word_gf_binary_111():
@@ -57,7 +69,7 @@ def test_w111_closed_one_letter():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_w111_closed_equals_word_gf(k):
-    assert w111_closed(k, 12) == word_gf(P.P111, k, 12)
+    assert w111_closed(k, 12) == builder_route(P.P111, k, 12)
 
 
 def test_w112_closed_one_letter():
@@ -67,8 +79,8 @@ def test_w112_closed_one_letter():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_w112_closed_equals_both_mirror_series(k):
     closed = w112_closed(k, 12)
-    assert closed == word_gf(P.P112, k, 12)
-    assert closed == word_gf(P.P221, k, 12)
+    assert closed == builder_route(P.P112, k, 12)
+    assert closed == builder_route(P.P221, k, 12)
 
 
 def test_w112_closed_binary_avoiders_against_oracle():
@@ -104,14 +116,15 @@ def test_u_poly_period_six_at_y0():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_w123_forms_agree(k):
-    direct = word_gf(P.P123, k, 12)
+    direct = builder_route(P.P123, k, 12)
     assert w123_closed(k, 12) == direct
     assert w123_chebyshev(k, 12) == direct
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_w123_avoid_aj_matches_y0_slice(k):
-    assert w123_avoid_aj(k, 12) == word_gf(P.P123, k, 12).substitute_y0()
+    assert w123_avoid_aj(k, 12) == \
+        builder_route(P.P123, k, 12).substitute_y0()
 
 
 # -- peak / valley --------------------------------------------------------------
@@ -119,8 +132,8 @@ def test_w123_avoid_aj_matches_y0_slice(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_w_peak_closed_equals_both_word_series(k):
     closed = w_peak_closed(k, 12)
-    assert closed == word_gf(P.PEAK, k, 12)
-    assert closed == word_gf(P.VALLEY, k, 12)
+    assert closed == builder_route(P.PEAK, k, 12)
+    assert closed == builder_route(P.VALLEY, k, 12)
 
 
 def test_w_peak_closed_binary_avoiders_against_oracle():
@@ -132,6 +145,13 @@ def test_w_peak_closed_binary_avoiders_against_oracle():
 
 def test_w_peak_closed_one_letter():
     assert w_peak_closed(1, 9) == geometric_z(9)
+
+
+@pytest.mark.parametrize("p", list(P))
+@pytest.mark.parametrize("k", [15, 40])
+def test_word_gf_equals_builder_route_k_above_order(p, k):
+    # k > order reaches the order bounds on the closed-form loops
+    assert word_gf(p, k, 10) == builder_route(p, k, 10)
 
 
 def test_truncation_consistency_word_series():
