@@ -8,8 +8,8 @@ K = -1/(rho f'(rho)); a winding-number pass around |x| = 0.7 certifies
 that rho is the only zero of f inside and is simple.
 """
 
-from comppat import (PartSet, PatternId, avoidance_sequence, emit_curve,
-                     estimate, predict_count)
+from comppat import (PartSet, PatternId, avoidance_sequence, estimate,
+                     predict_count)
 
 print(f"{'pattern':>8} {'rho':>12} {'v':>10} {'K':>10} {'winding':>8}")
 estimates = {}
@@ -29,9 +29,9 @@ for p in PatternId:
     print(f"  {p.value:>6}: predicted {approx:12.1f}   exact {exact:8d}   "
           f"rel.err {rel:.2e}")
 
-# The winding certificate comes from the image of a circle; the sampled
-# curve is exportable for plotting.
-rows = emit_curve(PatternId.PEAK, 0.7, 1024)
+# The winding certificate comes from the image of a circle; each estimate
+# keeps the sampled curve, for plotting.
+rows = estimates[PatternId.PEAK].curve
 re_f = [r[2] for r in rows]
 im_f = [r[3] for r in rows]
 print(f"\npeak image curve at |x| = 0.7: {len(rows)} samples, "

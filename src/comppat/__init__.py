@@ -16,16 +16,15 @@ from .patterns import (ALL_PATTERNS, OccurrenceTable, PartSet, PatternId,
 from .series import (Grading, GradingMismatchError, NonInvertibleError,
                      NormalizationError, OrderRangeError, SeriesError,
                      TruncatedSeries, make_monomial, one, zero)
-from .genfun import (QPochhammerInverse, avoidance_sequence, build_gf,
-                     d_series, gf_111, gf_112, gf_123, gf_123_recursive,
-                     gf_221, gf_peak, gf_peak_recursive, gf_valley,
-                     m_poly, m_poly_prefix, n_poly, nat_closed_forms,
-                     qpochhammer_inverse, t_poly)
+from .genfun import (avoidance_sequence, build_gf, d_series, gf_111,
+                     gf_112, gf_123, gf_123_recursive, gf_221, gf_peak,
+                     gf_peak_recursive, gf_valley, m_poly, m_poly_prefix,
+                     n_poly, nat_closed_forms, qpochhammer_inverse, t_poly)
 from .words import (u_poly, u_poly_generating_function, w111_closed,
                     w112_closed, w123_avoid_aj, w123_chebyshev,
                     w123_closed, w_peak_closed, word_gf, word_table)
-from .asymptotics import (AnalyticGF, AsymptoticEstimate, analytic_gf,
-                          emit_curve, estimate, eval_f, find_rho,
-                          predict_count, winding_number, winding_of)
+from .asymptotics import (AsymptoticEstimate, emit_curve, estimate, eval_f,
+                          find_rho, predict_count, winding_number,
+                          winding_of)
 
 __version__ = "0.1.0"

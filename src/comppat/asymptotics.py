@@ -10,19 +10,23 @@ compositions of n grows like K * v^n where
     K   = -1 / (rho * f'(rho)),
 
 and a winding-number computation of f over a circle certifies that rho is
-the only (simple) zero inside it.  Four of the six statistics have N = 1;
-peak and valley share a nontrivial numerator.
+the only (simple) zero inside it.  Four of the six statistics have N = 1,
+so f is their denominator evaluator; peak and valley share a nontrivial
+numerator N, and f = (N - S)/N with an odd-index sum S.
 
 All evaluators take a point x with |x| <= 0.8 and a tolerance eps, and
 return ``(value, bound)`` where bound is a guaranteed upper bound on the
 truncation error (floating-point rounding aside).
+
+:func:`estimate` samples f on the circle once: the rows are the exported
+curve and their phase increments give the winding number.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .patterns import PatternId
@@ -33,8 +37,6 @@ FD_STEP = 1e-6
 WINDING_SAMPLES = 4096
 WINDING_RADIUS = 0.7
 _MAX_ABS = 0.8
-
-Eval = Callable[[complex, float], tuple[complex, float]]
 
 
 class AsymptoticsError(Exception):
@@ -54,23 +56,10 @@ class UndersamplingError(AsymptoticsError):
 
 
 @dataclass(frozen=True)
-class AnalyticGF:
-    """Numerator and denominator evaluators of one avoidance series.
-
-    ``C(x) = numerator(x)/denominator(x)`` and ``f(x) = 1/C(x)``.  For the
-    statistics 111, 112, 221 and 123 the numerator is identically 1 and
-    its evaluator returns exactly (1, 0).
-    """
-
-    pattern: PatternId
-    numerator: Eval
-    denominator: Eval
-
-
-@dataclass(frozen=True)
 class AsymptoticEstimate:
     """Dominant-pole data for one statistic: the avoider count of n is
-    approximately constant_K * growth_v ** n."""
+    approximately constant_K * growth_v ** n.  ``curve`` holds the sampled
+    image of the winding circle, rows (re x, im x, re f, im f)."""
 
     pattern: PatternId
     rho: float
@@ -78,6 +67,8 @@ class AsymptoticEstimate:
     constant_K: float
     winding: int
     tolerances: dict
+    curve: list[tuple[float, float, float, float]] = field(
+        repr=False, compare=False)
 
 
 def _check_domain(x) -> float:
@@ -86,10 +77,6 @@ def _check_domain(x) -> float:
         raise DomainError(
             f"|x| = {ax:.4f} exceeds {_MAX_ABS}; tail bounds unavailable")
     return ax
-
-
-def _const_one(x, eps: float):
-    return 1.0, 0.0
 
 
 def _den_111(x, eps: float):
@@ -176,6 +163,12 @@ def _qpoch_lower(ax: float) -> float:
     return prod * (1 - ax ** j / (1 - ax))
 
 
+def _ensure_poch(poch: list, x, q: int) -> None:
+    """Extend poch, where poch[i] = (x;x)_i, through index q."""
+    while len(poch) <= q:
+        poch.append(poch[-1] * (1 - x ** len(poch)))
+
+
 def _den_123(x, eps: float):
     """1 - x/(1-x) - sum_{p>=3} (-1)^p sum_{j=0}^{p-3}
     C(p-3, j) x^{T(p+j)} / (x;x)_{p+j}  with T(q) = q(q+1)/2."""
@@ -185,18 +178,13 @@ def _den_123(x, eps: float):
     c_min = _qpoch_lower(ax)
     poch = [1]  # poch[q] = (x;x)_q
     total = x / (1 - x)
-
-    def ensure_poch(q: int):
-        while len(poch) <= q:
-            poch.append(poch[-1] * (1 - x ** len(poch)))
-
     p = 2
     while True:
         p += 1
         inner = 0 * x
         for j in range(p - 2):
             q = p + j
-            ensure_poch(q)
+            _ensure_poch(poch, x, q)
             inner += math.comb(p - 3, j) * x ** (q * (q + 1) // 2) / poch[q]
         total += (-1) ** p * inner
         bound_next = (2 ** (p - 2)) * ax ** ((p + 1) * (p + 2) // 2) / c_min
@@ -207,46 +195,19 @@ def _den_123(x, eps: float):
             raise AsymptoticsError("123 series did not reach the tolerance")
 
 
-def _peak_num(x, eps: float):
-    """1 + sum_{j>=1} x^{j(j+2)} / (x;x)_{2j}."""
-    return _super_sum(x, eps, lambda j: j * (j + 2), lambda j: 2 * j,
-                      start=1, constant=1)
-
-
-def _peak_den(x, eps: float):
-    """peak numerator minus sum_{j>=0} x^{j^2+3j+1} / (x;x)_{2j+1}."""
-    nv, nb = _peak_num(x, eps / 2)
-    sv, sb = _super_sum(x, eps / 2, lambda j: j * j + 3 * j + 1,
-                        lambda j: 2 * j + 1, start=0, constant=0)
-    return nv - sv, nb + sb
-
-
-def _valley_den(x, eps: float):
-    """peak numerator minus sum_{j>=0} x^{(j+1)^2} / (x;x)_{2j+1}."""
-    nv, nb = _peak_num(x, eps / 2)
-    sv, sb = _super_sum(x, eps / 2, lambda j: (j + 1) * (j + 1),
-                        lambda j: 2 * j + 1, start=0, constant=0)
-    return nv - sv, nb + sb
-
-
-def _super_sum(x, eps: float, x_exp, poch_idx, start: int, constant: int):
+def _super_sum(x, ax: float, c_min: float, poch: list, eps: float,
+               x_exp, poch_idx, start: int, constant: int):
     """constant + sum_{j>=start} x^{x_exp(j)} / (x;x)_{poch_idx(j)} for
-    superexponentially growing exponents (x_exp(j+1) - x_exp(j) >= 2)."""
-    ax = _check_domain(x)
-    if ax == 0:
-        return constant + 0 * x, 0.0
-    c_min = _qpoch_lower(ax)
-    poch = [1]
+    superexponentially growing exponents (x_exp(j+1) - x_exp(j) >= 2).
 
-    def ensure_poch(q: int):
-        while len(poch) <= q:
-            poch.append(poch[-1] * (1 - x ** len(poch)))
-
+    c_min = _qpoch_lower(ax) bounds every |(x;x)_q| from below; poch is
+    the shared (x;x)_q cache of the evaluation point.
+    """
     total = constant + 0 * x
     j = start
     while True:
         q = poch_idx(j)
-        ensure_poch(q)
+        _ensure_poch(poch, x, q)
         total += x ** x_exp(j) / poch[q]
         bound_next = ax ** x_exp(j + 1) / c_min
         if bound_next / (1 - ax) < eps:
@@ -256,19 +217,34 @@ def _super_sum(x, eps: float, x_exp, poch_idx, start: int, constant: int):
             raise AsymptoticsError("sum did not reach the tolerance")
 
 
-_GFS = {
-    PatternId.P111: (_const_one, _den_111),
-    PatternId.P112: (_const_one, _den_112),
-    PatternId.P221: (_const_one, _den_221),
-    PatternId.P123: (_const_one, _den_123),
-    PatternId.PEAK: (_peak_num, _peak_den),
-    PatternId.VALLEY: (_peak_num, _valley_den),
+def _peak_parts(x, eps: float, odd_exp):
+    """Numerator N = 1 + sum_{j>=1} x^{j(j+2)} / (x;x)_{2j} and odd sum
+    S = sum_{j>=0} x^{odd_exp(j)} / (x;x)_{2j+1} of the peak or valley
+    series, each to eps/2, as (N, N bound, S, S bound).  f = (N - S)/N."""
+    ax = _check_domain(x)
+    if ax == 0:
+        return 1 + 0 * x, 0.0, 0 * x, 0.0
+    c_min = _qpoch_lower(ax)
+    poch = [1]
+    nv, nb = _super_sum(x, ax, c_min, poch, eps / 2, lambda j: j * (j + 2),
+                        lambda j: 2 * j, start=1, constant=1)
+    sv, sb = _super_sum(x, ax, c_min, poch, eps / 2, odd_exp,
+                        lambda j: 2 * j + 1, start=0, constant=0)
+    return nv, nb, sv, sb
+
+
+_DENOMINATORS = {
+    PatternId.P111: _den_111,
+    PatternId.P112: _den_112,
+    PatternId.P221: _den_221,
+    PatternId.P123: _den_123,
 }
 
-
-def analytic_gf(p: PatternId) -> AnalyticGF:
-    num, den = _GFS[p]
-    return AnalyticGF(p, num, den)
+# x-exponent of the j-th term of the odd sum S in f = (N - S)/N.
+_ODD_EXPONENTS = {
+    PatternId.PEAK: lambda j: j * j + 3 * j + 1,
+    PatternId.VALLEY: lambda j: (j + 1) * (j + 1),
+}
 
 
 def eval_f(p: PatternId, x, eps: float = EVAL_EPS):
@@ -276,14 +252,14 @@ def eval_f(p: PatternId, x, eps: float = EVAL_EPS):
     on the truncation error.  Real input stays real."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    gf = analytic_gf(p)
-    dv, db = gf.denominator(x, eps)
-    nv, nb = gf.numerator(x, eps)
+    if p in _DENOMINATORS:
+        return _DENOMINATORS[p](x, eps)
+    nv, nb, sv, sb = _peak_parts(x, eps, _ODD_EXPONENTS[p])
     if abs(nv) < 1e-9:
         raise AsymptoticsError(
             f"numerator nearly vanishes at {x}; f undefined there")
-    value = dv / nv
-    return value, (db + abs(value) * nb) / abs(nv)
+    value = (nv - sv) / nv
+    return value, (nb + sb + abs(value) * nb) / abs(nv)
 
 
 def find_rho(p: PatternId, tol: float = RHO_TOL,
@@ -321,26 +297,28 @@ def find_rho(p: PatternId, tol: float = RHO_TOL,
     return (lo + hi) / 2
 
 
-def winding_of(fn: Callable[[complex], complex], radius: float,
-               samples: int) -> int:
-    """Winding number of fn's image of the circle |x| = radius around 0.
+def _circle(radius: float, samples: int) -> list[complex]:
+    """The points radius * exp(2 pi i idx / samples), idx = 0 .. samples-1."""
+    if samples < 1024:
+        raise ValueError("need at least 1024 samples")
+    if radius >= _MAX_ABS:
+        raise ValueError(f"radius must be below {_MAX_ABS}")
+    return [radius * cmath.exp(2j * cmath.pi * idx / samples)
+            for idx in range(samples)]
+
+
+def _winding(values: list[complex]) -> int:
+    """Winding number around 0 of the closed polygon through values.
 
     Accumulates principal-branch phase increments between consecutive
     samples and refuses to guess across jumps larger than pi/2, which
     signals under-sampling.
     """
-    if samples < 1024:
-        raise ValueError("need at least 1024 samples")
-    if radius >= _MAX_ABS:
-        raise ValueError(f"radius must be below {_MAX_ABS}")
-    values = []
-    for idx in range(samples):
-        point = radius * cmath.exp(2j * cmath.pi * idx / samples)
-        value = complex(fn(point))
+    for idx, value in enumerate(values):
         if value == 0:
             raise UndersamplingError(
                 f"f vanishes at sample {idx}; perturb radius or samples")
-        values.append(value)
+    samples = len(values)
     total = 0.0
     for idx in range(samples):
         step = cmath.phase(values[(idx + 1) % samples] / values[idx])
@@ -352,6 +330,12 @@ def winding_of(fn: Callable[[complex], complex], radius: float,
     return round(total / (2 * math.pi))
 
 
+def winding_of(fn: Callable[[complex], complex], radius: float,
+               samples: int) -> int:
+    """Winding number of fn's image of the circle |x| = radius around 0."""
+    return _winding([complex(fn(point)) for point in _circle(radius, samples)])
+
+
 def winding_number(p: PatternId, radius: float = WINDING_RADIUS,
                    samples: int = WINDING_SAMPLES,
                    eps: float = EVAL_EPS) -> int:
@@ -360,12 +344,14 @@ def winding_number(p: PatternId, radius: float = WINDING_RADIUS,
     return winding_of(lambda x: eval_f(p, x, eps)[0], radius, samples)
 
 
-def estimate(p: PatternId) -> AsymptoticEstimate:
+def estimate(p: PatternId, radius: float = WINDING_RADIUS,
+             samples: int = WINDING_SAMPLES) -> AsymptoticEstimate:
     """Dominant-pole estimate: rho, v = 1/rho, K = -1/(rho f'(rho)), and
-    the winding certificate at the standard radius.
+    the winding certificate over |x| = radius.
 
     f'(rho) comes from central differences at steps h and h/2 combined by
-    one Richardson extrapolation level.
+    one Richardson extrapolation level.  The circle is sampled once, by
+    :func:`emit_curve`; the winding is read off those rows.
     """
     rho = find_rho(p, RHO_TOL)
 
@@ -376,15 +362,17 @@ def estimate(p: PatternId) -> AsymptoticEstimate:
     d2 = df(FD_STEP / 2)
     fprime = (4 * d2 - d1) / 3
     k = -1 / (rho * fprime)
+    curve = emit_curve(p, radius, samples)
     return AsymptoticEstimate(
         pattern=p,
         rho=rho,
         growth_v=1 / rho,
         constant_K=k,
-        winding=winding_number(p),
+        winding=_winding([complex(rf, if_) for _, _, rf, if_ in curve]),
         tolerances={"rho_tol": RHO_TOL, "tail_eps": EVAL_EPS,
-                    "fd_step": FD_STEP, "winding_samples": WINDING_SAMPLES,
-                    "winding_radius": WINDING_RADIUS},
+                    "fd_step": FD_STEP, "winding_samples": samples,
+                    "winding_radius": radius},
+        curve=curve,
     )
 
 
@@ -402,11 +390,8 @@ def emit_curve(p: PatternId, radius: float = WINDING_RADIUS,
                ) -> list[tuple[float, float, float, float]]:
     """Sampled image of the circle |x| = radius under f, as rows
     (re x, im x, re f, im f) starting at angle 0."""
-    if radius >= _MAX_ABS:
-        raise ValueError(f"radius must be below {_MAX_ABS}")
     rows = []
-    for idx in range(samples):
-        point = radius * cmath.exp(2j * cmath.pi * idx / samples)
+    for point in _circle(radius, samples):
         value = complex(eval_f(p, point, eps)[0])
         rows.append((point.real, point.imag, value.real, value.imag))
     return rows

@@ -32,6 +32,9 @@ MAX_VERIFY_M = 12
 # through the coefficient sizes (about m * log2(k) bits for length m); at
 # the cap, order 60 takes under a second.
 MAX_WORDS_K = 10**6
+# Input bound for `asymptotics --samples`: each sample is one evaluation
+# of f on the circle.
+MAX_SAMPLES = 2**16
 
 PATTERN_CHOICES = [p.value for p in PatternId]
 
@@ -121,29 +124,26 @@ def cmd_avoiders(args, argv: list[str]) -> int:
 
 def cmd_asymptotics(args, argv: list[str]) -> int:
     _require(0 < args.radius < 0.8, "--radius: must lie in (0, 0.8)")
-    _require(args.samples >= 1024, "--samples: need at least 1024")
+    _require(1024 <= args.samples <= MAX_SAMPLES,
+             f"--samples: must be between 1024 and {MAX_SAMPLES}")
     pattern = PatternId.parse(args.pattern)
-    est = asymptotics.estimate(pattern)
-    winding = asymptotics.winding_number(pattern, args.radius, args.samples)
+    est = asymptotics.estimate(pattern, args.radius, args.samples)
     payload = {
         "pattern": pattern.value,
         "rho": est.rho,
         "v": est.growth_v,
         "K": est.constant_K,
-        "winding": winding,
-        "tolerances": dict(est.tolerances,
-                           winding_radius=args.radius,
-                           winding_samples=args.samples),
+        "winding": est.winding,
+        "tolerances": est.tolerances,
     }
-    if winding != 1:
+    if est.winding != 1:
         payload["warning"] = (
-            f"winding number {winding} at radius {args.radius}: the circle "
-            "does not enclose exactly one simple zero")
+            f"winding number {est.winding} at radius {args.radius}: the "
+            "circle does not enclose exactly one simple zero")
     if args.curve_csv:
-        rows = asymptotics.emit_curve(pattern, args.radius, args.samples)
         with open(args.curve_csv, "w", encoding="utf-8") as fh:
             fh.write("re_x,im_x,re_f,im_f\n")
-            for rx, ix, rf, if_ in rows:
+            for rx, ix, rf, if_ in est.curve:
                 fh.write(f"{rx!r},{ix!r},{rf!r},{if_!r}\n")
     _emit_json(_envelope(argv, **payload))
     return 0

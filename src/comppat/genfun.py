@@ -447,25 +447,17 @@ def gf_peak_recursive(A, order: int) -> TruncatedSeries:
 # q-Pochhammer closed forms for the naturals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QPochhammerInverse:
+def qpochhammer_inverse(p: int, order: int) -> TruncatedSeries:
     """1/(x;x)_p = 1 / prod_{j=1..p} (1 - x^j), truncated.
 
     Its coefficients count partitions into parts <= p, so they are
     nonnegative, and multiplying back by the finite product recovers 1.
     """
-
-    p: int
-    order: int
-    series: TruncatedSeries
-
-
-def qpochhammer_inverse(p: int, order: int) -> QPochhammerInverse:
     prod = one(Grading.X, order)
     for j in range(1, p + 1):
         prod = prod * (one(Grading.X, order)
                        - make_monomial(Grading.X, order, j, 0, 0, 1))
-    return QPochhammerInverse(p, order, prod.reciprocal())
+    return prod.reciprocal()
 
 
 NAT_CLOSED_KINDS = ("T", "M_even", "M_odd", "N_odd")
@@ -495,4 +487,4 @@ def nat_closed_forms(kind: str, s_or_p: int, order: int) -> TruncatedSeries:
         raise ValueError(f"unknown kind {kind!r}; expected one of "
                          f"{NAT_CLOSED_KINDS}")
     lead = make_monomial(Grading.X, order, x_deg, z_deg, 0, 1)
-    return lead * qpochhammer_inverse(q, order).series
+    return lead * qpochhammer_inverse(q, order)

@@ -259,15 +259,7 @@ class TruncatedSeries:
 
     def substitute_y1(self) -> "TruncatedSeries":
         """Set y := 1, i.e. forget the statistic by summing over r."""
-        out: dict[Triple, int] = {}
-        for (n, m, _r), c in self.coeffs.items():
-            key = (n, m, 0)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return self._wrap(out)
+        return self._sum_out(lambda n, m, _r: (n, m, 0))
 
     def substitute_z1(self) -> "TruncatedSeries":
         """Set z := 1, i.e. forget the number of parts by summing over m.
@@ -278,9 +270,13 @@ class TruncatedSeries:
         if self.grading is not Grading.X:
             raise GradingMismatchError(
                 "substitute_z1 requires an x-graded series")
+        return self._sum_out(lambda n, _m, r: (n, 0, r))
+
+    def _sum_out(self, project) -> "TruncatedSeries":
+        """Sum the coefficients whose exponents share project(n, m, r)."""
         out: dict[Triple, int] = {}
-        for (n, _m, r), c in self.coeffs.items():
-            key = (n, 0, r)
+        for key, c in self.coeffs.items():
+            key = project(*key)
             s = out.get(key, 0) + c
             if s:
                 out[key] = s

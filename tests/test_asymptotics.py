@@ -8,10 +8,10 @@ import cmath
 
 import pytest
 
-from comppat.asymptotics import (DomainError, UndersamplingError,
-                                 analytic_gf,
-                                 emit_curve, estimate, eval_f, find_rho,
-                                 predict_count, winding_number, winding_of)
+from comppat.asymptotics import (DomainError, UndersamplingError, _den_111,
+                                 _den_112, _den_123, _den_221, emit_curve,
+                                 estimate, eval_f, find_rho, predict_count,
+                                 winding_number, winding_of)
 from comppat.genfun import avoidance_sequence
 from comppat.patterns import PartSet, PatternId
 
@@ -57,10 +57,13 @@ def test_eval_domain_guard():
         eval_f(P.P112, 0.93)
 
 
-def test_numerator_is_exactly_one_for_simple_patterns():
-    for p in (P.P111, P.P112, P.P221, P.P123):
-        gf = analytic_gf(p)
-        assert gf.numerator(0.6, 1e-12) == (1.0, 0.0)
+def test_f_is_the_denominator_for_simple_patterns():
+    # the numerator of these four series is identically 1
+    dens = {P.P111: _den_111, P.P112: _den_112, P.P221: _den_221,
+            P.P123: _den_123}
+    for p, den in dens.items():
+        for x in (0.6, 0.7 * cmath.exp(0.73j)):
+            assert eval_f(p, x, 1e-12) == den(x, 1e-12), (p, x)
 
 
 def test_tail_bound_honest():
@@ -142,6 +145,14 @@ def test_estimate_consistent_with_exact_ratio():
         ratio = seq[order] / seq[order - 1]
         est = estimate(p)
         assert abs(ratio - est.growth_v) / est.growth_v < 5e-3, p
+
+
+def test_estimate_samples_the_circle_once():
+    est = estimate(P.P221, 0.65, 1024)
+    assert est.curve == emit_curve(P.P221, 0.65, 1024)
+    assert est.winding == winding_number(P.P221, 0.65, 1024) == 1
+    assert est.tolerances["winding_radius"] == 0.65
+    assert est.tolerances["winding_samples"] == 1024
 
 
 def test_predict_count_111():

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from comppat import asymptotics, cli
+from comppat.patterns import PatternId
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -131,8 +132,44 @@ def test_asymptotics_rejects_bad_radius():
     assert "--radius" in res.stderr
 
 
+def test_asymptotics_samples_cap(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("estimate ran on a rejected sample count")
+    monkeypatch.setattr(asymptotics, "estimate", never)
+    rc = cli.main(["asymptotics", "--pattern", "111",
+                   "--samples", str(cli.MAX_SAMPLES + 1)])
+    assert rc == 2
+    assert "--samples" in capsys.readouterr().err
+    assert load_schema("asymptotics")["properties"]["tolerances"][
+        "properties"]["winding_samples"]["maximum"] == cli.MAX_SAMPLES
+
+
+def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
+    # the report's winding and the curve come from one pass over the
+    # requested circle; nothing samples the default |x| = 0.7
+    evaluate = asymptotics.eval_f
+    circle = []
+
+    def counting(p, x, *args):
+        if isinstance(x, complex):
+            circle.append(x)
+        return evaluate(p, x, *args)
+    monkeypatch.setattr(asymptotics, "eval_f", counting)
+    curve = tmp_path / "curve.csv"
+    rc = cli.main(["asymptotics", "--pattern", "112", "--radius", "0.6",
+                   "--samples", "2048", "--curve-csv", str(curve)])
+    assert rc == 0
+    assert len(circle) == 2048
+    assert all(abs(abs(x) - 0.7) > 1e-3 for x in circle)
+    assert len(curve.read_text().splitlines()) == 2049
+    monkeypatch.undo()
+    report = json.loads(capsys.readouterr().out)
+    assert report["winding"] == asymptotics.winding_number(
+        PatternId.P112, 0.6, 2048)
+
+
 def test_asymptotics_numeric_failure_exits_3(monkeypatch):
-    def boom(p):
+    def boom(*args):
         raise asymptotics.RootNotFoundError("no bracket")
     monkeypatch.setattr(asymptotics, "estimate", boom)
     rc = cli.main(["asymptotics", "--pattern", "111"])
@@ -140,7 +177,7 @@ def test_asymptotics_numeric_failure_exits_3(monkeypatch):
 
 
 def test_asymptotics_base_numeric_failure_exits_3(monkeypatch, capsys):
-    def boom(p):
+    def boom(*args):
         raise asymptotics.AsymptoticsError("numerator nearly vanishes")
     monkeypatch.setattr(asymptotics, "estimate", boom)
     rc = cli.main(["asymptotics", "--pattern", "111"])
