@@ -1,22 +1,17 @@
 """Closed-form generating functions for the six 3-letter statistics.
 
-Each builder returns the trivariate series whose coefficient of x^n z^m y^r
-counts compositions of n with m parts in A and exactly r occurrences of the
-statistic, truncated at a given x-order.  The same algorithms run under
-z-grading with the x-degrees forced to zero, which gives the word (x := 1)
-specializations; :mod:`comppat.words` computes those from closed forms in
-k and keeps this route as its cross-check.  Every builder here is written
-against a small grading context.
+:func:`build_gf` returns the trivariate series whose coefficient of
+x^n z^m y^r counts compositions of n with m parts in A and exactly r
+occurrences of the statistic, truncated at a given x-order; each
+statistic's series is one numerator/denominator pair from ``_NUM_DEN``.
+The same pairs run under z-grading with the x-degrees forced to zero,
+which gives the word (x := 1) series over the alphabet A.
+:func:`avoidance_sequence` specializes the pair to y := 0, z := 1 before
+the single inversion.
 
 The naturals are handled by materializing A = {1..order}: parts larger than
 the truncation order cannot appear in any composition that survives the
-truncation, so this is exact.  The q-Pochhammer closed forms for the
-naturals (:func:`nat_closed_forms`) are kept as independent cross-checks of
-the dynamic programs, not as the primary computation path.
-
-Builders that are defined by a recursion (:func:`gf_123_recursive`,
-:func:`gf_peak_recursive`) exist purely as cross-checks of the direct
-closed forms; the two routes share no algebra beyond the series ring.
+truncation, so this is exact.
 """
 
 from __future__ import annotations
@@ -25,15 +20,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .patterns import PartSet, PatternId
+from .patterns import PartSet, PatternId, check_parts
 from .series import Grading, TruncatedSeries, make_monomial, one, zero
-
-
-def choose(n: int, k: int) -> int:
-    """Binomial coefficient, 0 outside the triangle (k < 0 or k > n)."""
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -88,11 +76,7 @@ def _materialize(A, ctx: _Ctx) -> tuple[int, ...]:
             return A.materialize(ctx.order)
         parts = A.parts
     else:
-        parts = tuple(A)
-        if any(a < 1 for a in parts):
-            raise ValueError("parts must be positive integers")
-        if any(a >= b for a, b in zip(parts, parts[1:])):
-            raise ValueError("parts must be strictly increasing")
+        parts = check_parts(A)
     if ctx.grading is Grading.X:
         parts = tuple(a for a in parts if a <= ctx.order)
     return parts
@@ -107,6 +91,11 @@ def _materialize(A, ctx: _Ctx) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _num_den_111(parts: Sequence[int], ctx: _Ctx):
+    """111 (level + level):
+
+    1 / (1 - sum over a in A of x^a z (1 + (1-y) x^a z)
+                                / (1 + x^a z (1 + x^a z)(1-y))).
+    """
     unit = ctx.one()
     omy = ctx.one_minus_y()
     total = ctx.zero()
@@ -119,7 +108,13 @@ def _num_den_111(parts: Sequence[int], ctx: _Ctx):
 
 
 def _num_den_level(parts: Sequence[int], ctx: _Ctx, mirrored: bool):
-    # 112 guards each part by the smaller parts, 221 by the larger ones.
+    """112 (level + rise):
+
+    1 / (1 - sum_j x^{a_j} z * prod_{i<j} (1 - (1-y) x^{2 a_i} z^2)).
+
+    221 (level + drop), ``mirrored``, is its mirror with the guard product
+    over the parts larger than a_j.
+    """
     unit = ctx.one()
     omy = ctx.one_minus_y()
     prod = unit
@@ -150,10 +145,7 @@ def _t_polys(parts: Sequence[int], ctx: _Ctx) -> list[TruncatedSeries]:
     return t
 
 
-def _den_123(parts: Sequence[int], ctx: _Ctx,
-             t: list[TruncatedSeries] | None = None) -> TruncatedSeries:
-    if t is None:
-        t = _t_polys(parts, ctx)
+def _den_123(t: list[TruncatedSeries], ctx: _Ctx) -> TruncatedSeries:
     top = len(t) - 1
     den = ctx.one()
     if top >= 1:
@@ -163,12 +155,17 @@ def _den_123(parts: Sequence[int], ctx: _Ctx,
         for j in range(p - 2):
             if p + j > top:
                 break
-            den = den - choose(p - 3, j) * t[p + j] * ym1[p - 2]
+            den = den - comb(p - 3, j) * t[p + j] * ym1[p - 2]
     return den
 
 
 def _num_den_123(parts: Sequence[int], ctx: _Ctx):
-    return ctx.one(), _den_123(parts, ctx)
+    """123 (rise + rise):
+
+    1 / (1 - t^1(A) - sum_{p>=3} sum_{j=0}^{p-3} C(p-3, j) t^{p+j}(A)
+                         (y-1)^{p-2}).
+    """
+    return ctx.one(), _den_123(_t_polys(parts, ctx), ctx)
 
 
 def _mn_polys(parts: Sequence[int], ctx: _Ctx,
@@ -205,6 +202,14 @@ def _mn_polys(parts: Sequence[int], ctx: _Ctx,
 
 
 def _num_den_peak_valley(parts: Sequence[int], ctx: _Ctx, valley: bool):
+    """peak (rise + drop):
+
+        (1 + sum_{j>=1} M^{2j} (1-y)^j)
+        / (1 + sum_{j>=1} M^{2j} (1-y)^j - sum_{j>=0} M^{2j+1} (1-y)^j).
+
+    valley (drop + rise), ``valley``, has the same numerator with N^{2j+1}
+    replacing M^{2j+1} in the denominator.
+    """
     m, n = _mn_polys(parts, ctx)
     top = len(m) - 1
     omy_pow = [ctx.one()]
@@ -272,219 +277,3 @@ def avoidance_sequence(p: PatternId, A, order: int) -> list[int]:
     den0 = den.substitute_y0().substitute_z1()
     series = num0 * den0.reciprocal()
     return [series.coefficient(n, 0, 0) for n in range(order + 1)]
-
-
-# ---------------------------------------------------------------------------
-# public builders
-# ---------------------------------------------------------------------------
-
-def gf_111(A, order: int) -> TruncatedSeries:
-    """Series counting 111 (level + level):
-
-    1 / (1 - sum over a in A of x^a z (1 + (1-y) x^a z)
-                                / (1 + x^a z (1 + x^a z)(1-y))).
-    """
-    return build_gf(PatternId.P111, A, order)
-
-
-def gf_112(A, order: int) -> TruncatedSeries:
-    """Series counting 112 (level + rise):
-
-    1 / (1 - sum_j x^{a_j} z * prod_{i<j} (1 - (1-y) x^{2 a_i} z^2)).
-    """
-    return build_gf(PatternId.P112, A, order)
-
-
-def gf_221(A, order: int) -> TruncatedSeries:
-    """Series counting 221 (level + drop); mirror of gf_112 with the
-    guard product over the parts larger than a_j."""
-    return build_gf(PatternId.P221, A, order)
-
-
-def gf_123(A, order: int) -> TruncatedSeries:
-    """Series counting 123 (rise + rise):
-
-    1 / (1 - t^1(A) - sum_{p>=3} sum_{j=0}^{p-3} C(p-3, j) t^{p+j}(A)
-                         (y-1)^{p-2}).
-    """
-    return build_gf(PatternId.P123, A, order)
-
-
-def gf_peak(A, order: int) -> TruncatedSeries:
-    """Series counting peaks (rise + drop):
-
-        (1 + sum_{j>=1} M^{2j} (1-y)^j)
-        / (1 + sum_{j>=1} M^{2j} (1-y)^j - sum_{j>=0} M^{2j+1} (1-y)^j).
-    """
-    return build_gf(PatternId.PEAK, A, order)
-
-
-def gf_valley(A, order: int) -> TruncatedSeries:
-    """Series counting valleys (drop + rise); same numerator as gf_peak
-    with N^{2j+1} replacing M^{2j+1} in the denominator."""
-    return build_gf(PatternId.VALLEY, A, order)
-
-
-def t_poly(A, p: int, order: int) -> TruncatedSeries:
-    """Generating function of p-element strictly increasing part
-    selections from A (partitions with p distinct parts), z-marked."""
-    ctx = _Ctx(Grading.X, order)
-    t = _t_polys(_materialize(A, ctx), ctx)
-    return t[p] if p < len(t) else ctx.zero()
-
-
-def d_series(A, order: int) -> TruncatedSeries:
-    """The prefix-extension series for 123: counts compositions s with
-    parts in A, weighted by occurrences of 123 in a*s for any sentinel
-    part a smaller than min(A).
-
-    (1 + sum_{p>=2} sum_{j=0}^{p-2} C(p-2, j) t^{p+j}(A) (y-1)^{p-1})
-    over the same denominator as gf_123.
-    """
-    ctx = _Ctx(Grading.X, order)
-    parts = _materialize(A, ctx)
-    t = _t_polys(parts, ctx)
-    top = len(t) - 1
-    num = ctx.one()
-    ym1 = ctx.y_minus_one_powers(max(top - 1, 0))
-    for p in range(2, top + 1):
-        for j in range(p - 1):
-            if p + j > top:
-                break
-            num = num + choose(p - 2, j) * t[p + j] * ym1[p - 1]
-    return num * _den_123(parts, ctx, t).reciprocal()
-
-
-def gf_123_recursive(A, order: int) -> TruncatedSeries:
-    """Cross-check route for gf_123: grow the part set from the largest
-    part down, updating the pair (C, D) one part at a time:
-
-        C <- C / (1 - x^a z D)
-        D <- ((1 - x^a z (1-y)) D + x^a z (1-y)) / (1 - x^a z D)
-
-    starting from C = D = 1 for the empty set.
-    """
-    ctx = _Ctx(Grading.X, order)
-    parts = _materialize(A, ctx)
-    unit = ctx.one()
-    omy = ctx.one_minus_y()
-    c = unit
-    d = unit
-    for a in reversed(parts):
-        b = ctx.part(a)
-        inv = (unit - b * d).reciprocal()
-        c = c * inv
-        d = ((unit - b * omy) * d + b * omy) * inv
-    return c
-
-
-def m_poly(A, s: int, order: int) -> TruncatedSeries:
-    """M^s(A): weighted count of index tuples i1 < i2 <= i3 < i4 <= ..."""
-    ctx = _Ctx(Grading.X, order)
-    m, _ = _mn_polys(_materialize(A, ctx), ctx)
-    return m[s] if s < len(m) else ctx.zero()
-
-
-def n_poly(A, s: int, order: int) -> TruncatedSeries:
-    """N^s(A): weighted count of index tuples i1 <= i2 < i3 <= i4 < ..."""
-    ctx = _Ctx(Grading.X, order)
-    _, n = _mn_polys(_materialize(A, ctx), ctx)
-    return n[s] if s < len(n) else ctx.zero()
-
-
-def m_poly_prefix(A, s: int, order: int) -> TruncatedSeries:
-    """M^s(A) by the independent prefix recursion (largest part added
-    last); must agree with m_poly:
-
-        M^{2s}   <- b * M^{2s-1}_old + M^{2s}_old
-        M^{2s+1} <- b * M^{2s}_new  + M^{2s+1}_old
-    """
-    ctx = _Ctx(Grading.X, order)
-    parts = _materialize(A, ctx)
-    m = [ctx.one()]
-    zero_s = ctx.zero()
-    for a in parts:
-        b = ctx.part(a)
-        m.extend((zero_s, zero_s))  # longest tuple grows by two per part
-        new_m = [ctx.one()]
-        for s_i in range(1, len(m)):
-            if s_i % 2 == 0:
-                new_m.append(b * m[s_i - 1] + m[s_i])
-            else:
-                new_m.append(b * new_m[s_i - 1] + m[s_i])
-        m = new_m
-        while len(m) > 1 and m[-1].is_zero():
-            m.pop()
-    return m[s] if s < len(m) else ctx.zero()
-
-
-def gf_peak_recursive(A, order: int) -> TruncatedSeries:
-    """Cross-check route for gf_peak: one rational step per part, largest
-    part added last.  With b = x^a z and C the series for the parts so far:
-
-        C <- ((1 + b(1-y)) C - b(1-y))
-             / (1 - b(1 - b)(1-y) - b(b(1-y) + y) C)
-
-    starting from C = 1/(1 - x^{a_1} z) for the singleton set.
-    """
-    ctx = _Ctx(Grading.X, order)
-    parts = _materialize(A, ctx)
-    unit = ctx.one()
-    if not parts:
-        return unit
-    omy = ctx.one_minus_y()
-    yy = ctx.y()
-    c = (unit - ctx.part(parts[0])).reciprocal()
-    for a in parts[1:]:
-        b = ctx.part(a)
-        numer = (unit + b * omy) * c - b * omy
-        denom = unit - b * (unit - b) * omy - b * (b * omy + yy) * c
-        c = numer * denom.reciprocal()
-    return c
-
-
-# ---------------------------------------------------------------------------
-# q-Pochhammer closed forms for the naturals
-# ---------------------------------------------------------------------------
-
-def qpochhammer_inverse(p: int, order: int) -> TruncatedSeries:
-    """1/(x;x)_p = 1 / prod_{j=1..p} (1 - x^j), truncated.
-
-    Its coefficients count partitions into parts <= p, so they are
-    nonnegative, and multiplying back by the finite product recovers 1.
-    """
-    prod = one(Grading.X, order)
-    for j in range(1, p + 1):
-        prod = prod * (one(Grading.X, order)
-                       - make_monomial(Grading.X, order, j, 0, 0, 1))
-    return prod.reciprocal()
-
-
-NAT_CLOSED_KINDS = ("T", "M_even", "M_odd", "N_odd")
-
-
-def nat_closed_forms(kind: str, s_or_p: int, order: int) -> TruncatedSeries:
-    """Closed forms over the naturals for the selection polynomials:
-
-    * ``T``      : t^p      = x^{p(p+1)/2}  z^p      / (x;x)_p
-    * ``M_even`` : M^{2s}   = x^{s(s+2)}    z^{2s}   / (x;x)_{2s}
-    * ``M_odd``  : M^{2s+1} = x^{s^2+3s+1}  z^{2s+1} / (x;x)_{2s+1}
-    * ``N_odd``  : N^{2s+1} = x^{(s+1)^2}   z^{2s+1} / (x;x)_{2s+1}
-
-    The M_odd exponent is the one the dynamic program realizes (the round
-    trip is covered by tests against m_poly over {1..order}).
-    """
-    s = s_or_p
-    if kind == "T":
-        x_deg, z_deg, q = s * (s + 1) // 2, s, s
-    elif kind == "M_even":
-        x_deg, z_deg, q = s * (s + 2), 2 * s, 2 * s
-    elif kind == "M_odd":
-        x_deg, z_deg, q = s * s + 3 * s + 1, 2 * s + 1, 2 * s + 1
-    elif kind == "N_odd":
-        x_deg, z_deg, q = (s + 1) * (s + 1), 2 * s + 1, 2 * s + 1
-    else:
-        raise ValueError(f"unknown kind {kind!r}; expected one of "
-                         f"{NAT_CLOSED_KINDS}")
-    lead = make_monomial(Grading.X, order, x_deg, z_deg, 0, 1)
-    return lead * qpochhammer_inverse(q, order)

@@ -1,0 +1,286 @@
+"""The paper's alternative forms, kept only as cross-checks.
+
+Nothing in the production path imports this module; the tests (and the
+words demo) do.  Each form here is an independent route to a quantity the
+production code computes, or exposes one of its intermediate series:
+
+* :func:`t_poly`, :func:`m_poly`, :func:`n_poly` -- the selection
+  polynomials inside ``genfun.build_gf`` for 123 and peak/valley, exposed
+  one at a time so they can be compared with the closed forms below.
+* :func:`m_poly_prefix` -- M^s by the prefix recursion; checks the suffix
+  recursion (``genfun._mn_polys``) behind the peak/valley builders.
+* :func:`d_series` -- the prefix-extension series for 123, over the same
+  denominator as ``build_gf(PatternId.P123, ...)``; checked against a
+  sentinel enumeration.
+* :func:`gf_123_recursive`, :func:`gf_peak_recursive` -- the 123 and peak
+  series grown one part at a time; check ``build_gf`` for those patterns.
+* :func:`qpochhammer_inverse`, :func:`nat_closed_forms` -- q-Pochhammer
+  closed forms over the naturals; check t^p, M^s and N^s over nat.
+* :func:`u_poly`, :func:`u_poly_generating_function`,
+  :func:`w123_chebyshev` -- the U-polynomial form of 123 over {1..k};
+  checks ``words.w123_closed`` (what ``words.word_gf`` runs for 123).
+* :func:`w123_avoid_aj` -- the 123-avoiding words (y = 0 slice); checks
+  ``words.word_gf(PatternId.P123, ...).substitute_y0()``.
+"""
+
+from __future__ import annotations
+
+from math import comb
+
+from .genfun import _Ctx, _den_123, _materialize, _mn_polys, _t_polys
+from .series import Grading, TruncatedSeries, make_monomial, one, zero
+from .words import _z
+
+
+# ---------------------------------------------------------------------------
+# selection polynomials and recursive builders
+# ---------------------------------------------------------------------------
+
+def t_poly(A, p: int, order: int) -> TruncatedSeries:
+    """Generating function of p-element strictly increasing part
+    selections from A (partitions with p distinct parts), z-marked."""
+    ctx = _Ctx(Grading.X, order)
+    t = _t_polys(_materialize(A, ctx), ctx)
+    return t[p] if p < len(t) else ctx.zero()
+
+
+def d_series(A, order: int) -> TruncatedSeries:
+    """The prefix-extension series for 123: counts compositions s with
+    parts in A, weighted by occurrences of 123 in a*s for any sentinel
+    part a smaller than min(A).
+
+    (1 + sum_{p>=2} sum_{j=0}^{p-2} C(p-2, j) t^{p+j}(A) (y-1)^{p-1})
+    over the same denominator as the 123 builder.
+    """
+    ctx = _Ctx(Grading.X, order)
+    parts = _materialize(A, ctx)
+    t = _t_polys(parts, ctx)
+    top = len(t) - 1
+    num = ctx.one()
+    ym1 = ctx.y_minus_one_powers(max(top - 1, 0))
+    for p in range(2, top + 1):
+        for j in range(p - 1):
+            if p + j > top:
+                break
+            num = num + comb(p - 2, j) * t[p + j] * ym1[p - 1]
+    return num * _den_123(t, ctx).reciprocal()
+
+
+def gf_123_recursive(A, order: int) -> TruncatedSeries:
+    """Cross-check route for the 123 builder: grow the part set from the
+    largest part down, updating the pair (C, D) one part at a time:
+
+        C <- C / (1 - x^a z D)
+        D <- ((1 - x^a z (1-y)) D + x^a z (1-y)) / (1 - x^a z D)
+
+    starting from C = D = 1 for the empty set.
+    """
+    ctx = _Ctx(Grading.X, order)
+    parts = _materialize(A, ctx)
+    unit = ctx.one()
+    omy = ctx.one_minus_y()
+    c = unit
+    d = unit
+    for a in reversed(parts):
+        b = ctx.part(a)
+        inv = (unit - b * d).reciprocal()
+        c = c * inv
+        d = ((unit - b * omy) * d + b * omy) * inv
+    return c
+
+
+def m_poly(A, s: int, order: int) -> TruncatedSeries:
+    """M^s(A): weighted count of index tuples i1 < i2 <= i3 < i4 <= ..."""
+    ctx = _Ctx(Grading.X, order)
+    m, _ = _mn_polys(_materialize(A, ctx), ctx)
+    return m[s] if s < len(m) else ctx.zero()
+
+
+def n_poly(A, s: int, order: int) -> TruncatedSeries:
+    """N^s(A): weighted count of index tuples i1 <= i2 < i3 <= i4 < ..."""
+    ctx = _Ctx(Grading.X, order)
+    _, n = _mn_polys(_materialize(A, ctx), ctx)
+    return n[s] if s < len(n) else ctx.zero()
+
+
+def m_poly_prefix(A, s: int, order: int) -> TruncatedSeries:
+    """M^s(A) by the independent prefix recursion (largest part added
+    last); must agree with m_poly:
+
+        M^{2s}   <- b * M^{2s-1}_old + M^{2s}_old
+        M^{2s+1} <- b * M^{2s}_new  + M^{2s+1}_old
+    """
+    ctx = _Ctx(Grading.X, order)
+    parts = _materialize(A, ctx)
+    m = [ctx.one()]
+    zero_s = ctx.zero()
+    for a in parts:
+        b = ctx.part(a)
+        m.extend((zero_s, zero_s))  # longest tuple grows by two per part
+        new_m = [ctx.one()]
+        for s_i in range(1, len(m)):
+            if s_i % 2 == 0:
+                new_m.append(b * m[s_i - 1] + m[s_i])
+            else:
+                new_m.append(b * new_m[s_i - 1] + m[s_i])
+        m = new_m
+        while len(m) > 1 and m[-1].is_zero():
+            m.pop()
+    return m[s] if s < len(m) else ctx.zero()
+
+
+def gf_peak_recursive(A, order: int) -> TruncatedSeries:
+    """Cross-check route for the peak builder: one rational step per part,
+    largest part added last.  With b = x^a z and C the series for the parts
+    so far:
+
+        C <- ((1 + b(1-y)) C - b(1-y))
+             / (1 - b(1 - b)(1-y) - b(b(1-y) + y) C)
+
+    starting from C = 1/(1 - x^{a_1} z) for the singleton set.
+    """
+    ctx = _Ctx(Grading.X, order)
+    parts = _materialize(A, ctx)
+    unit = ctx.one()
+    if not parts:
+        return unit
+    omy = ctx.one_minus_y()
+    yy = ctx.y()
+    c = (unit - ctx.part(parts[0])).reciprocal()
+    for a in parts[1:]:
+        b = ctx.part(a)
+        numer = (unit + b * omy) * c - b * omy
+        denom = unit - b * (unit - b) * omy - b * (b * omy + yy) * c
+        c = numer * denom.reciprocal()
+    return c
+
+
+# ---------------------------------------------------------------------------
+# q-Pochhammer closed forms for the naturals
+# ---------------------------------------------------------------------------
+
+def qpochhammer_inverse(p: int, order: int) -> TruncatedSeries:
+    """1/(x;x)_p = 1 / prod_{j=1..p} (1 - x^j), truncated.
+
+    Its coefficients count partitions into parts <= p, so they are
+    nonnegative, and multiplying back by the finite product recovers 1.
+    """
+    prod = one(Grading.X, order)
+    for j in range(1, p + 1):
+        prod = prod * (one(Grading.X, order)
+                       - make_monomial(Grading.X, order, j, 0, 0, 1))
+    return prod.reciprocal()
+
+
+NAT_CLOSED_KINDS = ("T", "M_even", "M_odd", "N_odd")
+
+
+def nat_closed_forms(kind: str, s_or_p: int, order: int) -> TruncatedSeries:
+    """Closed forms over the naturals for the selection polynomials:
+
+    * ``T``      : t^p      = x^{p(p+1)/2}  z^p      / (x;x)_p
+    * ``M_even`` : M^{2s}   = x^{s(s+2)}    z^{2s}   / (x;x)_{2s}
+    * ``M_odd``  : M^{2s+1} = x^{s^2+3s+1}  z^{2s+1} / (x;x)_{2s+1}
+    * ``N_odd``  : N^{2s+1} = x^{(s+1)^2}   z^{2s+1} / (x;x)_{2s+1}
+
+    The M_odd exponent is the one the dynamic program realizes (the round
+    trip is covered by tests against m_poly over {1..order}).
+    """
+    s = s_or_p
+    if kind == "T":
+        x_deg, z_deg, q = s * (s + 1) // 2, s, s
+    elif kind == "M_even":
+        x_deg, z_deg, q = s * (s + 2), 2 * s, 2 * s
+    elif kind == "M_odd":
+        x_deg, z_deg, q = s * s + 3 * s + 1, 2 * s + 1, 2 * s + 1
+    elif kind == "N_odd":
+        x_deg, z_deg, q = (s + 1) * (s + 1), 2 * s + 1, 2 * s + 1
+    else:
+        raise ValueError(f"unknown kind {kind!r}; expected one of "
+                         f"{NAT_CLOSED_KINDS}")
+    lead = make_monomial(Grading.X, order, x_deg, z_deg, 0, 1)
+    return lead * qpochhammer_inverse(q, order)
+
+
+# ---------------------------------------------------------------------------
+# word forms
+# ---------------------------------------------------------------------------
+
+def u_poly(n: int) -> list[int]:
+    """Coefficients in y of the n-th polynomial of the family
+
+        U_0 = U_1 = 1,
+        U_{2n}   = (1-y) U_{2n-1} - U_{2n-2},
+        U_{2n+1} = U_{2n} - U_{2n-1}.
+    """
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    prev, cur = [1], [1]  # U_0, U_1
+    if n == 0:
+        return prev
+    for i in range(2, n + 1):
+        if i % 2 == 0:
+            # (1-y) * cur - prev
+            nxt = cur + [0]
+            for j, c in enumerate(cur):
+                nxt[j + 1] -= c
+            for j, c in enumerate(prev):
+                nxt[j] -= c
+        else:
+            nxt = list(cur) + [0] * (len(prev) - len(cur))
+            for j, c in enumerate(prev):
+                nxt[j] -= c
+        while nxt and nxt[-1] == 0:
+            nxt.pop()
+        prev, cur = cur, (nxt or [0])
+    return cur
+
+
+def _poly_to_series(coeffs: list[int], order: int) -> TruncatedSeries:
+    return TruncatedSeries(Grading.Z, order,
+                           {(0, 0, r): c for r, c in enumerate(coeffs)})
+
+
+def u_poly_generating_function(order: int) -> TruncatedSeries:
+    """sum_n U_n(y) z^n = (1 + z + z^2) / (1 + (1+y) z^2 + z^4)."""
+    unit = one(Grading.Z, order)
+    z = _z(order)
+    y = _z(order, 0, 1)
+    num = unit + z + z * z
+    den = unit + (unit + y) * z * z + (z * z) * (z * z)
+    return num * den.reciprocal()
+
+
+def w123_chebyshev(k: int, order: int) -> TruncatedSeries:
+    """123 over {1..k} through the U-polynomial recurrence:
+
+        1 / (1 - k z - sum_{j=3}^{k} (-z)^j C(k, j)
+                            (1-y)^{floor(j/2)} U_{j-3}(y)).
+    """
+    unit = one(Grading.Z, order)
+    omy = unit - _z(order, 0, 1)
+    den = unit - _z(order, 1, 0, k)
+    for j in range(3, k + 1):
+        if j > order:
+            break
+        sign = 1 if j % 2 == 0 else -1
+        term = _z(order, j, 0, sign * comb(k, j))
+        term = term * omy ** (j // 2)
+        term = term * _poly_to_series(u_poly(j - 3), order)
+        den = den - term
+    return den.reciprocal()
+
+
+def w123_avoid_aj(k: int, order: int) -> TruncatedSeries:
+    """123-avoiding words over {1..k} (the y = 0 slice) via the periodic
+    coefficient form 1 / sum_{j=0}^k a_j C(k, j) z^j with a_{3l} = 1,
+    a_{3l+1} = -1, a_{3l+2} = 0.
+    """
+    den = zero(Grading.Z, order)
+    for j in range(0, k + 1):
+        if j > order:
+            break
+        a = (1, -1, 0)[j % 3]
+        if a:
+            den = den + _z(order, j, 0, a * comb(k, j))
+    return den.reciprocal()

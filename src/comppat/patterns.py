@@ -52,17 +52,19 @@ class PatternId(Enum):
         raise ValueError(f"unknown pattern {text!r}; expected one of "
                          f"{[p.value for p in cls]}")
 
-    @property
-    def raw_triples(self) -> tuple[str, ...]:
-        """The raw order types that realize this statistic."""
-        if self is PatternId.PEAK:
-            return ("121", "132", "231")
-        if self is PatternId.VALLEY:
-            return ("212", "213", "312")
-        return (self.value,)
-
 
 ALL_PATTERNS = tuple(PatternId)
+
+
+def check_parts(parts: Iterable[int]) -> tuple[int, ...]:
+    """The parts as a tuple, after checking that they are positive
+    integers in strictly increasing order.  An empty tuple passes."""
+    parts = tuple(parts)
+    if any(not isinstance(a, int) or a < 1 for a in parts):
+        raise ValueError("parts must be positive integers")
+    if any(a >= b for a, b in zip(parts, parts[1:])):
+        raise ValueError("parts must be strictly increasing")
+    return parts
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,7 @@ class PartSet:
             return
         if not self.parts:
             raise ValueError("explicit part set must be nonempty")
-        if any(a < 1 for a in self.parts):
-            raise ValueError("parts must be positive integers")
-        if any(a >= b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("parts must be strictly increasing")
+        check_parts(self.parts)
 
     @classmethod
     def of(cls, *parts: int) -> "PartSet":
@@ -110,7 +109,7 @@ class PartSet:
 
 @dataclass
 class OccurrenceTable:
-    """Exact occurrence counts from either an oracle or a formula.
+    """Exact occurrence counts from an oracle.
 
     For compositions, ``counts`` maps (n, m, r) -> number of compositions
     of n with m parts and exactly r occurrences.  For words it maps
@@ -118,21 +117,7 @@ class OccurrenceTable:
     Zero cells are not stored.
     """
 
-    pattern: PatternId
-    label: str
-    limit: int
     counts: dict = field(default_factory=dict)
-
-
-def _parts_for(A, n: int) -> tuple[int, ...]:
-    if isinstance(A, PartSet):
-        return A.materialize(n)
-    parts = tuple(A)
-    if any(a < 1 for a in parts):
-        raise ValueError("parts must be positive integers")
-    if any(a >= b for a, b in zip(parts, parts[1:])):
-        raise ValueError("parts must be strictly increasing")
-    return tuple(a for a in parts if a <= n)
 
 
 @lru_cache(maxsize=None)
@@ -210,12 +195,12 @@ def count_all_statistics(parts: Sequence[int]) -> dict[PatternId, int]:
             PatternId.PEAK: cpk, PatternId.VALLEY: cvl}
 
 
-def enumerate_compositions(n: int, A) -> Iterator[tuple[int, ...]]:
+def enumerate_compositions(n: int, A: PartSet) -> Iterator[tuple[int, ...]]:
     """All compositions of n with parts in A, in lexicographic order.
 
     n = 0 yields exactly the empty composition.
     """
-    parts = _parts_for(A, n)
+    parts = A.materialize(n)
 
     def rec(remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -231,13 +216,14 @@ def enumerate_compositions(n: int, A) -> Iterator[tuple[int, ...]]:
     yield from rec(n, [])
 
 
-def compositions_with_parts(n: int, m: int, A) -> Iterator[tuple[int, ...]]:
+def compositions_with_parts(n: int, m: int, A: PartSet,
+                            ) -> Iterator[tuple[int, ...]]:
     """Compositions of n with exactly m parts in A, lexicographic.
 
     Prunes on the reachable sum range, so it stays cheap even when n is
     far larger than what unrestricted enumeration could visit.
     """
-    parts = _parts_for(A, n)
+    parts = A.materialize(n)
     if not parts and (n > 0 or m > 0):
         return
     lo = parts[0] if parts else 0
@@ -261,13 +247,12 @@ def compositions_with_parts(n: int, m: int, A) -> Iterator[tuple[int, ...]]:
     yield from rec(n, m, [])
 
 
-def brute_force_tables(A, max_n: int,
+def brute_force_tables(A: PartSet, max_n: int,
                        patterns: Iterable[PatternId] = ALL_PATTERNS,
                        ) -> dict[PatternId, OccurrenceTable]:
     """Exhaustive (n, m, r) tables for several statistics in one pass."""
     pats = tuple(patterns)
-    label = str(A) if isinstance(A, PartSet) else ",".join(map(str, A))
-    tables = {p: OccurrenceTable(p, label, max_n) for p in pats}
+    tables = {p: OccurrenceTable() for p in pats}
     for n in range(max_n + 1):
         for comp in enumerate_compositions(n, A):
             m = len(comp)
@@ -279,7 +264,8 @@ def brute_force_tables(A, max_n: int,
     return tables
 
 
-def brute_force_table(p: PatternId, A, max_n: int) -> OccurrenceTable:
+def brute_force_table(p: PatternId, A: PartSet, max_n: int,
+                      ) -> OccurrenceTable:
     """Exhaustive (n, m, r) occurrence table for one statistic."""
     return brute_force_tables(A, max_n, patterns=(p,))[p]
 
@@ -296,7 +282,7 @@ def brute_force_word_tables(k: int, max_m: int,
                             ) -> dict[PatternId, OccurrenceTable]:
     """Exhaustive (m, r) word tables for several statistics in one pass."""
     pats = tuple(patterns)
-    tables = {p: OccurrenceTable(p, f"[{k}]", max_m) for p in pats}
+    tables = {p: OccurrenceTable() for p in pats}
     for m in range(max_m + 1):
         for w in enumerate_words(k, m):
             occ = count_all_statistics(w)

@@ -20,9 +20,23 @@ series, so they can be shared freely.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterable, Mapping
 
 Triple = tuple[int, int, int]
+
+
+def _convolve_into(acc: dict[Triple, int],
+                   items_a: Iterable[tuple[Triple, int]],
+                   items_b: Iterable[tuple[Triple, int]]) -> None:
+    """Add the product of two term lists into acc, dropping zero sums."""
+    for (n1, m1, r1), c1 in items_a:
+        for (n2, m2, r2), c2 in items_b:
+            key = (n1 + n2, m1 + m2, r1 + r2)
+            s = acc.get(key, 0) + c1 * c2
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
 
 
 class Grading(Enum):
@@ -110,10 +124,6 @@ class TruncatedSeries:
                 f"coefficient {key} lies beyond truncation order {self.order}")
         return self.coeffs.get(key, 0)
 
-    def terms(self) -> Iterator[tuple[Triple, int]]:
-        """Terms in sorted (n, m, r) order."""
-        return iter(sorted(self.coeffs.items()))
-
     # -- ring operations -----------------------------------------------
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
@@ -176,16 +186,8 @@ class TruncatedSeries:
         out: dict[Triple, int] = {}
         for da, items_a in a_by_deg.items():
             for db, items_b in b_by_deg.items():
-                if da + db > order:
-                    continue
-                for (n1, m1, r1), c1 in items_a:
-                    for (n2, m2, r2), c2 in items_b:
-                        key = (n1 + n2, m1 + m2, r1 + r2)
-                        s = out.get(key, 0) + c1 * c2
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
+                if da + db <= order:
+                    _convolve_into(out, items_a, items_b)
         return self._wrap(out)
 
     __rmul__ = __mul__
@@ -233,16 +235,8 @@ class TruncatedSeries:
                 if d > deg:
                     continue
                 b_slice = b_by_deg.get(deg - d)
-                if not b_slice:
-                    continue
-                for (n1, m1, r1), c1 in a_slice.items():
-                    for (n2, m2, r2), c2 in b_slice.items():
-                        key = (n1 + n2, m1 + m2, r1 + r2)
-                        s = acc.get(key, 0) + c1 * c2
-                        if s:
-                            acc[key] = s
-                        else:
-                            del acc[key]
+                if b_slice:
+                    _convolve_into(acc, a_slice.items(), b_slice.items())
             if acc:
                 # a0 * b_deg + acc = 0 and 1/a0 == a0 for a0 = +-1
                 b_by_deg[deg] = {k: -a0 * v for k, v in acc.items()}

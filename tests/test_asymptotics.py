@@ -129,21 +129,21 @@ def test_winding_stable_under_doubling():
 
 # -- estimates -----------------------------------------------------------------
 
-def test_estimate_111():
-    est = estimate(P.P111)
+def test_estimate_111(default_estimate):
+    est = default_estimate(P.P111)
     assert abs(est.growth_v - 1.91076) / 1.91076 < 1e-5
     assert abs(est.constant_K - 0.499301) / 0.499301 < 1e-4
     assert est.winding == 1
     assert est.tolerances["rho_tol"] == 1e-11
 
 
-def test_estimate_consistent_with_exact_ratio():
+def test_estimate_consistent_with_exact_ratio(default_estimate):
     # consecutive exact avoider counts already grow at rate v
     for p in P:
         order = 25 if p is P.P111 else 20
         seq = avoidance_sequence(p, PartSet.naturals(), order)
         ratio = seq[order] / seq[order - 1]
-        est = estimate(p)
+        est = default_estimate(p)
         assert abs(ratio - est.growth_v) / est.growth_v < 5e-3, p
 
 
@@ -155,8 +155,8 @@ def test_estimate_samples_the_circle_once():
     assert est.tolerances["winding_samples"] == 1024
 
 
-def test_predict_count_111():
-    est = estimate(P.P111)
+def test_predict_count_111(default_estimate):
+    est = default_estimate(P.P111)
     predicted = predict_count(P.P111, 25, est)
     assert abs(predicted - 5352275) / 5352275 < 0.01
 

@@ -220,7 +220,7 @@ def test_verify_mismatch_exits_4(monkeypatch):
     from comppat.patterns import OccurrenceTable
 
     def fake_oracle(p, part_set, max_n):
-        return OccurrenceTable(p, "fake", max_n, {(0, 0, 0): 2})
+        return OccurrenceTable({(0, 0, 0): 2})
     monkeypatch.setattr(cli, "brute_force_table", fake_oracle)
     rc = cli.main(["verify", "--pattern", "111", "--set", "1,2",
                    "--max-n", "4"])

@@ -7,11 +7,11 @@ stays fast.
 
 import pytest
 
-from comppat.genfun import (avoidance_sequence, build_gf, choose, d_series,
-                            gf_111, gf_112, gf_123, gf_123_recursive,
-                            gf_221, gf_peak, gf_peak_recursive, gf_valley,
-                            m_poly, m_poly_prefix, n_poly, nat_closed_forms,
-                            qpochhammer_inverse, t_poly)
+from comppat.genfun import avoidance_sequence, build_gf
+from comppat.identities import (d_series, gf_123_recursive,
+                                gf_peak_recursive, m_poly, m_poly_prefix,
+                                n_poly, nat_closed_forms, qpochhammer_inverse,
+                                t_poly)
 from comppat.patterns import (PartSet, PatternId, brute_force_tables,
                               count_occurrences, enumerate_compositions)
 from comppat.series import Grading, make_monomial, one
@@ -30,13 +30,6 @@ SEQ_VALLEY = [1, 1, 2, 4, 8, 15, 28, 52, 96, 177, 326, 600, 1104]
 
 def xz(order, a):
     return make_monomial(Grading.X, order, a, 1, 0, 1)
-
-
-def test_choose_contract():
-    assert choose(5, 2) == 10
-    assert choose(5, -1) == 0
-    assert choose(3, 7) == 0
-    assert choose(0, 0) == 1
 
 
 # -- t polynomials -----------------------------------------------------------
@@ -61,19 +54,19 @@ def test_t_nat_closed_form(p):
     assert t_poly(NAT, p, 15) == nat_closed_forms("T", p, 15)
 
 
-# -- gf_111 ------------------------------------------------------------------
+# -- 111 ----------------------------------------------------------------------
 
 def test_gf_111_avoiders_prefix():
     assert avoidance_sequence(P.P111, NAT, 12) == SEQ_111
 
 
 def test_gf_111_unit_coefficients():
-    s = gf_111(NAT, 6)
+    s = build_gf(P.P111, NAT, 6)
     assert s.coefficient(0, 0, 0) == 1
     assert s.coefficient(3, 3, 1) == 1  # the composition 111
 
 
-# -- gf_112 / gf_221 ---------------------------------------------------------
+# -- 112 / 221 ---------------------------------------------------------------
 
 def test_gf_112_avoiders_prefix():
     assert avoidance_sequence(P.P112, NAT, 12) == SEQ_112
@@ -86,18 +79,18 @@ def test_gf_221_avoiders_prefix():
 def test_gf_112_221_oracle_134():
     A = PartSet.of(1, 3, 4)
     oracles = brute_force_tables(A, 10, patterns=(P.P112, P.P221))
-    assert gf_112(A, 10).coeffs == oracles[P.P112].counts
-    assert gf_221(A, 10).coeffs == oracles[P.P221].counts
+    assert build_gf(P.P112, A, 10).coeffs == oracles[P.P112].counts
+    assert build_gf(P.P221, A, 10).coeffs == oracles[P.P221].counts
 
 
-# -- gf_123 ------------------------------------------------------------------
+# -- 123 ----------------------------------------------------------------------
 
 def test_gf_123_avoiders_prefix():
     assert avoidance_sequence(P.P123, NAT, 12) == SEQ_123
 
 
 def test_gf_123_first_occurrence_at_6():
-    s = gf_123(NAT, 7)
+    s = build_gf(P.P123, NAT, 7)
     for n in range(6):
         assert all(r == 0 for (nn, m, r) in s.coeffs if nn == n)
     assert s.coefficient(6, 3, 1) == 1  # the composition 123
@@ -106,13 +99,13 @@ def test_gf_123_first_occurrence_at_6():
 def test_gf_123_oracle_123set():
     A = PartSet.of(1, 2, 3)
     oracle = brute_force_tables(A, 10, patterns=(P.P123,))[P.P123]
-    assert gf_123(A, 10).coeffs == oracle.counts
+    assert build_gf(P.P123, A, 10).coeffs == oracle.counts
 
 
 def test_gf_123_recursive_agrees():
     assert gf_123_recursive((), 8) == one(Grading.X, 8)
     for A in (PartSet.of(1, 2), PartSet.of(2, 3, 5), NAT):
-        assert gf_123(A, 12) == gf_123_recursive(A, 12)
+        assert build_gf(P.P123, A, 12) == gf_123_recursive(A, 12)
 
 
 # -- d_series ----------------------------------------------------------------
@@ -177,7 +170,7 @@ def test_nat_closed_forms_rejects_unknown_kind():
         nat_closed_forms("M_all", 1, 10)
 
 
-# -- gf_peak / gf_valley -----------------------------------------------------
+# -- peak / valley -----------------------------------------------------------
 
 def test_gf_peak_avoiders_prefix():
     assert avoidance_sequence(P.PEAK, NAT, 12) == SEQ_PEAK
@@ -190,19 +183,20 @@ def test_gf_valley_avoiders_prefix():
 def test_gf_peak_valley_oracle_12():
     A = PartSet.of(1, 2)
     oracles = brute_force_tables(A, 12, patterns=(P.PEAK, P.VALLEY))
-    assert gf_peak(A, 12).coeffs == oracles[P.PEAK].counts
-    assert gf_valley(A, 12).coeffs == oracles[P.VALLEY].counts
+    assert build_gf(P.PEAK, A, 12).coeffs == oracles[P.PEAK].counts
+    assert build_gf(P.VALLEY, A, 12).coeffs == oracles[P.VALLEY].counts
 
 
 def test_gf_peak_first_peak():
-    assert gf_peak(NAT, 6).coefficient(4, 3, 1) == 1  # the composition 121
+    # the composition 121
+    assert build_gf(P.PEAK, NAT, 6).coefficient(4, 3, 1) == 1
 
 
 def test_gf_peak_recursive_agrees():
     geo = (1 - xz(10, 2)).reciprocal()
     assert gf_peak_recursive((2,), 10) == geo
     for A in (PartSet.of(1, 2), PartSet.of(1, 2, 3), NAT):
-        assert gf_peak(A, 12) == gf_peak_recursive(A, 12)
+        assert build_gf(P.PEAK, A, 12) == gf_peak_recursive(A, 12)
 
 
 def test_gf_peak_recursive_y1_collapse():
@@ -242,10 +236,20 @@ def test_specialization_chain_matches_collapsed_path(p):
         avoidance_sequence(p, NAT, 12)
 
 
+def test_raw_parts_validated_like_part_sets():
+    with pytest.raises(ValueError, match="positive integers"):
+        build_gf(P.P111, (1.5, 2), 5)
+    with pytest.raises(ValueError, match="positive integers"):
+        build_gf(P.P111, (0, 1), 5)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        build_gf(P.P111, (2, 2), 5)
+    assert build_gf(P.P111, (), 5) == one(Grading.X, 5)
+
+
 def test_nat_materialization_stable_under_enlargement():
     # coefficients with n <= 10 do not change when the part set grows
-    small = gf_peak(tuple(range(1, 11)), 10)
-    large = gf_peak(tuple(range(1, 30)), 10)
+    small = build_gf(P.PEAK, tuple(range(1, 11)), 10)
+    large = build_gf(P.PEAK, tuple(range(1, 30)), 10)
     assert small == large
 
 

@@ -14,11 +14,8 @@ from comppat.patterns import (ALL_PATTERNS, PartSet, PatternId,
 P = PatternId
 
 
-def test_pattern_parse_and_raw_triples():
+def test_pattern_parse():
     assert P.parse("peak") is P.PEAK
-    assert P.PEAK.raw_triples == ("121", "132", "231")
-    assert P.VALLEY.raw_triples == ("212", "213", "312")
-    assert P.P112.raw_triples == ("112",)
     with pytest.raises(ValueError):
         P.parse("122")
 
@@ -36,6 +33,8 @@ def test_part_set_validation():
         PartSet.of(0, 1)
     with pytest.raises(ValueError):
         PartSet.of()
+    with pytest.raises(ValueError, match="positive integers"):
+        PartSet.of(1.5, 2)
 
 
 # -- classify_triple -------------------------------------------------------

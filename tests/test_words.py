@@ -5,9 +5,10 @@ import pytest
 from comppat.genfun import build_gf
 from comppat.patterns import PatternId, brute_force_word_tables
 from comppat.series import Grading, make_monomial
-from comppat.words import (u_poly, u_poly_generating_function, w111_closed,
-                           w112_closed, w123_avoid_aj, w123_chebyshev,
-                           w123_closed, w_peak_closed, word_gf, word_table)
+from comppat.identities import (u_poly, u_poly_generating_function,
+                                w123_avoid_aj, w123_chebyshev)
+from comppat.words import (w111_closed, w112_closed, w123_closed,
+                           w_peak_closed, word_gf, word_table)
 
 P = PatternId
 
@@ -165,7 +166,7 @@ def test_alternating_tuple_counts_are_binomial():
     # C(k+l, 2l+1) of odd length 2l+1
     from math import comb
 
-    from comppat.genfun import m_poly
+    from comppat.identities import m_poly
 
     for k in range(1, 5):
         for ell in range(0, 4):
