@@ -103,7 +103,7 @@ def _num_den_111(parts: Sequence[int], ctx: _Ctx):
         b = ctx.part(a)
         numer = b * (unit + omy * b)
         denom = unit + b * (unit + b) * omy
-        total = total + numer * denom.reciprocal()
+        total = total + numer / denom
     return unit, unit - total
 
 
@@ -259,7 +259,7 @@ def build_gf(p: PatternId, A, order: int,
     """
     ctx = _Ctx(grading, order)
     num, den = _NUM_DEN[p](_materialize(A, ctx), ctx)
-    return _check_counts(num * den.reciprocal())
+    return _check_counts(num / den)
 
 
 def avoidance_sequence(p: PatternId, A, order: int) -> list[int]:
@@ -275,5 +275,5 @@ def avoidance_sequence(p: PatternId, A, order: int) -> list[int]:
     num, den = _NUM_DEN[p](_materialize(A, ctx), ctx)
     num0 = num.substitute_y0().substitute_z1()
     den0 = den.substitute_y0().substitute_z1()
-    series = num0 * den0.reciprocal()
+    series = num0 / den0
     return [series.coefficient(n, 0, 0) for n in range(order + 1)]

@@ -63,7 +63,7 @@ def d_series(A, order: int) -> TruncatedSeries:
             if p + j > top:
                 break
             num = num + comb(p - 2, j) * t[p + j] * ym1[p - 1]
-    return num * _den_123(t, ctx).reciprocal()
+    return num / _den_123(t, ctx)
 
 
 def gf_123_recursive(A, order: int) -> TruncatedSeries:
@@ -151,7 +151,7 @@ def gf_peak_recursive(A, order: int) -> TruncatedSeries:
         b = ctx.part(a)
         numer = (unit + b * omy) * c - b * omy
         denom = unit - b * (unit - b) * omy - b * (b * omy + yy) * c
-        c = numer * denom.reciprocal()
+        c = numer / denom
     return c
 
 
@@ -248,7 +248,7 @@ def u_poly_generating_function(order: int) -> TruncatedSeries:
     y = _z(order, 0, 1)
     num = unit + z + z * z
     den = unit + (unit + y) * z * z + (z * z) * (z * z)
-    return num * den.reciprocal()
+    return num / den
 
 
 def w123_chebyshev(k: int, order: int) -> TruncatedSeries:

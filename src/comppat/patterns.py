@@ -28,6 +28,7 @@ depend on those.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -280,16 +281,48 @@ def enumerate_words(k: int, m: int) -> Iterator[tuple[int, ...]]:
 def brute_force_word_tables(k: int, max_m: int,
                             patterns: Iterable[PatternId] = ALL_PATTERNS,
                             ) -> dict[PatternId, OccurrenceTable]:
-    """Exhaustive (m, r) word tables for several statistics in one pass."""
+    """Exhaustive (m, r) word tables for several statistics in one pass.
+
+    Walks every word of length <= max_m depth first.  Appending a letter c
+    to a word ending in a, b adds the statistics of the window (a, b, c)
+    to the counts carried from the prefix, so each word is one step and
+    one tally of (m, counts).  The six counts travel as one int, the
+    count of ``ALL_PATTERNS[i]`` in the digit of weight base**i.
+    """
+    if k < 1:
+        raise ValueError("alphabet size must be >= 1")
     pats = tuple(patterns)
     tables = {p: OccurrenceTable() for p in pats}
-    for m in range(max_m + 1):
-        for w in enumerate_words(k, m):
-            occ = count_all_statistics(w)
-            for p in pats:
-                key = (m, occ[p])
-                counts = tables[p].counts
-                counts[key] = counts.get(key, 0) + 1
+    if max_m < 0:
+        return tables
+    base = max_m + 1  # every count is at most max_m - 2
+    weight = {p: base ** i for i, p in enumerate(ALL_PATTERNS)}
+
+    def increment(a: int, b: int, c: int) -> int:
+        if not a:  # fewer than three letters: no window yet
+            return 0
+        return sum(weight[p] * n
+                   for p, n in count_all_statistics((a, b, c)).items())
+
+    # step[a][b]: (c, increment) for each letter c after the letters a, b,
+    # where 0 stands for "no letter"
+    letters = range(1, k + 1)
+    step = [[[(c, increment(a, b, c)) for c in letters]
+             for b in range(k + 1)] for a in range(k + 1)]
+    tally: Counter = Counter()
+
+    def walk(m: int, a: int, b: int, code: int) -> None:
+        tally[m, code] += 1
+        if m < max_m:
+            for c, inc in step[a][b]:
+                walk(m + 1, b, c, code + inc)
+
+    walk(0, 0, 0, 0)
+    for (m, code), count in tally.items():
+        for p in pats:
+            key = (m, code // weight[p] % base)
+            counts = tables[p].counts
+            counts[key] = counts.get(key, 0) + count
     return tables
 
 

@@ -11,7 +11,16 @@ designated *grading* variable:
 
 Coefficients are Python ints, so all arithmetic is exact.  Series are
 stored sparsely as a map from exponent triples ``(n, m, r)`` to nonzero
-coefficients; zero is never stored, which makes equality structural.
+coefficients; zero is never stored, which makes equality structural, and
+callers read the tuple-keyed ``coeffs`` map directly.
+
+Only inside ``*`` and ``/`` are keys packed into one int,
+``n << 2S | m << S | r``, so that multiplying two monomials is one integer
+add and a key hashes as a small int (Monagan & Pearce, CASC 2007).  The
+field width S is chosen per operation from the operands' exponent bounds,
+so no field can carry into the next; results are unpacked on exit.
+Division solves ``den * q = num`` degree by degree in the grading
+variable, so a quotient never needs the full reciprocal of ``den``.
 
 Values are immutable once constructed: every operation returns a fresh
 series, so they can be shared freely.
@@ -20,23 +29,25 @@ series, so they can be shared freely.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Triple = tuple[int, int, int]
 
 
-def _convolve_into(acc: dict[Triple, int],
-                   items_a: Iterable[tuple[Triple, int]],
-                   items_b: Iterable[tuple[Triple, int]]) -> None:
-    """Add the product of two term lists into acc, dropping zero sums."""
-    for (n1, m1, r1), c1 in items_a:
-        for (n2, m2, r2), c2 in items_b:
-            key = (n1 + n2, m1 + m2, r1 + r2)
-            s = acc.get(key, 0) + c1 * c2
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
+Packed = dict[int, int]  # packed exponent key -> coefficient
+
+
+def _convolve_into(acc: Packed, a: Packed, b: Packed) -> None:
+    """Add the product of two packed-key term maps into acc.
+
+    Zero sums stay in acc; the caller drops them once, not per product.
+    """
+    get = acc.get
+    b_items = b.items()
+    for k1, c1 in a.items():
+        for k2, c2 in b_items:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
 
 
 class Grading(Enum):
@@ -60,11 +71,11 @@ class GradingMismatchError(SeriesError):
 
 
 class NonInvertibleError(SeriesError):
-    """Reciprocal of a series whose constant term is not +1 or -1."""
+    """Division by a series whose constant term is not +1 or -1."""
 
 
 class NormalizationError(SeriesError):
-    """Reciprocal of a series with a non-constant grading-degree-0 term.
+    """Division by a series with a non-constant grading-degree-0 term.
 
     Such denominators (e.g. a stray y-term with no x or z attached) must be
     normalized by the caller before inversion; inverting them would leave
@@ -79,27 +90,32 @@ class OrderRangeError(SeriesError):
 class TruncatedSeries:
     """An immutable, exactly-truncated integer power series.
 
-    Supports ``+``, ``-``, ``*`` (series or int operands) and ``**`` with a
-    non-negative integer exponent.  Construction canonicalizes: zero
-    coefficients and terms beyond the truncation order are dropped.
+    Supports ``+``, ``-``, ``*``, ``/`` (series or int operands; the
+    divisor needs a unit constant term) and ``**`` with a non-negative
+    integer exponent.  Construction checks that exponents and coefficients
+    are ints and canonicalizes: zero coefficients and terms beyond the
+    truncation order are dropped.
     """
 
     __slots__ = ("grading", "order", "coeffs")
 
     def __init__(self, grading: Grading, order: int,
                  coeffs: Mapping[Triple, int] | None = None):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
+        if not isinstance(order, int) or order < 0:
+            raise ValueError("truncation order must be an int >= 0")
         gi = grading.index
         clean: dict[Triple, int] = {}
         if coeffs:
             for key, c in coeffs.items():
-                if c == 0 or key[gi] > order:
-                    continue
                 n, m, r = key
+                if not all(isinstance(v, int) for v in (n, m, r, c)):
+                    raise ValueError(
+                        f"exponents and coefficient must be ints: "
+                        f"{key}: {c!r}")
                 if n < 0 or m < 0 or r < 0:
                     raise ValueError(f"negative exponent in {key}")
-                clean[key] = c
+                if c and key[gi] <= order:
+                    clean[key] = c
         self.grading = grading
         self.order = order
         self.coeffs = clean
@@ -180,15 +196,20 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
+        # Every field of a product key is at most the sum of the operands'
+        # maxima, and the grading field at most the order.
+        bound = [ta + tb for ta, tb in zip(self._field_max(),
+                                           other._field_max())]
+        bound[self.grading.index] = self.order
+        shift = max(bound).bit_length()
+        a_slices, b_slices = self._packed(shift), other._packed(shift)
         order = self.order
-        a_by_deg = self._by_degree()
-        b_by_deg = other._by_degree()
-        out: dict[Triple, int] = {}
-        for da, items_a in a_by_deg.items():
-            for db, items_b in b_by_deg.items():
+        acc: Packed = {}
+        for da, a in a_slices.items():
+            for db, b in b_slices.items():
                 if da + db <= order:
-                    _convolve_into(out, items_a, items_b)
-        return self._wrap(out)
+                    _convolve_into(acc, a, b)
+        return self._unpack({0: acc}, shift)
 
     __rmul__ = __mul__
 
@@ -205,45 +226,59 @@ class TruncatedSeries:
             e >>= 1
         return result
 
-    def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse within the truncated ring.
+    def __truediv__(self, other) -> "TruncatedSeries":
+        """The quotient q with other * q == self in the truncated ring.
 
-        Requires constant term +1 or -1 and every other term to carry a
-        positive grading exponent; under these conditions the inverse is
-        again integer-coefficient.  Solved degree by degree from the
-        convolution identity self * result = 1.
+        Requires the divisor's constant term to be +1 or -1 and every other
+        term to carry a positive grading exponent; under these conditions
+        the quotient is again integer-coefficient.  With the signs of both
+        operands flipped if need be, so that the divisor is 1 - t with t
+        free of grading degree 0, q = self + t * q is solved degree by
+        degree: q_deg needs only t times the lower degrees of q.
         """
-        a0 = self.constant_term()
-        if a0 not in (1, -1):
+        den = self._coerce(other)
+        if den is None:
+            return NotImplemented
+        c0 = den.constant_term()
+        if c0 not in (1, -1):
             raise NonInvertibleError(
-                f"constant term {a0} is not a unit (need +1 or -1)")
+                f"constant term {c0} is not a unit (need +1 or -1)")
         gi = self.grading.index
-        a_slices: dict[int, dict[Triple, int]] = {}
-        for key, c in self.coeffs.items():
-            d = key[gi]
-            if d == 0:
-                if key != (0, 0, 0):
-                    raise NormalizationError(
-                        f"term {key} has grading degree 0; "
-                        "normalize the denominator before inverting")
-                continue
-            a_slices.setdefault(d, {})[key] = c
-        b_by_deg: dict[int, dict[Triple, int]] = {0: {(0, 0, 0): a0}}
-        for deg in range(1, self.order + 1):
-            acc: dict[Triple, int] = {}
-            for d, a_slice in a_slices.items():
-                if d > deg:
-                    continue
-                b_slice = b_by_deg.get(deg - d)
-                if b_slice:
-                    _convolve_into(acc, a_slice.items(), b_slice.items())
-            if acc:
-                # a0 * b_deg + acc = 0 and 1/a0 == a0 for a0 = +-1
-                b_by_deg[deg] = {k: -a0 * v for k, v in acc.items()}
-        out: dict[Triple, int] = {}
-        for b_slice in b_by_deg.values():
-            out.update(b_slice)
-        return self._wrap(out)
+        order = self.order
+        for key in den.coeffs:
+            if key[gi] == 0 and key != (0, 0, 0):
+                raise NormalizationError(
+                    f"term {key} has grading degree 0; "
+                    "normalize the denominator before inverting")
+        # By induction on the degree, a quotient term of grading degree g
+        # has every other field at most (numerator max) + g * ceil(max of
+        # field / degree over the divisor's terms), so no key can carry.
+        bound = self._field_max()
+        for f in range(3):
+            if f == gi:
+                bound[f] = order
+            else:
+                slope = max((-(-key[f] // key[gi]) for key in den.coeffs
+                             if key[gi]), default=0)
+                bound[f] += order * slope
+        shift = max(bound).bit_length()
+        num, den = (self, den) if c0 == 1 else (-self, -den)
+        num_slices, t_slices = num._packed(shift), (1 - den)._packed(shift)
+        q_slices: dict[int, Packed] = {}
+        for deg in range(order + 1):
+            acc = num_slices.pop(deg, {})
+            for d, t in t_slices.items():
+                q_lower = q_slices.get(deg - d)
+                if q_lower:
+                    _convolve_into(acc, t, q_lower)
+            q = {k: c for k, c in acc.items() if c}
+            if q:
+                q_slices[deg] = q
+        return self._unpack(q_slices, shift)
+
+    def reciprocal(self) -> "TruncatedSeries":
+        """Multiplicative inverse within the truncated ring: ``1 / self``."""
+        return one(self.grading, self.order) / self
 
     # -- substitutions -------------------------------------------------
 
@@ -294,12 +329,37 @@ class TruncatedSeries:
         s.coeffs = coeffs
         return s
 
-    def _by_degree(self) -> dict[int, list[tuple[Triple, int]]]:
+    def _field_max(self) -> list[int]:
+        """The largest n, m and r exponents over the terms (0 for zero)."""
+        if not self.coeffs:
+            return [0, 0, 0]
+        return [max(field) for field in zip(*self.coeffs)]
+
+    def _packed(self, shift: int) -> dict[int, Packed]:
+        """Terms per grading degree, each key packed into one int as
+        n << 2*shift | m << shift | r."""
         gi = self.grading.index
-        buckets: dict[int, list[tuple[Triple, int]]] = {}
+        slices: dict[int, Packed] = {}
         for key, c in self.coeffs.items():
-            buckets.setdefault(key[gi], []).append((key, c))
-        return buckets
+            n, m, r = key
+            slices.setdefault(key[gi], {})[(n << shift | m) << shift | r] = c
+        return slices
+
+    def _unpack(self, slices: dict[int, Packed],
+                shift: int) -> "TruncatedSeries":
+        """The series of packed term maps, dropping zero coefficients.
+
+        Each map is released as soon as it is read, so the packed and
+        the tuple-keyed copies of a large result barely coexist.
+        """
+        mask = (1 << shift) - 1
+        out: dict[Triple, int] = {}
+        while slices:
+            for k, c in slices.popitem()[1].items():
+                if c:
+                    out[(k >> shift >> shift, k >> shift & mask,
+                         k & mask)] = c
+        return self._wrap(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

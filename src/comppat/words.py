@@ -48,7 +48,7 @@ def w111_closed(k: int, order: int) -> TruncatedSeries:
     omy = unit - y
     num = unit + z * (unit + z) * omy
     den = unit - (k - 1) * z - y * z - (k - 1) * omy * z * z
-    return num * den.reciprocal()
+    return num / den
 
 
 def w112_closed(k: int, order: int) -> TruncatedSeries:
@@ -122,7 +122,7 @@ def w_peak_closed(k: int, order: int) -> TruncatedSeries:
             break
         omy_pow = omy_pow * omy
         j += 1
-    return num * (num - sub).reciprocal()
+    return num / (num - sub)
 
 
 _CLOSED = {

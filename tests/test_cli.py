@@ -1,5 +1,6 @@
 """CLI surface: formats, determinism, schemas, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 from comppat import asymptotics, cli
 from comppat.patterns import PatternId
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "schemas"
 
 
 def run_cli(*argv):
@@ -39,6 +41,19 @@ def test_expand_json_schema_and_content():
             for c in report["coefficients"]}
     assert rows[(4, 3, 1)] == "1"  # the single composition 121
     assert report["materialized_parts"] == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("pattern", cli.PATTERN_CHOICES)
+def test_expand_nat_at_order_cap_matches_golden_digest(pattern, capsys):
+    # the full trivariate table at the CLI cap, byte for byte as recorded
+    # in the benchmark's expected digests
+    argv = ["expand", "--pattern", pattern, "--set", "nat",
+            "--order", str(cli.MAX_ORDER)]
+    expected = json.loads((ROOT / "perfbench" / "expected.json")
+                          .read_text())["digests"][" ".join(argv)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_expand_order_zero():

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comppat.patterns import (ALL_PATTERNS, PartSet, PatternId,
-                              brute_force_table, brute_force_tables,
-                              brute_force_word_table, classify_triple,
+from comppat.patterns import (ALL_PATTERNS, OccurrenceTable, PartSet,
+                              PatternId, brute_force_table,
+                              brute_force_tables, brute_force_word_table,
+                              brute_force_word_tables, classify_triple,
                               compositions_with_parts, count_all_statistics,
                               count_occurrences, enumerate_compositions,
                               enumerate_words)
@@ -224,6 +225,25 @@ def test_word_table_partitions_word_set():
         for m in range(7):
             assert sum(v for (mm, r), v in tab.counts.items()
                        if mm == m) == k ** m
+
+
+def test_word_tables_equal_per_word_tally():
+    # the depth-first walk carries counts from the last two letters; the
+    # reference recounts every word from scratch
+    for k in (1, 2, 3):
+        want = {p: {} for p in ALL_PATTERNS}
+        for m in range(8):
+            for w in enumerate_words(k, m):
+                for p, r in count_all_statistics(w).items():
+                    want[p][(m, r)] = want[p].get((m, r), 0) + 1
+        got = brute_force_word_tables(k, 7)
+        assert {p: t.counts for p, t in got.items()} == want, k
+        assert brute_force_word_tables(k, 7, patterns=(P.PEAK,)) == {
+            P.PEAK: got[P.PEAK]}
+    assert brute_force_word_tables(2, -1) == {
+        p: OccurrenceTable() for p in ALL_PATTERNS}
+    with pytest.raises(ValueError):
+        brute_force_word_tables(0, 3)
 
 
 def test_word_tables_112_equals_221():

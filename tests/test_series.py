@@ -118,16 +118,63 @@ def test_reciprocal_negative_unit():
 
 
 def test_reciprocal_rejects_non_unit():
+    for bad in (2 * one(X, 4), zero(X, 4), 2 + mono(1, 0, 0, order=4)):
+        with pytest.raises(NonInvertibleError):
+            bad.reciprocal()
+        with pytest.raises(NonInvertibleError):
+            one(X, 4) / bad
     with pytest.raises(NonInvertibleError):
-        (2 * one(X, 4)).reciprocal()
-    with pytest.raises(NonInvertibleError):
-        zero(X, 4).reciprocal()
+        one(X, 4) / 2
 
 
 def test_reciprocal_rejects_degree_zero_tail():
     y = mono(0, 0, 1)
     with pytest.raises(NormalizationError):
         (1 + y).reciprocal()
+    with pytest.raises(NormalizationError):
+        mono(2, 1, 0) / (1 + y)
+    with pytest.raises(NormalizationError):
+        one(Z, 4) / (1 + make_monomial(Z, 4, 7, 0, 0))
+
+
+# -- division --------------------------------------------------------------
+
+def test_divide_geometric():
+    x = make_monomial(X, 5, 1, 0, 0, 1)
+    assert (x / (1 - x)).coeffs == {(n, 0, 0): 1 for n in range(1, 6)}
+
+
+def test_divide_by_units():
+    s = 1 + mono(2, 1, 3, -4)
+    assert s / 1 == s
+    assert s / -1 == -s
+    assert s / one(X, 10) == s
+    with pytest.raises(TypeError):
+        s / "2"
+
+
+def test_divide_z_graded_with_x_exponents():
+    # 1 / (1 - x^100 z) = sum_j x^(100 j) z^j under z-grading
+    xz = make_monomial(Z, 3, 100, 1, 0)
+    assert (one(Z, 3) / (1 - xz)).coeffs == {
+        (100 * j, j, 0): 1 for j in range(4)}
+    assert (make_monomial(Z, 3, 100, 2, 0) / (1 - xz)).coeffs == {
+        (100, 2, 0): 1, (200, 3, 0): 1}
+
+
+# -- input validation -----------------------------------------------------
+
+def test_rejects_non_integer_exponents_and_coefficients():
+    with pytest.raises(ValueError):
+        TruncatedSeries(X, 3, {(1.5, 0, 0): 1, (0, 0, 0): 2.5})
+    with pytest.raises(ValueError):
+        TruncatedSeries(X, 3, {(1, 0, 0): 2.5})
+    with pytest.raises(ValueError):
+        TruncatedSeries(Z, 3, {(0, 1, 2.0): 1})
+    with pytest.raises(ValueError):
+        TruncatedSeries(X, 3.0)
+    with pytest.raises(ValueError):
+        TruncatedSeries(X, 3, {(0, 0, -1): 1})
 
 
 # -- substitutions -------------------------------------------------------
@@ -200,8 +247,78 @@ def test_ring_laws(a, b, c):
 @given(series_strategy(order=5), st.sampled_from([1, -1]))
 @settings(max_examples=60, deadline=None)
 def test_reciprocal_round_trip_random(tail, unit):
-    gi = tail.grading.index
-    body = {k: v for k, v in tail.coeffs.items() if k[gi] >= 1}
-    body[(0, 0, 0)] = unit
-    s = TruncatedSeries(tail.grading, tail.order, body)
+    s = with_unit_constant(tail, unit)
     assert s * s.reciprocal() == one(tail.grading, tail.order)
+
+
+# -- packed keys against a schoolbook reference ----------------------------
+
+WIDE = 500  # widest non-grading exponent drawn
+
+
+def schoolbook_mul(a, b):
+    """Tuple-keyed product of every pair of terms, truncated."""
+    gi = a.grading.index
+    out = {}
+    for ka, ca in a.coeffs.items():
+        for kb, cb in b.coeffs.items():
+            key = tuple(u + v for u, v in zip(ka, kb))
+            if key[gi] <= a.order:
+                out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def wide_series(grading, order, max_size):
+    """Series with grading exponents up to the order, others up to WIDE."""
+    deg, wide = st.integers(0, order), st.integers(0, WIDE)
+    key = (st.tuples(deg, wide, wide) if grading is X
+           else st.tuples(wide, deg, wide))
+    return st.dictionaries(key, st.integers(-9, 9), max_size=max_size).map(
+        lambda d: TruncatedSeries(grading, order, d))
+
+
+def wide_pairs(order, max_size):
+    return st.sampled_from([X, Z]).flatmap(lambda g: st.tuples(
+        wide_series(g, order, max_size), wide_series(g, order, max_size)))
+
+
+def with_unit_constant(s, unit):
+    """s with constant term `unit` and no other grading-degree-0 term."""
+    gi = s.grading.index
+    body = {k: c for k, c in s.coeffs.items() if k[gi] >= 1}
+    body[(0, 0, 0)] = unit
+    return TruncatedSeries(s.grading, s.order, body)
+
+
+@given(wide_pairs(order=6, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_mul_matches_schoolbook_wide_exponents(pair):
+    a, b = pair
+    assert (a * b).coeffs == schoolbook_mul(a, b)
+
+
+@given(wide_pairs(order=5, max_size=5), st.sampled_from([1, -1]))
+@settings(max_examples=60, deadline=None)
+def test_divide_round_trip_wide_exponents(pair, unit):
+    n, tail = pair
+    d = with_unit_constant(tail, unit)
+    q = n / d
+    assert q * d == n
+    assert schoolbook_mul(q, d) == n.coeffs
+
+
+def test_divide_field_width_rounds_slope_up():
+    # z^3 per x^2 grows z faster than one per x: 1/(1 - x^2 z^3) reaches
+    # z^9 at x^6, which a width sized by the rounded-down slope (z <= 6)
+    # would carry into the x field
+    d = 1 - make_monomial(X, 6, 2, 3, 0)
+    assert (one(X, 6) / d).coeffs == {
+        (2 * j, 3 * j, 0): 1 for j in range(4)}
+
+
+def test_wide_exponent_fixed_cases():
+    big = make_monomial(Z, 3, 100, 2, 0)
+    d = 1 - make_monomial(Z, 3, 499, 1, 500) + make_monomial(Z, 3, 0, 2, 7)
+    assert (big * d).coeffs == schoolbook_mul(big, d)
+    assert (big / d) * d == big
+    assert (d / d) == one(Z, 3)
