@@ -3,8 +3,9 @@
 
 A composition of n is an ordered tuple of positive integers summing to n.
 Sliding a window of width three across it and comparing neighbours gives
-the six tracked statistics.  This script counts them by brute force and
-then reproduces the same numbers from the closed-form series.
+the six tracked statistics.  This script counts them one composition at
+a time, then as an exact table from the transfer-matrix oracle, and then
+reproduces the same numbers from the closed-form series.
 """
 
 from comppat import (PartSet, PatternId, brute_force_table, build_gf,
@@ -22,7 +23,9 @@ for comp in enumerate_compositions(4, PartSet.naturals()):
     print(f"  {comp}: {count_occurrences(comp, PatternId.PEAK)}")
 
 # The same information, packed into an exact table: counts[(n, m, r)] is
-# the number of compositions of n with m parts and r peak occurrences.
+# the number of compositions of n with m parts and r peak occurrences.  The
+# oracle tracks only each prefix's sum, last part and last step, instead of
+# listing every composition.
 table = brute_force_table(PatternId.PEAK, PartSet.naturals(), 8)
 print("\npeak table rows with r >= 1, n <= 8:")
 for (n, m, r), count in sorted(table.counts.items()):
@@ -32,7 +35,7 @@ for (n, m, r), count in sorted(table.counts.items()):
 # The closed-form generating function reproduces the table exactly.
 series = build_gf(PatternId.PEAK, PartSet.naturals(), 8)
 assert series.coeffs == table.counts
-print("\nclosed-form series == brute-force table: OK")
+print("\nclosed-form series == oracle table: OK")
 
 # Restricting the parts works the same way; {1,2} gives Fibonacci-many
 # compositions of n.

@@ -21,10 +21,10 @@ for (m, r), count in sorted(table.items()):
     if m <= 6:
         print(f"  m={m} r={r}: {count}")
 
-# The enumeration oracle agrees cell by cell.
+# The transfer-matrix oracle agrees cell by cell.
 oracle = brute_force_word_table(PatternId.PEAK, k, 8)
 assert table == oracle.counts
-print("series == enumeration oracle: OK")
+print("series == transfer-matrix oracle: OK")
 
 # Symmetry classes: 112/221 and peak/valley coincide for words, so word_gf
 # uses one closed form per pair.  The composition builders run with x := 1

@@ -12,10 +12,8 @@ not imported here: they are cross-checks, not part of the production path.
 """
 
 from .patterns import (ALL_PATTERNS, OccurrenceTable, PartSet, PatternId,
-                       brute_force_table, brute_force_tables,
-                       brute_force_word_table, brute_force_word_tables,
-                       classify_triple, count_occurrences,
-                       enumerate_compositions, enumerate_words)
+                       brute_force_table, brute_force_word_table,
+                       count_occurrences, enumerate_compositions)
 from .series import (Grading, GradingMismatchError, NonInvertibleError,
                      NormalizationError, OrderRangeError, SeriesError,
                      TruncatedSeries, make_monomial, one, zero)

@@ -5,7 +5,7 @@ Subcommands::
     expand       full (n, m, r) coefficient table of a pattern series
     avoiders     the y=0, z=1 avoidance sequence (optionally as a b-file)
     asymptotics  dominant-pole growth estimate and winding certificate
-    verify       closed form vs. brute-force oracle, cell by cell
+    verify       closed form vs. transfer-matrix oracle, cell by cell
     words        (m, r) table of a pattern series over a k-letter alphabet
 
 JSON reports are deterministic: sorted keys, no timestamps, counts as
@@ -26,9 +26,9 @@ from .patterns import (PartSet, PatternId, brute_force_table,
                        brute_force_word_table)
 
 MAX_ORDER = 60
-MAX_VERIFY_N = 20
-MAX_VERIFY_K = 5
-MAX_VERIFY_M = 12
+# Input bound for `verify --words -k`.  The oracle's cost grows linearly
+# in k; at the cap, max-m 60 takes about a second per pattern.
+MAX_VERIFY_K = 100
 # Input bound for `words -k`.  The closed-form cost grows with k only
 # through the coefficient sizes (about m * log2(k) bits for length m); at
 # the cap, order 60 takes under a second.
@@ -159,42 +159,33 @@ def cmd_asymptotics(args, argv: list[str]) -> int:
 
 def cmd_verify(args, argv: list[str]) -> int:
     pattern = PatternId.parse(args.pattern)
-    mismatches = []
     if args.words:
         _require(args.k is not None, "-k: required with --words")
         _require(args.max_m is not None, "--max-m: required with --words")
         _require(1 <= args.k <= MAX_VERIFY_K,
                  f"-k: must be between 1 and {MAX_VERIFY_K}")
-        _require(0 <= args.max_m <= MAX_VERIFY_M,
-                 f"--max-m: must be between 0 and {MAX_VERIFY_M}")
+        _require(0 <= args.max_m <= MAX_ORDER,
+                 f"--max-m: must be between 0 and {MAX_ORDER}")
         formula = words.word_table(words.word_gf(pattern, args.k,
                                                  args.max_m))
         oracle = brute_force_word_table(pattern, args.k, args.max_m).counts
         scope = {"k": args.k, "max_m": args.max_m}
-
-        def row(key, got, want):
-            return {"m": key[0], "r": key[1],
-                    "formula": str(got), "oracle": str(want)}
+        fields = ("m", "r")
     else:
         _require(args.set is not None, "--set: required without --words")
         _require(args.max_n is not None, "--max-n: required without --words")
         part_set = parse_set_spec(args.set)
-        _require(0 <= args.max_n <= MAX_VERIFY_N,
-                 f"--max-n: must be between 0 and {MAX_VERIFY_N}")
+        _require(0 <= args.max_n <= MAX_ORDER,
+                 f"--max-n: must be between 0 and {MAX_ORDER}")
         formula = genfun.build_gf(pattern, part_set, args.max_n).coeffs
         oracle = brute_force_table(pattern, part_set, args.max_n).counts
         scope = {"set": str(part_set), "max_n": args.max_n}
-
-        def row(key, got, want):
-            return {"n": key[0], "m": key[1], "r": key[2],
-                    "formula": str(got), "oracle": str(want)}
+        fields = ("n", "m", "r")
 
     keys = sorted(set(formula) | set(oracle))
-    for key in keys:
-        got = formula.get(key, 0)
-        want = oracle.get(key, 0)
-        if got != want:
-            mismatches.append(row(key, got, want))
+    mismatches = [dict(zip(fields, key), formula=str(formula.get(key, 0)),
+                       oracle=str(oracle.get(key, 0)))
+                  for key in keys if formula.get(key, 0) != oracle.get(key, 0)]
     _emit_json(_envelope(argv, pattern=pattern.value, **scope,
                          checked=len(keys), mismatches=mismatches))
     return 0 if not mismatches else 4

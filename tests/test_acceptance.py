@@ -2,8 +2,8 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 pass/fail lines with timings.  Every tolerance is pinned here; the
-exhaustive comparisons use only the enumeration oracles from
-comppat.patterns, never the closed forms under test.
+table comparisons use only the transfer-matrix oracle and the enumeration
+references, never the closed forms under test.
 """
 
 import time
@@ -16,15 +16,12 @@ from comppat.identities import (d_series, gf_123_recursive,
                                 gf_peak_recursive, m_poly, m_poly_prefix,
                                 n_poly, nat_closed_forms, t_poly)
 from comppat.patterns import (ALL_PATTERNS, PartSet, PatternId,
-                              brute_force_tables, brute_force_word_tables,
-                              compositions_with_parts, count_occurrences,
-                              enumerate_compositions)
+                              brute_force_table, brute_force_word_table,
+                              count_occurrences, enumerate_compositions)
 from comppat.series import Grading, make_monomial
+from enumeration import BATTERY, NAT, compositions_with_parts
 
 P = PatternId
-NAT = PartSet.naturals()
-BATTERY = (PartSet.of(1, 2), PartSet.of(1, 3), PartSet.of(1, 3, 4),
-           PartSet.of(2, 3, 5), NAT)
 
 GOLDEN = {
     P.P111: [1, 1, 2, 3, 7, 13, 24, 46, 89, 170, 324, 618, 1183, 2260,
@@ -73,12 +70,12 @@ def test_criterion_1_golden_sequences():
 
 
 def test_criterion_2_oracle_equality():
-    with criterion(2, "builder tables == brute force, n <= 14"):
+    with criterion(2, "builder tables == transfer oracle, n <= 14"):
         for part_set in BATTERY:
-            oracles = brute_force_tables(part_set, 14)
             for p in ALL_PATTERNS:
                 built = build_gf(p, part_set, 14)
-                assert built.coeffs == oracles[p].counts, (p, str(part_set))
+                oracle = brute_force_table(p, part_set, 14)
+                assert built.coeffs == oracle.counts, (p, str(part_set))
 
 
 def test_criterion_3_cross_form_identities():
@@ -147,10 +144,10 @@ def test_criterion_6_word_identities():
             assert direct[P.VALLEY] == words.w_peak_closed(k, 12)
             assert direct[P.P112] == direct[P.P221]
             assert direct[P.PEAK] == direct[P.VALLEY]
-            oracles = brute_force_word_tables(k, 10)
             for p in ALL_PATTERNS:
                 table = words.word_table(words.word_gf(p, k, 10))
-                assert table == oracles[p].counts, (p, k)
+                oracle = brute_force_word_table(p, k, 10)
+                assert table == oracle.counts, (p, k)
         gf_u = identities.u_poly_generating_function(30)
         for n in range(31):
             coeffs = identities.u_poly(n)

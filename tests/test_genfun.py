@@ -1,6 +1,6 @@
 """Closed-form builders against frozen values, oracles and cross-checks.
 
-The heavyweight exhaustive comparisons (full battery, order 14/20) live in
+The heavyweight oracle comparisons (full battery, order 14/20) live in
 test_acceptance.py; these tests keep to small orders so the module suite
 stays fast.
 """
@@ -12,7 +12,7 @@ from comppat.identities import (d_series, gf_123_recursive,
                                 gf_peak_recursive, m_poly, m_poly_prefix,
                                 n_poly, nat_closed_forms, qpochhammer_inverse,
                                 t_poly)
-from comppat.patterns import (PartSet, PatternId, brute_force_tables,
+from comppat.patterns import (PartSet, PatternId, brute_force_table,
                               count_occurrences, enumerate_compositions)
 from comppat.series import Grading, make_monomial, one
 
@@ -78,9 +78,8 @@ def test_gf_221_avoiders_prefix():
 
 def test_gf_112_221_oracle_134():
     A = PartSet.of(1, 3, 4)
-    oracles = brute_force_tables(A, 10, patterns=(P.P112, P.P221))
-    assert build_gf(P.P112, A, 10).coeffs == oracles[P.P112].counts
-    assert build_gf(P.P221, A, 10).coeffs == oracles[P.P221].counts
+    for p in (P.P112, P.P221):
+        assert build_gf(p, A, 10).coeffs == brute_force_table(p, A, 10).counts
 
 
 # -- 123 ----------------------------------------------------------------------
@@ -98,7 +97,7 @@ def test_gf_123_first_occurrence_at_6():
 
 def test_gf_123_oracle_123set():
     A = PartSet.of(1, 2, 3)
-    oracle = brute_force_tables(A, 10, patterns=(P.P123,))[P.P123]
+    oracle = brute_force_table(P.P123, A, 10)
     assert build_gf(P.P123, A, 10).coeffs == oracle.counts
 
 
@@ -182,9 +181,8 @@ def test_gf_valley_avoiders_prefix():
 
 def test_gf_peak_valley_oracle_12():
     A = PartSet.of(1, 2)
-    oracles = brute_force_tables(A, 12, patterns=(P.PEAK, P.VALLEY))
-    assert build_gf(P.PEAK, A, 12).coeffs == oracles[P.PEAK].counts
-    assert build_gf(P.VALLEY, A, 12).coeffs == oracles[P.VALLEY].counts
+    for p in (P.PEAK, P.VALLEY):
+        assert build_gf(p, A, 12).coeffs == brute_force_table(p, A, 12).counts
 
 
 def test_gf_peak_first_peak():

@@ -1,16 +1,14 @@
-"""Composition/word models and the exhaustive counting oracles."""
+"""Composition/word models, the statistics and the transfer oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comppat.patterns import (ALL_PATTERNS, OccurrenceTable, PartSet,
-                              PatternId, brute_force_table,
-                              brute_force_tables, brute_force_word_table,
-                              brute_force_word_tables, classify_triple,
-                              compositions_with_parts, count_all_statistics,
-                              count_occurrences, enumerate_compositions,
-                              enumerate_words)
+from comppat.patterns import (ALL_PATTERNS, PartSet, PatternId,
+                              brute_force_table, brute_force_word_table,
+                              count_occurrences, enumerate_compositions)
+from enumeration import (BATTERY, compositions_with_parts,
+                         enumeration_tables, word_enumeration_tables)
 
 P = PatternId
 
@@ -38,7 +36,14 @@ def test_part_set_validation():
         PartSet.of(1.5, 2)
 
 
-# -- classify_triple -------------------------------------------------------
+# -- one window ----------------------------------------------------------
+
+def raw_order_type(a, b, c):
+    """(a, b, c) with each entry replaced by its rank among the distinct
+    values, e.g. (4, 1, 3) -> "312" and (5, 5, 1) -> "221"."""
+    rank = {v: str(i + 1) for i, v in enumerate(sorted({a, b, c}))}
+    return rank[a] + rank[b] + rank[c]
+
 
 @pytest.mark.parametrize("triple,raw,stats", [
     ((1, 4, 1), "121", {P.PEAK}),
@@ -56,9 +61,9 @@ def test_part_set_validation():
     ((3, 2, 1), "321", set()),
 ])
 def test_classify_triple(triple, raw, stats):
-    got_raw, got_stats = classify_triple(*triple)
-    assert got_raw == raw
-    assert got_stats == frozenset(stats)
+    assert raw_order_type(*triple) == raw
+    for p in ALL_PATTERNS:
+        assert count_occurrences(triple, p) == (p in stats), p
 
 
 # -- count_occurrences -----------------------------------------------------
@@ -83,18 +88,10 @@ def test_count_occurrences_short():
     assert all(count_occurrences((3, 1), p) == 0 for p in ALL_PATTERNS)
 
 
-@given(st.lists(st.integers(1, 5), max_size=9))
-@settings(max_examples=200, deadline=None)
-def test_count_all_matches_single_counts(parts):
-    fast = count_all_statistics(tuple(parts))
-    for p in ALL_PATTERNS:
-        assert fast[p] == count_occurrences(tuple(parts), p)
-
-
 def _raw_counts(comp):
     counts = {}
     for i in range(len(comp) - 2):
-        raw, _ = classify_triple(*comp[i:i + 3])
+        raw = raw_order_type(*comp[i:i + 3])
         counts[raw] = counts.get(raw, 0) + 1
     return counts
 
@@ -168,7 +165,23 @@ def test_compositions_with_parts():
     assert list(compositions_with_parts(0, 0, PartSet.of(1))) == [()]
 
 
-# -- brute-force composition tables -----------------------------------------
+# -- transfer-matrix composition tables ------------------------------------
+
+@pytest.mark.parametrize("part_set", BATTERY, ids=str)
+def test_transfer_table_equals_enumeration(part_set):
+    want = enumeration_tables(part_set, 14)
+    for p in ALL_PATTERNS:
+        assert brute_force_table(p, part_set, 14).counts == want[p], p
+
+
+def test_tables_at_empty_bounds():
+    assert brute_force_table(P.P111, PartSet.naturals(), 0).counts == {
+        (0, 0, 0): 1}
+    assert brute_force_table(P.P111, PartSet.of(2), 1).counts == {
+        (0, 0, 0): 1}
+    assert brute_force_table(P.PEAK, PartSet.naturals(), -1).counts == {}
+    assert brute_force_word_table(P.PEAK, 3, -1).counts == {}
+
 
 def test_table_111_avoiders():
     tab = brute_force_table(P.P111, PartSet.naturals(), 10)
@@ -192,8 +205,8 @@ def test_table_valley_small():
 
 
 def test_table_row_sums_power_of_two():
-    tables = brute_force_tables(PartSet.naturals(), 9)
-    for p, tab in tables.items():
+    for p in ALL_PATTERNS:
+        tab = brute_force_table(p, PartSet.naturals(), 9)
         for n in range(1, 10):
             total = sum(v for (nn, m, r), v in tab.counts.items() if nn == n)
             assert total == 2 ** (n - 1), (p, n)
@@ -201,18 +214,12 @@ def test_table_row_sums_power_of_two():
 
 
 def test_table_r_bound():
-    tables = brute_force_tables(PartSet.naturals(), 9)
-    for tab in tables.values():
+    for p in ALL_PATTERNS:
+        tab = brute_force_table(p, PartSet.naturals(), 9)
         assert all(r <= max(0, m - 2) for (n, m, r) in tab.counts)
 
 
-# -- word enumeration and tables --------------------------------------------
-
-def test_enumerate_words_counts():
-    assert len(list(enumerate_words(2, 3))) == 8
-    assert list(enumerate_words(1, 5)) == [(1, 1, 1, 1, 1)]
-    assert len(list(enumerate_words(3, 2))) == 9
-
+# -- transfer-matrix word tables --------------------------------------------
 
 def test_word_table_111_binary():
     tab = brute_force_word_table(P.P111, 2, 4)
@@ -228,22 +235,13 @@ def test_word_table_partitions_word_set():
 
 
 def test_word_tables_equal_per_word_tally():
-    # the depth-first walk carries counts from the last two letters; the
-    # reference recounts every word from scratch
-    for k in (1, 2, 3):
-        want = {p: {} for p in ALL_PATTERNS}
-        for m in range(8):
-            for w in enumerate_words(k, m):
-                for p, r in count_all_statistics(w).items():
-                    want[p][(m, r)] = want[p].get((m, r), 0) + 1
-        got = brute_force_word_tables(k, 7)
-        assert {p: t.counts for p, t in got.items()} == want, k
-        assert brute_force_word_tables(k, 7, patterns=(P.PEAK,)) == {
-            P.PEAK: got[P.PEAK]}
-    assert brute_force_word_tables(2, -1) == {
-        p: OccurrenceTable() for p in ALL_PATTERNS}
-    with pytest.raises(ValueError):
-        brute_force_word_tables(0, 3)
+    # the transfer count carries only the last letter and step of each
+    # prefix; the reference recounts every word from scratch
+    for k, max_m in ((1, 12), (2, 10), (3, 8), (4, 7)):
+        want = word_enumeration_tables(k, max_m)
+        for p in ALL_PATTERNS:
+            got = brute_force_word_table(p, k, max_m).counts
+            assert got == want[p], (p, k)
 
 
 def test_word_tables_112_equals_221():

@@ -3,7 +3,7 @@
 import pytest
 
 from comppat.genfun import build_gf
-from comppat.patterns import PatternId, brute_force_word_tables
+from comppat.patterns import PatternId, brute_force_word_table
 from comppat.series import Grading, make_monomial
 from comppat.identities import (u_poly, u_poly_generating_function,
                                 w123_avoid_aj, w123_chebyshev)
@@ -50,9 +50,9 @@ def test_word_gf_binary_111():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_word_gf_matches_oracle_small(k):
-    oracles = brute_force_word_tables(k, 8)
     for p in P:
-        assert word_table(word_gf(p, k, 8)) == oracles[p].counts, (p, k)
+        oracle = brute_force_word_table(p, k, 8)
+        assert word_table(word_gf(p, k, 8)) == oracle.counts, (p, k)
 
 
 # -- closed forms -------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_w112_closed_equals_both_mirror_series(k):
 
 def test_w112_closed_binary_avoiders_against_oracle():
     s = w112_closed(2, 6).substitute_y0()
-    oracle = brute_force_word_tables(2, 6, patterns=(P.P112,))[P.P112]
+    oracle = brute_force_word_table(P.P112, 2, 6)
     zero_rows = {m: c for (m, r), c in oracle.counts.items() if r == 0}
     assert {m: s.coefficient(0, m, 0) for m in zero_rows} == zero_rows
 
@@ -139,7 +139,7 @@ def test_w_peak_closed_equals_both_word_series(k):
 
 def test_w_peak_closed_binary_avoiders_against_oracle():
     s = w_peak_closed(2, 10).substitute_y0()
-    oracle = brute_force_word_tables(2, 10, patterns=(P.PEAK,))[P.PEAK]
+    oracle = brute_force_word_table(P.PEAK, 2, 10)
     zero_rows = {m: c for (m, r), c in oracle.counts.items() if r == 0}
     assert {m: s.coefficient(0, m, 0) for m in zero_rows} == zero_rows
 
