@@ -3,14 +3,17 @@
 
 Forgetting the sizes of the parts (x := 1) turns the composition series
 over the parts {1..k} into the occurrence series for words in {1..k}^m.
+word_gf evaluates the composition formulas at closed-form selection counts
+over {1..k}, so its cost is flat in k; comppat.identities keeps the
+part-by-part builder route as a cross-check.
+
 Symmetries that are unavailable for compositions appear here: the
 complement map w_i -> k+1-w_i swaps 112 with 221 and peak with valley, so
 those pairs have identical word statistics.
 """
 
-from comppat import (Grading, PatternId, brute_force_word_table, build_gf,
-                     word_gf, word_table)
-from comppat.identities import u_poly
+from comppat import PatternId, brute_force_word_table, word_gf, word_table
+from comppat.identities import u_poly, word_gf_builders
 
 # Ternary words and their peak counts, exactly.
 k = 3
@@ -27,12 +30,12 @@ assert table == oracle.counts
 print("series == transfer-matrix oracle: OK")
 
 # Symmetry classes: 112/221 and peak/valley coincide for words, so word_gf
-# uses one closed form per pair.  The composition builders run with x := 1
-# treat each pattern separately and confirm the coincidence...
+# uses one closed form per pair.  The composition builders run part by part
+# with x := 1 (the cross-check route) treat each pattern separately and
+# confirm the coincidence...
 for a, b in ((PatternId.P112, PatternId.P221),
              (PatternId.PEAK, PatternId.VALLEY)):
-    built_a, built_b = (build_gf(p, range(1, 5), 10, grading=Grading.Z)
-                        for p in (a, b))
+    built_a, built_b = (word_gf_builders(p, 4, 10) for p in (a, b))
     assert built_a == built_b == word_gf(a, 4, 10)
 print("word series: 112 == 221 and peak == valley: OK")
 

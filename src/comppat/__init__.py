@@ -21,7 +21,6 @@ from .genfun import avoidance_sequence, build_gf
 from .words import (w111_closed, w112_closed, w123_closed, w_peak_closed,
                     word_gf, word_table)
 from .asymptotics import (AsymptoticEstimate, emit_curve, estimate, eval_f,
-                          find_rho, predict_count, winding_number,
-                          winding_of)
+                          find_rho, predict_count, winding_number)
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .patterns import PatternId
 
@@ -330,18 +329,13 @@ def _winding(values: list[complex]) -> int:
     return round(total / (2 * math.pi))
 
 
-def winding_of(fn: Callable[[complex], complex], radius: float,
-               samples: int) -> int:
-    """Winding number of fn's image of the circle |x| = radius around 0."""
-    return _winding([complex(fn(point)) for point in _circle(radius, samples)])
-
-
 def winding_number(p: PatternId, radius: float = WINDING_RADIUS,
                    samples: int = WINDING_SAMPLES,
                    eps: float = EVAL_EPS) -> int:
     """Winding number of f over |x| = radius: the count of zeros of f
     inside (zeros of the denominator minus zeros of the numerator)."""
-    return winding_of(lambda x: eval_f(p, x, eps)[0], radius, samples)
+    return _winding([complex(eval_f(p, point, eps)[0])
+                     for point in _circle(radius, samples)])
 
 
 def estimate(p: PatternId, radius: float = WINDING_RADIUS,

@@ -89,8 +89,7 @@ def cmd_expand(args, argv: list[str]) -> int:
     part_set = parse_set_spec(args.set)
     _require(0 <= args.order <= MAX_ORDER,
              f"--order: must be between 0 and {MAX_ORDER}")
-    pattern = PatternId.parse(args.pattern)
-    series = genfun.build_gf(pattern, part_set, args.order)
+    series = genfun.build_gf(args.pattern, part_set, args.order)
     rows = _table_rows(series)
     if args.format == "csv":
         sys.stdout.write("n,m,r,count\n")
@@ -99,7 +98,7 @@ def cmd_expand(args, argv: list[str]) -> int:
         return 0
     _emit_json(_envelope(
         argv,
-        pattern=pattern.value,
+        pattern=args.pattern.value,
         set=str(part_set),
         materialized_parts=list(part_set.materialize(args.order)),
         order=args.order,
@@ -113,15 +112,14 @@ def cmd_avoiders(args, argv: list[str]) -> int:
     part_set = parse_set_spec(args.set)
     _require(0 <= args.order <= MAX_ORDER,
              f"--order: must be between 0 and {MAX_ORDER}")
-    pattern = PatternId.parse(args.pattern)
-    values = genfun.avoidance_sequence(pattern, part_set, args.order)
+    values = genfun.avoidance_sequence(args.pattern, part_set, args.order)
     if args.bfile:
         for n, value in enumerate(values):
             sys.stdout.write(f"{n} {value}\n")
         return 0
     _emit_json(_envelope(
         argv,
-        pattern=pattern.value,
+        pattern=args.pattern.value,
         set=str(part_set),
         materialized_parts=list(part_set.materialize(args.order)),
         order=args.order,
@@ -134,10 +132,9 @@ def cmd_asymptotics(args, argv: list[str]) -> int:
     _require(0 < args.radius < 0.8, "--radius: must lie in (0, 0.8)")
     _require(1024 <= args.samples <= MAX_SAMPLES,
              f"--samples: must be between 1024 and {MAX_SAMPLES}")
-    pattern = PatternId.parse(args.pattern)
-    est = asymptotics.estimate(pattern, args.radius, args.samples)
+    est = asymptotics.estimate(args.pattern, args.radius, args.samples)
     payload = {
-        "pattern": pattern.value,
+        "pattern": args.pattern.value,
         "rho": est.rho,
         "v": est.growth_v,
         "K": est.constant_K,
@@ -158,7 +155,6 @@ def cmd_asymptotics(args, argv: list[str]) -> int:
 
 
 def cmd_verify(args, argv: list[str]) -> int:
-    pattern = PatternId.parse(args.pattern)
     if args.words:
         _require(args.k is not None, "-k: required with --words")
         _require(args.max_m is not None, "--max-m: required with --words")
@@ -166,9 +162,10 @@ def cmd_verify(args, argv: list[str]) -> int:
                  f"-k: must be between 1 and {MAX_VERIFY_K}")
         _require(0 <= args.max_m <= MAX_ORDER,
                  f"--max-m: must be between 0 and {MAX_ORDER}")
-        formula = words.word_table(words.word_gf(pattern, args.k,
+        formula = words.word_table(words.word_gf(args.pattern, args.k,
                                                  args.max_m))
-        oracle = brute_force_word_table(pattern, args.k, args.max_m).counts
+        oracle = brute_force_word_table(args.pattern, args.k,
+                                        args.max_m).counts
         scope = {"k": args.k, "max_m": args.max_m}
         fields = ("m", "r")
     else:
@@ -177,8 +174,8 @@ def cmd_verify(args, argv: list[str]) -> int:
         part_set = parse_set_spec(args.set)
         _require(0 <= args.max_n <= MAX_ORDER,
                  f"--max-n: must be between 0 and {MAX_ORDER}")
-        formula = genfun.build_gf(pattern, part_set, args.max_n).coeffs
-        oracle = brute_force_table(pattern, part_set, args.max_n).counts
+        formula = genfun.build_gf(args.pattern, part_set, args.max_n).coeffs
+        oracle = brute_force_table(args.pattern, part_set, args.max_n).counts
         scope = {"set": str(part_set), "max_n": args.max_n}
         fields = ("n", "m", "r")
 
@@ -186,7 +183,7 @@ def cmd_verify(args, argv: list[str]) -> int:
     mismatches = [dict(zip(fields, key), formula=str(formula.get(key, 0)),
                        oracle=str(oracle.get(key, 0)))
                   for key in keys if formula.get(key, 0) != oracle.get(key, 0)]
-    _emit_json(_envelope(argv, pattern=pattern.value, **scope,
+    _emit_json(_envelope(argv, pattern=args.pattern.value, **scope,
                          checked=len(keys), mismatches=mismatches))
     return 0 if not mismatches else 4
 
@@ -196,8 +193,7 @@ def cmd_words(args, argv: list[str]) -> int:
              f"-k: alphabet size must be between 1 and {MAX_WORDS_K}")
     _require(0 <= args.order <= MAX_ORDER,
              f"--order: must be between 0 and {MAX_ORDER}")
-    pattern = PatternId.parse(args.pattern)
-    table = words.word_table(words.word_gf(pattern, args.k, args.order))
+    table = words.word_table(words.word_gf(args.pattern, args.k, args.order))
     rows = sorted(table.items())
     if args.format == "csv":
         sys.stdout.write("m,r,count\n")
@@ -206,7 +202,7 @@ def cmd_words(args, argv: list[str]) -> int:
         return 0
     _emit_json(_envelope(
         argv,
-        pattern=pattern.value,
+        pattern=args.pattern.value,
         k=args.k,
         order=args.order,
         coefficients=[{"m": m, "r": r, "count": str(c)}
@@ -274,6 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.pattern = PatternId(args.pattern)  # argparse checked the choice
     try:
         return args.handler(args, argv)
     except UsageError as exc:

@@ -4,8 +4,6 @@
 x^n z^m y^r counts compositions of n with m parts in A and exactly r
 occurrences of the statistic, truncated at a given x-order; each
 statistic's series is one numerator/denominator pair from ``_NUM_DEN``.
-The same pairs run under z-grading with the x-degrees forced to zero,
-which gives the word (x := 1) series over the alphabet A.
 :func:`avoidance_sequence` specializes the pair to y := 0, z := 1 before
 the single inversion.
 
@@ -52,34 +50,26 @@ class _Ctx:
     def one_minus_y(self) -> TruncatedSeries:
         return self.one() - self.y()
 
-    def y_minus_one_powers(self, top: int) -> list[TruncatedSeries]:
-        """[(y-1)^0, ..., (y-1)^top]."""
+    def powers(self, base: TruncatedSeries,
+               top: int) -> list[TruncatedSeries]:
+        """[base^0, ..., base^top]."""
         powers = [self.one()]
-        ym1 = self.y() - self.one()
         for _ in range(top):
-            powers.append(powers[-1] * ym1)
+            powers.append(powers[-1] * base)
         return powers
 
 
 def _materialize(A, ctx: _Ctx) -> tuple[int, ...]:
-    """Parts relevant at this truncation, as a strictly increasing tuple.
+    """Parts relevant at this x-truncation, as a strictly increasing tuple.
 
     Accepts a PartSet or any iterable of parts (possibly empty, for the
-    degenerate bases of the recursions).  Under x-grading, parts beyond
-    the order are dropped: every appearance of a part a carries weight
-    x^a, so such parts contribute nothing below the truncation.
+    degenerate bases of the recursions).  Parts beyond the order are
+    dropped: every appearance of a part a carries weight x^a, so such
+    parts contribute nothing below the truncation.
     """
     if isinstance(A, PartSet):
-        if A.is_nat:
-            if ctx.grading is not Grading.X:
-                raise ValueError("the naturals require x-grading")
-            return A.materialize(ctx.order)
-        parts = A.parts
-    else:
-        parts = check_parts(A)
-    if ctx.grading is Grading.X:
-        parts = tuple(a for a in parts if a <= ctx.order)
-    return parts
+        return A.materialize(ctx.order)
+    return tuple(a for a in check_parts(A) if a <= ctx.order)
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +87,19 @@ def _num_den_111(parts: Sequence[int], ctx: _Ctx):
                                 / (1 + x^a z (1 + x^a z)(1-y))).
     """
     unit = ctx.one()
-    omy = ctx.one_minus_y()
     total = ctx.zero()
     for a in parts:
-        b = ctx.part(a)
-        numer = b * (unit + omy * b)
-        denom = unit + b * (unit + b) * omy
+        numer, denom = _term_111(ctx.part(a), ctx)
         total = total + numer / denom
     return unit, unit - total
+
+
+def _term_111(b: TruncatedSeries, ctx: _Ctx):
+    """Numerator and denominator of one part's term in the 111 sum,
+    b (1 + (1-y) b) / (1 + b (1+b) (1-y)), for the part weight b."""
+    unit = ctx.one()
+    omy = ctx.one_minus_y()
+    return b * (unit + omy * b), unit + b * (unit + b) * omy
 
 
 def _num_den_level(parts: Sequence[int], ctx: _Ctx, mirrored: bool):
@@ -140,7 +135,7 @@ def _t_polys(parts: Sequence[int], ctx: _Ctx) -> list[TruncatedSeries]:
         t.append(ctx.zero())
         for p in range(len(t) - 1, 0, -1):
             t[p] = t[p] + b * t[p - 1]
-        while len(t) > 1 and t[-1].is_zero():
+        while len(t) > 1 and not t[-1]:
             t.pop()
     return t
 
@@ -150,7 +145,7 @@ def _den_123(t: list[TruncatedSeries], ctx: _Ctx) -> TruncatedSeries:
     den = ctx.one()
     if top >= 1:
         den = den - t[1]
-    ym1 = ctx.y_minus_one_powers(max(top - 2, 0))
+    ym1 = ctx.powers(ctx.y() - ctx.one(), max(top - 2, 0))
     for p in range(3, top + 1):
         for j in range(p - 2):
             if p + j > top:
@@ -195,7 +190,7 @@ def _mn_polys(parts: Sequence[int], ctx: _Ctx,
         for s in range(1, len(n)):
             new_n.append(b * new_m[s - 1] + n[s])
         m, n = new_m, new_n
-        while len(m) > 1 and m[-1].is_zero() and n[-1].is_zero():
+        while len(m) > 1 and not m[-1] and not n[-1]:
             m.pop()
             n.pop()
     return m, n
@@ -211,22 +206,22 @@ def _num_den_peak_valley(parts: Sequence[int], ctx: _Ctx, valley: bool):
     replacing M^{2j+1} in the denominator.
     """
     m, n = _mn_polys(parts, ctx)
+    return _num_den_alternating(m, n if valley else m, ctx)
+
+
+def _num_den_alternating(m: list[TruncatedSeries],
+                         odd: list[TruncatedSeries], ctx: _Ctx):
+    """The peak/valley pair from the tuple sums: M^{2j} from m for the
+    numerator, and the odd-length sums (M for peak, N for valley) from
+    odd; len(m) - 1 is the longest tuple length that enters."""
     top = len(m) - 1
-    omy_pow = [ctx.one()]
-    omy = ctx.one_minus_y()
-    for _ in range(top // 2 + 1):
-        omy_pow.append(omy_pow[-1] * omy)
+    omy_pow = ctx.powers(ctx.one_minus_y(), top // 2)
     num = ctx.one()
-    j = 1
-    while 2 * j <= top:
+    for j in range(1, top // 2 + 1):
         num = num + m[2 * j] * omy_pow[j]
-        j += 1
-    odd = n if valley else m
     sub = ctx.zero()
-    j = 0
-    while 2 * j + 1 <= top:
+    for j in range((top + 1) // 2):
         sub = sub + odd[2 * j + 1] * omy_pow[j]
-        j += 1
     return num, num - sub
 
 
@@ -250,14 +245,9 @@ def _check_counts(series: TruncatedSeries) -> TruncatedSeries:
     return series
 
 
-def build_gf(p: PatternId, A, order: int,
-             grading: Grading = Grading.X) -> TruncatedSeries:
-    """The closed-form counting series for statistic p over A.
-
-    ``grading=Grading.Z`` rebuilds with all x-degrees forced to zero,
-    producing the word (x := 1) series over the alphabet A.
-    """
-    ctx = _Ctx(grading, order)
+def build_gf(p: PatternId, A, order: int) -> TruncatedSeries:
+    """The closed-form counting series for statistic p over A."""
+    ctx = _Ctx(Grading.X, order)
     num, den = _NUM_DEN[p](_materialize(A, ctx), ctx)
     return _check_counts(num / den)
 

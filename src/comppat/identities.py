@@ -16,6 +16,8 @@ production code computes, or exposes one of its intermediate series:
   series grown one part at a time; check ``build_gf`` for those patterns.
 * :func:`qpochhammer_inverse`, :func:`nat_closed_forms` -- q-Pochhammer
   closed forms over the naturals; check t^p, M^s and N^s over nat.
+* :func:`word_gf_builders` -- the composition builders over {1..k} with
+  x := 1 (z-grading); checks every closed form behind ``words.word_gf``.
 * :func:`u_poly`, :func:`u_poly_generating_function`,
   :func:`w123_chebyshev` -- the U-polynomial form of 123 over {1..k};
   checks ``words.w123_closed`` (what ``words.word_gf`` runs for 123).
@@ -27,7 +29,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .genfun import _Ctx, _den_123, _materialize, _mn_polys, _t_polys
+from .genfun import (_NUM_DEN, _Ctx, _check_counts, _den_123, _materialize,
+                     _mn_polys, _t_polys)
+from .patterns import PatternId
 from .series import Grading, TruncatedSeries, make_monomial, one, zero
 from .words import _z
 
@@ -57,7 +61,7 @@ def d_series(A, order: int) -> TruncatedSeries:
     t = _t_polys(parts, ctx)
     top = len(t) - 1
     num = ctx.one()
-    ym1 = ctx.y_minus_one_powers(max(top - 1, 0))
+    ym1 = ctx.powers(ctx.y() - ctx.one(), max(top - 1, 0))
     for p in range(2, top + 1):
         for j in range(p - 1):
             if p + j > top:
@@ -124,7 +128,7 @@ def m_poly_prefix(A, s: int, order: int) -> TruncatedSeries:
             else:
                 new_m.append(b * new_m[s_i - 1] + m[s_i])
         m = new_m
-        while len(m) > 1 and m[-1].is_zero():
+        while len(m) > 1 and not m[-1]:
             m.pop()
     return m[s] if s < len(m) else ctx.zero()
 
@@ -205,6 +209,14 @@ def nat_closed_forms(kind: str, s_or_p: int, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # word forms
 # ---------------------------------------------------------------------------
+
+def word_gf_builders(p: PatternId, k: int, order: int) -> TruncatedSeries:
+    """The word series for p over {1..k} from the composition builders run
+    part by part under z-grading, so every part weighs plain z (x := 1)."""
+    ctx = _Ctx(Grading.Z, order)
+    num, den = _NUM_DEN[p](range(1, k + 1), ctx)
+    return _check_counts(num / den)
+
 
 def u_poly(n: int) -> list[int]:
     """Coefficients in y of the n-th polynomial of the family

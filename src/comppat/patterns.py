@@ -48,14 +48,6 @@ class PatternId(Enum):
     PEAK = "peak"
     VALLEY = "valley"
 
-    @classmethod
-    def parse(cls, text: str) -> "PatternId":
-        for p in cls:
-            if p.value == text:
-                return p
-        raise ValueError(f"unknown pattern {text!r}; expected one of "
-                         f"{[p.value for p in cls]}")
-
 
 ALL_PATTERNS = tuple(PatternId)
 

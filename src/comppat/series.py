@@ -122,9 +122,6 @@ class TruncatedSeries:
 
     # -- basic queries -------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def constant_term(self) -> int:
         return self.coeffs.get((0, 0, 0), 0)
 
@@ -286,10 +283,6 @@ class TruncatedSeries:
         """Set y := 0, i.e. keep only the occurrence-free (r = 0) terms."""
         return self._wrap({k: c for k, c in self.coeffs.items() if k[2] == 0})
 
-    def substitute_y1(self) -> "TruncatedSeries":
-        """Set y := 1, i.e. forget the statistic by summing over r."""
-        return self._sum_out(lambda n, m, _r: (n, m, 0))
-
     def substitute_z1(self) -> "TruncatedSeries":
         """Set z := 1, i.e. forget the number of parts by summing over m.
 
@@ -299,26 +292,15 @@ class TruncatedSeries:
         if self.grading is not Grading.X:
             raise GradingMismatchError(
                 "substitute_z1 requires an x-graded series")
-        return self._sum_out(lambda n, _m, r: (n, 0, r))
-
-    def _sum_out(self, project) -> "TruncatedSeries":
-        """Sum the coefficients whose exponents share project(n, m, r)."""
         out: dict[Triple, int] = {}
-        for key, c in self.coeffs.items():
-            key = project(*key)
+        for (n, _m, r), c in self.coeffs.items():
+            key = (n, 0, r)
             s = out.get(key, 0) + c
             if s:
                 out[key] = s
             else:
                 del out[key]
         return self._wrap(out)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Re-truncate to a smaller (or equal) order."""
-        if order > self.order:
-            raise OrderRangeError(
-                f"cannot extend truncation order {self.order} to {order}")
-        return TruncatedSeries(self.grading, order, self.coeffs)
 
     # -- plumbing --------------------------------------------------------
 

@@ -7,16 +7,18 @@ of the statistic; no x-exponent ever appears.
 :func:`word_gf` dispatches to the paper's closed forms in k
 (:func:`w111_closed`, :func:`w112_closed`, :func:`w123_closed`,
 :func:`w_peak_closed`); 112/221 and peak/valley share a form through the
-complement i -> k+1-i on {1..k}.  Every loop in these forms is bounded by
-the truncation order, so their cost is flat in k.
+complement i -> k+1-i on {1..k}.  Except for 112, each form is the
+:mod:`comppat.genfun` formula at closed-form selection counts over {1..k}.
+Every loop is bounded by the truncation order, so the cost is flat in k.
 """
 
 from __future__ import annotations
 
 from math import comb
 
+from .genfun import _Ctx, _den_123, _num_den_alternating, _term_111
 from .patterns import PatternId
-from .series import Grading, TruncatedSeries, make_monomial, one, zero
+from .series import Grading, TruncatedSeries, make_monomial, one
 
 
 def word_gf(p: PatternId, k: int, order: int) -> TruncatedSeries:
@@ -38,25 +40,22 @@ def _z(order: int, m: int = 1, r: int = 0, c: int = 1) -> TruncatedSeries:
 
 
 def w111_closed(k: int, order: int) -> TruncatedSeries:
-    """111 over {1..k} in closed form:
+    """111 over {1..k}: the builder's k equal terms numer/denom (b = z)
+    in one division, denom / (denom - k numer), which is
 
         (1 + z(1+z)(1-y)) / (1 - (k-1+y) z - (k-1)(1-y) z^2).
     """
-    unit = one(Grading.Z, order)
-    z = _z(order)
-    y = _z(order, 0, 1)
-    omy = unit - y
-    num = unit + z * (unit + z) * omy
-    den = unit - (k - 1) * z - y * z - (k - 1) * omy * z * z
-    return num / den
+    ctx = _Ctx(Grading.Z, order)
+    numer, denom = _term_111(ctx.part(1), ctx)
+    return denom / (denom - k * numer)
 
 
 def w112_closed(k: int, order: int) -> TruncatedSeries:
-    """112 (equivalently 221) over {1..k}.
-
-    The raw closed form (1-y)z / ((1-y)z - 1 + (1 - (1-y)z^2)^k) has a
-    zero constant term in the denominator; factoring (1-y)z out of it
-    leaves the unit-constant equivalent used here:
+    """112 (equivalently 221) over {1..k}: the builder's guard products
+    are powers of g = 1 - (1-y)z^2, so its sum is geometric; in closed
+    form, (1-y)z / ((1-y)z - 1 + g^k).  The zero constant term of that
+    denominator cancels against (1-y)z, which leaves, with g^k expanded
+    binomially,
 
         1 / (1 - k z + sum_{j=2}^{k} (-1)^j C(k, j) (1-y)^{j-1} z^{2j-1}).
     """
@@ -74,55 +73,28 @@ def w112_closed(k: int, order: int) -> TruncatedSeries:
 
 
 def w123_closed(k: int, order: int) -> TruncatedSeries:
-    """123 over {1..k} via the selection-count form (t^p([k]) = C(k,p) z^p):
+    """123 over {1..k}: the builder's denominator at t^p([k]) = C(k, p) z^p
+    for p <= min(k, order) (longer selections vanish under truncation):
 
         1 / (1 - k z - sum_{p=3}^{k} sum_{j=0}^{p-3}
                  C(p-3, j) C(k, p+j) z^{p+j} (y-1)^{p-2}).
     """
-    unit = one(Grading.Z, order)
-    den = unit - _z(order, 1, 0, k)
-    # Terms of z-degree p + j > order vanish under truncation, so only
-    # p <= min(k, order) contributes.
-    top = min(k, order)
-    ym1_pow = [unit]
-    ym1 = _z(order, 0, 1) - unit
-    for _ in range(max(top - 2, 0)):
-        ym1_pow.append(ym1_pow[-1] * ym1)
-    for p in range(3, top + 1):
-        for j in range(p - 2):
-            if p + j > order:
-                break
-            c = comb(p - 3, j) * comb(k, p + j)
-            if c:
-                den = den - c * _z(order, p + j) * ym1_pow[p - 2]
-    return den.reciprocal()
+    t = [_z(order, p, 0, comb(k, p)) for p in range(min(k, order) + 1)]
+    return _den_123(t, _Ctx(Grading.Z, order)).reciprocal()
 
 
 def w_peak_closed(k: int, order: int) -> TruncatedSeries:
-    """peak (equivalently valley) over {1..k}:
+    """peak (equivalently valley) over {1..k}: the builder's pair at
+    M^s([k]) = N^s([k]) = C(k-1+ceil(s/2), s) z^s for s <= min(order, 2k-1)
+    (M^s([k]) = 0 from s = 2k on):
 
         N / (N - sum_{j>=0} z^{2j+1} (1-y)^j C(k+j, 2j+1)),
         N = sum_{j>=0} z^{2j} (1-y)^j C(k-1+j, 2j).
     """
-    unit = one(Grading.Z, order)
-    omy = unit - _z(order, 0, 1)
-    num = zero(Grading.Z, order)
-    sub = zero(Grading.Z, order)
-    omy_pow = unit
-    j = 0
-    while 2 * j <= order:
-        c_even = comb(k - 1 + j, 2 * j)
-        if c_even:
-            num = num + _z(order, 2 * j, 0, c_even) * omy_pow
-        if 2 * j + 1 <= order:
-            c_odd = comb(k + j, 2 * j + 1)
-            if c_odd:
-                sub = sub + _z(order, 2 * j + 1, 0, c_odd) * omy_pow
-        if c_even == 0 and comb(k + j, 2 * j + 1) == 0:
-            break
-        omy_pow = omy_pow * omy
-        j += 1
-    return num / (num - sub)
+    m = [_z(order, s, 0, comb(k - 1 + (s + 1) // 2, s))
+         for s in range(min(order, 2 * k - 1) + 1)]
+    num, den = _num_den_alternating(m, m, _Ctx(Grading.Z, order))
+    return num / den
 
 
 _CLOSED = {

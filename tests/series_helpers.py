@@ -1,0 +1,25 @@
+"""Series operations that only the tests need.
+
+The package has no production caller for these, so they live here: the
+y := 1 collapse (the y-free composition series the builders must reduce
+to) and re-truncation to a smaller order.
+"""
+
+from comppat.series import TruncatedSeries
+
+
+def substitute_y1(s: TruncatedSeries) -> TruncatedSeries:
+    """Set y := 1, i.e. forget the statistic by summing over r."""
+    out = {}
+    for (n, m, _r), c in s.coeffs.items():
+        out[(n, m, 0)] = out.get((n, m, 0), 0) + c
+    return TruncatedSeries(s.grading, s.order, out)
+
+
+def truncate(s: TruncatedSeries, order: int) -> TruncatedSeries:
+    """s re-truncated at a smaller (or equal) order; the constructor drops
+    the terms beyond it."""
+    if order > s.order:
+        raise ValueError(f"cannot extend truncation order {s.order} "
+                         f"to {order}")
+    return TruncatedSeries(s.grading, order, s.coeffs)

@@ -20,6 +20,7 @@ from comppat.patterns import (ALL_PATTERNS, PartSet, PatternId,
                               count_occurrences, enumerate_compositions)
 from comppat.series import Grading, make_monomial
 from enumeration import BATTERY, NAT, compositions_with_parts
+from series_helpers import substitute_y1, truncate
 
 P = PatternId
 
@@ -133,8 +134,8 @@ def test_criterion_6_word_identities():
         for k in range(1, 5):
             # the composition builders with x := 1, checked against the
             # closed forms that words.word_gf dispatches to
-            direct = {p: build_gf(p, range(1, k + 1), 12,
-                                  grading=Grading.Z) for p in ALL_PATTERNS}
+            direct = {p: identities.word_gf_builders(p, k, 12)
+                      for p in ALL_PATTERNS}
             assert direct[P.P111] == words.w111_closed(k, 12)
             assert direct[P.P112] == words.w112_closed(k, 12)
             assert direct[P.P221] == words.w112_closed(k, 12)
@@ -182,27 +183,21 @@ def test_criterion_7_structural_properties():
                 total = total + make_monomial(Grading.X, order, a, 1, 0, 1)
             plain = (1 - total).reciprocal()
             for p in ALL_PATTERNS:
-                assert build_gf(p, part_set, order).substitute_y1() == \
+                assert substitute_y1(build_gf(p, part_set, order)) == \
                     plain, (p, str(part_set))
         for part_set in BATTERY:
             for p in ALL_PATTERNS:
-                assert build_gf(p, part_set, 20).truncate(10) == \
+                assert truncate(build_gf(p, part_set, 20), 10) == \
                     build_gf(p, part_set, 10), (p, str(part_set))
         for part_set in (PartSet.of(1, 2), PartSet.of(2, 3, 5), NAT):
-            assert d_series(part_set, 20).truncate(10) == \
-                d_series(part_set, 10)
-            assert gf_123_recursive(part_set, 20).truncate(10) == \
-                gf_123_recursive(part_set, 10)
-            assert gf_peak_recursive(part_set, 20).truncate(10) == \
-                gf_peak_recursive(part_set, 10)
-            for s in range(4):
-                assert t_poly(part_set, s, 20).truncate(10) == \
-                    t_poly(part_set, s, 10)
-                assert m_poly(part_set, s, 20).truncate(10) == \
-                    m_poly(part_set, s, 10)
-                assert n_poly(part_set, s, 20).truncate(10) == \
-                    n_poly(part_set, s, 10)
+            for form in (d_series, gf_123_recursive, gf_peak_recursive):
+                assert truncate(form(part_set, 20), 10) == \
+                    form(part_set, 10), (form.__name__, str(part_set))
+            for form in (t_poly, m_poly, n_poly):
+                for s in range(4):
+                    assert truncate(form(part_set, s, 20), 10) == \
+                        form(part_set, s, 10), (form.__name__, s)
         for p in ALL_PATTERNS:
             for k in (2, 4):
-                assert words.word_gf(p, k, 20).truncate(10) == \
+                assert truncate(words.word_gf(p, k, 20), 10) == \
                     words.word_gf(p, k, 10), (p, k)

@@ -8,10 +8,10 @@ import cmath
 
 import pytest
 
-from comppat.asymptotics import (DomainError, UndersamplingError, _den_111,
-                                 _den_112, _den_123, _den_221, emit_curve,
-                                 estimate, eval_f, find_rho, predict_count,
-                                 winding_number, winding_of)
+from comppat.asymptotics import (DomainError, UndersamplingError, _circle,
+                                 _den_111, _den_112, _den_123, _den_221,
+                                 _winding, emit_curve, estimate, eval_f,
+                                 find_rho, predict_count, winding_number)
 from comppat.genfun import avoidance_sequence
 from comppat.patterns import PartSet, PatternId
 
@@ -92,6 +92,11 @@ def test_conjugate_symmetry_on_circle():
 
 
 # -- winding numbers -----------------------------------------------------------
+
+def winding_of(fn, radius, samples):
+    # winding number of fn's image of the circle |x| = radius around 0
+    return _winding([complex(fn(x)) for x in _circle(radius, samples)])
+
 
 def test_winding_constant_stub():
     assert winding_of(lambda x: 3 + 0j, 0.7, 1024) == 0

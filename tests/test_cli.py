@@ -44,6 +44,7 @@ def test_expand_json_schema_and_content():
     assert report["materialized_parts"] == [1, 2, 3, 4, 5, 6]
 
 
+@pytest.mark.usefixtures("shared_build_gf")
 @pytest.mark.parametrize("pattern", cli.PATTERN_CHOICES)
 def test_expand_nat_at_order_cap_matches_golden_digest(pattern, capsys):
     # the full trivariate table at the CLI cap, byte for byte as recorded
@@ -232,6 +233,7 @@ def verify_in_process(capsys, *argv):
     return report
 
 
+@pytest.mark.usefixtures("shared_build_gf")
 @pytest.mark.parametrize("pattern", cli.PATTERN_CHOICES)
 def test_verify_nat_at_order_cap(pattern, capsys):
     verify_in_process(capsys, "--pattern", pattern, "--set", "nat",

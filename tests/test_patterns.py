@@ -14,9 +14,9 @@ P = PatternId
 
 
 def test_pattern_parse():
-    assert P.parse("peak") is P.PEAK
+    assert P("peak") is P.PEAK
     with pytest.raises(ValueError):
-        P.parse("122")
+        P("122")
 
 
 def test_part_set_validation():

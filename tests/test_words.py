@@ -2,20 +2,21 @@
 
 import pytest
 
-from comppat.genfun import build_gf
 from comppat.patterns import PatternId, brute_force_word_table
 from comppat.series import Grading, make_monomial
 from comppat.identities import (u_poly, u_poly_generating_function,
-                                w123_avoid_aj, w123_chebyshev)
+                                w123_avoid_aj, w123_chebyshev,
+                                word_gf_builders)
 from comppat.words import (w111_closed, w112_closed, w123_closed,
                            w_peak_closed, word_gf, word_table)
+from series_helpers import truncate
 
 P = PatternId
 
 
 def builder_route(p, k, order):
     # the composition builders with x := 1: the cross-check of word_gf
-    return build_gf(p, range(1, k + 1), order, grading=Grading.Z)
+    return word_gf_builders(p, k, order)
 
 
 def geometric_z(order):
@@ -148,16 +149,26 @@ def test_w_peak_closed_one_letter():
     assert w_peak_closed(1, 9) == geometric_z(9)
 
 
+# k above the order 10 (ids "15", "40"), then (k, order) pairs at the loop
+# bounds of the closed forms: order in {k-1, k, k+1} around the 123 bound
+# min(k, order), and in {2k-2, 2k-1, 2k} around the peak bound
+# min(order, 2k-1)
+BOUND_CASES = ([pytest.param(k, 10, id=str(k)) for k in (15, 40)]
+               + [pytest.param(k, order, id=f"{k}-{order}")
+                  for k in range(1, 7)
+                  for order in sorted({k - 1, k, k + 1,
+                                       2 * k - 2, 2 * k - 1, 2 * k})])
+
+
 @pytest.mark.parametrize("p", list(P))
-@pytest.mark.parametrize("k", [15, 40])
-def test_word_gf_equals_builder_route_k_above_order(p, k):
-    # k > order reaches the order bounds on the closed-form loops
-    assert word_gf(p, k, 10) == builder_route(p, k, 10)
+@pytest.mark.parametrize("k, order", BOUND_CASES)
+def test_word_gf_equals_builder_route_k_above_order(p, k, order):
+    assert word_gf(p, k, order) == builder_route(p, k, order)
 
 
 def test_truncation_consistency_word_series():
     for p in P:
-        assert word_gf(p, 3, 12).truncate(6) == word_gf(p, 3, 6)
+        assert truncate(word_gf(p, 3, 12), 6) == word_gf(p, 3, 6)
 
 
 def test_alternating_tuple_counts_are_binomial():
