@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Words over a finite alphabet as a special case of compositions.
 
-Forgetting the sizes of the parts (x := 1) turns the composition series
-over the parts {1..k} into the occurrence series for words in {1..k}^m.
-word_gf evaluates the composition formulas at closed-form selection counts
-over {1..k}, so its cost is flat in k; comppat.identities keeps the
+Giving every letter of {1..k} the same weight x z turns the composition
+series into the occurrence series for words in {1..k}^m: x and z both
+mark the length, so a word of length m sits at x^m z^m.  word_gf
+evaluates the composition formulas at closed-form selection counts over
+{1..k}, so its cost is flat in k; comppat.identities keeps the
 part-by-part builder route as a cross-check.
 
 Symmetries that are unavailable for compositions appear here: the
@@ -30,8 +31,8 @@ assert table == oracle.counts
 print("series == transfer-matrix oracle: OK")
 
 # Symmetry classes: 112/221 and peak/valley coincide for words, so word_gf
-# uses one closed form per pair.  The composition builders run part by part
-# with x := 1 (the cross-check route) treat each pattern separately and
+# uses one closed form per pair.  The composition builders run letter by
+# letter (the cross-check route) treat each pattern separately and
 # confirm the coincidence...
 for a, b in ((PatternId.P112, PatternId.P221),
              (PatternId.PEAK, PatternId.VALLEY)):

@@ -14,7 +14,7 @@ not imported here: they are cross-checks, not part of the production path.
 from .patterns import (ALL_PATTERNS, OccurrenceTable, PartSet, PatternId,
                        brute_force_table, brute_force_word_table,
                        count_occurrences, enumerate_compositions)
-from .series import (Grading, GradingMismatchError, NonInvertibleError,
+from .series import (GradingMismatchError, NonInvertibleError,
                      NormalizationError, OrderRangeError, SeriesError,
                      TruncatedSeries, make_monomial, one, zero)
 from .genfun import avoidance_sequence, build_gf

@@ -249,7 +249,7 @@ _ODD_EXPONENTS = {
 def eval_f(p: PatternId, x, eps: float = EVAL_EPS):
     """f(x) = denominator/numerator of the avoidance series, with a bound
     on the truncation error.  Real input stays real."""
-    if eps <= 0:
+    if not eps > 0:  # also rejects NaN
         raise ValueError("eps must be positive")
     if p in _DENOMINATORS:
         return _DENOMINATORS[p](x, eps)

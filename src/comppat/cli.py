@@ -10,13 +10,15 @@ Subcommands::
 
 JSON reports are deterministic: sorted keys, no timestamps, counts as
 decimal strings (values at order 60 overflow 53-bit JSON numbers).  Exit
-codes: 0 success, 2 usage error, 3 numeric failure, 4 verification
+codes: 0 success, 2 usage error (including a ``--curve-csv`` path that
+cannot be opened for writing), 3 numeric failure, 4 verification
 mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -81,16 +83,12 @@ def _emit_json(report: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _table_rows(series) -> list[tuple]:
-    return sorted(series.coeffs.items())
-
-
 def cmd_expand(args, argv: list[str]) -> int:
     part_set = parse_set_spec(args.set)
     _require(0 <= args.order <= MAX_ORDER,
              f"--order: must be between 0 and {MAX_ORDER}")
     series = genfun.build_gf(args.pattern, part_set, args.order)
-    rows = _table_rows(series)
+    rows = sorted(series.coeffs.items())
     if args.format == "csv":
         sys.stdout.write("n,m,r,count\n")
         for (n, m, r), c in rows:
@@ -132,7 +130,20 @@ def cmd_asymptotics(args, argv: list[str]) -> int:
     _require(0 < args.radius < 0.8, "--radius: must lie in (0, 0.8)")
     _require(1024 <= args.samples <= MAX_SAMPLES,
              f"--samples: must be between 1024 and {MAX_SAMPLES}")
-    est = asymptotics.estimate(args.pattern, args.radius, args.samples)
+    # Opened before the estimate runs, so a bad path fails at once.
+    curve = contextlib.nullcontext()
+    if args.curve_csv:
+        try:
+            curve = open(args.curve_csv, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"--curve-csv: cannot write {args.curve_csv!r}: "
+                             f"{exc.strerror}") from None
+    with curve as fh:
+        est = asymptotics.estimate(args.pattern, args.radius, args.samples)
+        if fh is not None:
+            fh.write("re_x,im_x,re_f,im_f\n")
+            for rx, ix, rf, if_ in est.curve:
+                fh.write(f"{rx!r},{ix!r},{rf!r},{if_!r}\n")
     payload = {
         "pattern": args.pattern.value,
         "rho": est.rho,
@@ -145,11 +156,6 @@ def cmd_asymptotics(args, argv: list[str]) -> int:
         payload["warning"] = (
             f"winding number {est.winding} at radius {args.radius}: the "
             "circle does not enclose exactly one simple zero")
-    if args.curve_csv:
-        with open(args.curve_csv, "w", encoding="utf-8") as fh:
-            fh.write("re_x,im_x,re_f,im_f\n")
-            for rx, ix, rf, if_ in est.curve:
-                fh.write(f"{rx!r},{ix!r},{rf!r},{if_!r}\n")
     _emit_json(_envelope(argv, **payload))
     return 0
 

@@ -7,6 +7,11 @@ statistic's series is one numerator/denominator pair from ``_NUM_DEN``.
 :func:`avoidance_sequence` specializes the pair to y := 0, z := 1 before
 the single inversion.
 
+The builders see the parts only through their weights: the ordered list
+of monomials b_i, one per part.  A part a weighs x^a z.  Word series
+(:mod:`comppat.words`) run the same formulas with every letter weighing
+x z, so x and z both mark the length and the keys are (m, m, r).
+
 The naturals are handled by materializing A = {1..order}: parts larger than
 the truncation order cannot appear in any composition that survives the
 truncation, so this is exact.
@@ -14,53 +19,18 @@ truncation, so this is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
 from .patterns import PartSet, PatternId, check_parts
-from .series import Grading, TruncatedSeries, make_monomial, one, zero
+from .series import TruncatedSeries, make_monomial, one, zero
+
+Weights = Sequence[TruncatedSeries]  # one monomial per part, in part order
 
 
-@dataclass(frozen=True)
-class _Ctx:
-    """Grading context shared by all builders.
-
-    Under ``Grading.X`` a part a contributes the monomial x^a z; under
-    ``Grading.Z`` (word series) it contributes plain z, realizing x := 1
-    structurally instead of by substitution on a truncated series.
-    """
-
-    grading: Grading
-    order: int
-
-    def one(self) -> TruncatedSeries:
-        return one(self.grading, self.order)
-
-    def zero(self) -> TruncatedSeries:
-        return zero(self.grading, self.order)
-
-    def part(self, a: int) -> TruncatedSeries:
-        x_deg = a if self.grading is Grading.X else 0
-        return make_monomial(self.grading, self.order, x_deg, 1, 0, 1)
-
-    def y(self) -> TruncatedSeries:
-        return make_monomial(self.grading, self.order, 0, 0, 1, 1)
-
-    def one_minus_y(self) -> TruncatedSeries:
-        return self.one() - self.y()
-
-    def powers(self, base: TruncatedSeries,
-               top: int) -> list[TruncatedSeries]:
-        """[base^0, ..., base^top]."""
-        powers = [self.one()]
-        for _ in range(top):
-            powers.append(powers[-1] * base)
-        return powers
-
-
-def _materialize(A, ctx: _Ctx) -> tuple[int, ...]:
-    """Parts relevant at this x-truncation, as a strictly increasing tuple.
+def _weights(A, order: int) -> list[TruncatedSeries]:
+    """The weights x^a z of the parts relevant at this x-truncation, in
+    increasing order of a.
 
     Accepts a PartSet or any iterable of parts (possibly empty, for the
     degenerate bases of the recursions).  Parts beyond the order are
@@ -68,8 +38,22 @@ def _materialize(A, ctx: _Ctx) -> tuple[int, ...]:
     parts contribute nothing below the truncation.
     """
     if isinstance(A, PartSet):
-        return A.materialize(ctx.order)
-    return tuple(a for a in check_parts(A) if a <= ctx.order)
+        parts = A.materialize(order)
+    else:
+        parts = tuple(a for a in check_parts(A) if a <= order)
+    return [make_monomial(order, a, 1, 0) for a in parts]
+
+
+def _one_minus_y(order: int) -> TruncatedSeries:
+    return one(order) - make_monomial(order, 0, 0, 1)
+
+
+def powers(base: TruncatedSeries, top: int) -> list[TruncatedSeries]:
+    """[base^0, ..., base^top]."""
+    out = [one(base.order)]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -80,29 +64,29 @@ def _materialize(A, ctx: _Ctx) -> tuple[int, ...]:
 # homomorphisms) happen before the single expensive inversion.
 # ---------------------------------------------------------------------------
 
-def _num_den_111(parts: Sequence[int], ctx: _Ctx):
+def _num_den_111(weights: Weights, order: int):
     """111 (level + level):
 
     1 / (1 - sum over a in A of x^a z (1 + (1-y) x^a z)
                                 / (1 + x^a z (1 + x^a z)(1-y))).
     """
-    unit = ctx.one()
-    total = ctx.zero()
-    for a in parts:
-        numer, denom = _term_111(ctx.part(a), ctx)
+    unit = one(order)
+    total = zero(order)
+    for b in weights:
+        numer, denom = _term_111(b)
         total = total + numer / denom
     return unit, unit - total
 
 
-def _term_111(b: TruncatedSeries, ctx: _Ctx):
+def _term_111(b: TruncatedSeries):
     """Numerator and denominator of one part's term in the 111 sum,
     b (1 + (1-y) b) / (1 + b (1+b) (1-y)), for the part weight b."""
-    unit = ctx.one()
-    omy = ctx.one_minus_y()
+    unit = one(b.order)
+    omy = _one_minus_y(b.order)
     return b * (unit + omy * b), unit + b * (unit + b) * omy
 
 
-def _num_den_level(parts: Sequence[int], ctx: _Ctx, mirrored: bool):
+def _num_den_level(weights: Weights, order: int, mirrored: bool):
     """112 (level + rise):
 
     1 / (1 - sum_j x^{a_j} z * prod_{i<j} (1 - (1-y) x^{2 a_i} z^2)).
@@ -110,18 +94,17 @@ def _num_den_level(parts: Sequence[int], ctx: _Ctx, mirrored: bool):
     221 (level + drop), ``mirrored``, is its mirror with the guard product
     over the parts larger than a_j.
     """
-    unit = ctx.one()
-    omy = ctx.one_minus_y()
+    unit = one(order)
+    omy = _one_minus_y(order)
     prod = unit
-    total = ctx.zero()
-    for a in (reversed(parts) if mirrored else parts):
-        b = ctx.part(a)
+    total = zero(order)
+    for b in (reversed(weights) if mirrored else weights):
         total = total + b * prod
         prod = prod * (unit - omy * b * b)
     return unit, unit - total
 
 
-def _t_polys(parts: Sequence[int], ctx: _Ctx) -> list[TruncatedSeries]:
+def _t_polys(weights: Weights, order: int) -> list[TruncatedSeries]:
     """t^p for p = 0, 1, ...: sums of z^p x^{a_{i_1}+...+a_{i_p}} over
     strictly increasing index tuples, via the suffix recursion
     t^p(A_k) = t^p(A_{k+1}) + x^{a_{k+1}} z t^{p-1}(A_{k+1}).
@@ -129,10 +112,9 @@ def _t_polys(parts: Sequence[int], ctx: _Ctx) -> list[TruncatedSeries]:
     Trailing zero entries are pruned, so len(result) - 1 is the largest p
     with a nonzero selection below the truncation.
     """
-    t = [ctx.one()]
-    for a in reversed(parts):
-        b = ctx.part(a)
-        t.append(ctx.zero())
+    t = [one(order)]
+    for b in reversed(weights):
+        t.append(zero(order))
         for p in range(len(t) - 1, 0, -1):
             t[p] = t[p] + b * t[p - 1]
         while len(t) > 1 and not t[-1]:
@@ -140,12 +122,12 @@ def _t_polys(parts: Sequence[int], ctx: _Ctx) -> list[TruncatedSeries]:
     return t
 
 
-def _den_123(t: list[TruncatedSeries], ctx: _Ctx) -> TruncatedSeries:
+def _den_123(t: list[TruncatedSeries], order: int) -> TruncatedSeries:
     top = len(t) - 1
-    den = ctx.one()
+    den = one(order)
     if top >= 1:
         den = den - t[1]
-    ym1 = ctx.powers(ctx.y() - ctx.one(), max(top - 2, 0))
+    ym1 = powers(make_monomial(order, 0, 0, 1) - 1, max(top - 2, 0))
     for p in range(3, top + 1):
         for j in range(p - 2):
             if p + j > top:
@@ -154,16 +136,16 @@ def _den_123(t: list[TruncatedSeries], ctx: _Ctx) -> TruncatedSeries:
     return den
 
 
-def _num_den_123(parts: Sequence[int], ctx: _Ctx):
+def _num_den_123(weights: Weights, order: int):
     """123 (rise + rise):
 
     1 / (1 - t^1(A) - sum_{p>=3} sum_{j=0}^{p-3} C(p-3, j) t^{p+j}(A)
                          (y-1)^{p-2}).
     """
-    return ctx.one(), _den_123(_t_polys(parts, ctx), ctx)
+    return one(order), _den_123(_t_polys(weights, order), order)
 
 
-def _mn_polys(parts: Sequence[int], ctx: _Ctx,
+def _mn_polys(weights: Weights, order: int,
               ) -> tuple[list[TruncatedSeries], list[TruncatedSeries]]:
     """M^s and N^s for s = 0, 1, ... by the joint suffix recursion.
 
@@ -174,19 +156,19 @@ def _mn_polys(parts: Sequence[int], ctx: _Ctx,
         M^s <- b * N^{s-1}_old + M^s_old     (split on whether the tuple
         N^s <- b * M^{s-1}_new + N^s_old      starts at the new part)
     """
-    m = [ctx.one()]
-    n = [ctx.one()]
-    zero_s = ctx.zero()
-    for a in reversed(parts):
-        b = ctx.part(a)
+    unit = one(order)
+    zero_s = zero(order)
+    m = [unit]
+    n = [unit]
+    for b in reversed(weights):
         # indices may repeat across weak constraints, so each new part can
         # lengthen the longest nonzero tuple by two (e.g. N^2({a}) = b^2)
         m.extend((zero_s, zero_s))
         n.extend((zero_s, zero_s))
-        new_m = [ctx.one()]
+        new_m = [unit]
         for s in range(1, len(m)):
             new_m.append(b * n[s - 1] + m[s])
-        new_n = [ctx.one()]
+        new_n = [unit]
         for s in range(1, len(n)):
             new_n.append(b * new_m[s - 1] + n[s])
         m, n = new_m, new_n
@@ -196,7 +178,7 @@ def _mn_polys(parts: Sequence[int], ctx: _Ctx,
     return m, n
 
 
-def _num_den_peak_valley(parts: Sequence[int], ctx: _Ctx, valley: bool):
+def _num_den_peak_valley(weights: Weights, order: int, valley: bool):
     """peak (rise + drop):
 
         (1 + sum_{j>=1} M^{2j} (1-y)^j)
@@ -205,21 +187,21 @@ def _num_den_peak_valley(parts: Sequence[int], ctx: _Ctx, valley: bool):
     valley (drop + rise), ``valley``, has the same numerator with N^{2j+1}
     replacing M^{2j+1} in the denominator.
     """
-    m, n = _mn_polys(parts, ctx)
-    return _num_den_alternating(m, n if valley else m, ctx)
+    m, n = _mn_polys(weights, order)
+    return _num_den_alternating(m, n if valley else m, order)
 
 
 def _num_den_alternating(m: list[TruncatedSeries],
-                         odd: list[TruncatedSeries], ctx: _Ctx):
+                         odd: list[TruncatedSeries], order: int):
     """The peak/valley pair from the tuple sums: M^{2j} from m for the
     numerator, and the odd-length sums (M for peak, N for valley) from
     odd; len(m) - 1 is the longest tuple length that enters."""
     top = len(m) - 1
-    omy_pow = ctx.powers(ctx.one_minus_y(), top // 2)
-    num = ctx.one()
+    omy_pow = powers(_one_minus_y(order), top // 2)
+    num = one(order)
     for j in range(1, top // 2 + 1):
         num = num + m[2 * j] * omy_pow[j]
-    sub = ctx.zero()
+    sub = zero(order)
     for j in range((top + 1) // 2):
         sub = sub + odd[2 * j + 1] * omy_pow[j]
     return num, num - sub
@@ -227,13 +209,15 @@ def _num_den_alternating(m: list[TruncatedSeries],
 
 _NUM_DEN = {
     PatternId.P111: _num_den_111,
-    PatternId.P112: lambda parts, ctx: _num_den_level(parts, ctx, False),
-    PatternId.P221: lambda parts, ctx: _num_den_level(parts, ctx, True),
+    PatternId.P112: lambda weights, order: _num_den_level(weights, order,
+                                                          False),
+    PatternId.P221: lambda weights, order: _num_den_level(weights, order,
+                                                          True),
     PatternId.P123: _num_den_123,
-    PatternId.PEAK: lambda parts, ctx: _num_den_peak_valley(parts, ctx,
-                                                            False),
-    PatternId.VALLEY: lambda parts, ctx: _num_den_peak_valley(parts, ctx,
-                                                              True),
+    PatternId.PEAK: lambda weights, order: _num_den_peak_valley(
+        weights, order, False),
+    PatternId.VALLEY: lambda weights, order: _num_den_peak_valley(
+        weights, order, True),
 }
 
 
@@ -247,8 +231,7 @@ def _check_counts(series: TruncatedSeries) -> TruncatedSeries:
 
 def build_gf(p: PatternId, A, order: int) -> TruncatedSeries:
     """The closed-form counting series for statistic p over A."""
-    ctx = _Ctx(Grading.X, order)
-    num, den = _NUM_DEN[p](_materialize(A, ctx), ctx)
+    num, den = _NUM_DEN[p](_weights(A, order), order)
     return _check_counts(num / den)
 
 
@@ -261,8 +244,7 @@ def avoidance_sequence(p: PatternId, A, order: int) -> list[int]:
     substituting on the full trivariate series (the test suite checks
     this), while keeping the inversion univariate.
     """
-    ctx = _Ctx(Grading.X, order)
-    num, den = _NUM_DEN[p](_materialize(A, ctx), ctx)
+    num, den = _NUM_DEN[p](_weights(A, order), order)
     num0 = num.substitute_y0().substitute_z1()
     den0 = den.substitute_y0().substitute_z1()
     series = num0 / den0

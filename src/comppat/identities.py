@@ -17,7 +17,8 @@ production code computes, or exposes one of its intermediate series:
 * :func:`qpochhammer_inverse`, :func:`nat_closed_forms` -- q-Pochhammer
   closed forms over the naturals; check t^p, M^s and N^s over nat.
 * :func:`word_gf_builders` -- the composition builders over {1..k} with
-  x := 1 (z-grading); checks every closed form behind ``words.word_gf``.
+  every letter weighing x z (keys (m, m, r)); checks every closed form
+  behind ``words.word_gf``.
 * :func:`u_poly`, :func:`u_poly_generating_function`,
   :func:`w123_chebyshev` -- the U-polynomial form of 123 over {1..k};
   checks ``words.w123_closed`` (what ``words.word_gf`` runs for 123).
@@ -29,10 +30,10 @@ from __future__ import annotations
 
 from math import comb
 
-from .genfun import (_NUM_DEN, _Ctx, _check_counts, _den_123, _materialize,
-                     _mn_polys, _t_polys)
+from .genfun import (_NUM_DEN, _check_counts, _den_123, _mn_polys,
+                     _one_minus_y, _t_polys, _weights, powers)
 from .patterns import PatternId
-from .series import Grading, TruncatedSeries, make_monomial, one, zero
+from .series import TruncatedSeries, make_monomial, one, zero
 from .words import _z
 
 
@@ -43,9 +44,8 @@ from .words import _z
 def t_poly(A, p: int, order: int) -> TruncatedSeries:
     """Generating function of p-element strictly increasing part
     selections from A (partitions with p distinct parts), z-marked."""
-    ctx = _Ctx(Grading.X, order)
-    t = _t_polys(_materialize(A, ctx), ctx)
-    return t[p] if p < len(t) else ctx.zero()
+    t = _t_polys(_weights(A, order), order)
+    return t[p] if p < len(t) else zero(order)
 
 
 def d_series(A, order: int) -> TruncatedSeries:
@@ -56,18 +56,16 @@ def d_series(A, order: int) -> TruncatedSeries:
     (1 + sum_{p>=2} sum_{j=0}^{p-2} C(p-2, j) t^{p+j}(A) (y-1)^{p-1})
     over the same denominator as the 123 builder.
     """
-    ctx = _Ctx(Grading.X, order)
-    parts = _materialize(A, ctx)
-    t = _t_polys(parts, ctx)
+    t = _t_polys(_weights(A, order), order)
     top = len(t) - 1
-    num = ctx.one()
-    ym1 = ctx.powers(ctx.y() - ctx.one(), max(top - 1, 0))
+    num = one(order)
+    ym1 = powers(make_monomial(order, 0, 0, 1) - 1, max(top - 1, 0))
     for p in range(2, top + 1):
         for j in range(p - 1):
             if p + j > top:
                 break
             num = num + comb(p - 2, j) * t[p + j] * ym1[p - 1]
-    return num / _den_123(t, ctx)
+    return num / _den_123(t, order)
 
 
 def gf_123_recursive(A, order: int) -> TruncatedSeries:
@@ -79,14 +77,11 @@ def gf_123_recursive(A, order: int) -> TruncatedSeries:
 
     starting from C = D = 1 for the empty set.
     """
-    ctx = _Ctx(Grading.X, order)
-    parts = _materialize(A, ctx)
-    unit = ctx.one()
-    omy = ctx.one_minus_y()
+    unit = one(order)
+    omy = _one_minus_y(order)
     c = unit
     d = unit
-    for a in reversed(parts):
-        b = ctx.part(a)
+    for b in reversed(_weights(A, order)):
         inv = (unit - b * d).reciprocal()
         c = c * inv
         d = ((unit - b * omy) * d + b * omy) * inv
@@ -95,16 +90,14 @@ def gf_123_recursive(A, order: int) -> TruncatedSeries:
 
 def m_poly(A, s: int, order: int) -> TruncatedSeries:
     """M^s(A): weighted count of index tuples i1 < i2 <= i3 < i4 <= ..."""
-    ctx = _Ctx(Grading.X, order)
-    m, _ = _mn_polys(_materialize(A, ctx), ctx)
-    return m[s] if s < len(m) else ctx.zero()
+    m, _ = _mn_polys(_weights(A, order), order)
+    return m[s] if s < len(m) else zero(order)
 
 
 def n_poly(A, s: int, order: int) -> TruncatedSeries:
     """N^s(A): weighted count of index tuples i1 <= i2 < i3 <= i4 < ..."""
-    ctx = _Ctx(Grading.X, order)
-    _, n = _mn_polys(_materialize(A, ctx), ctx)
-    return n[s] if s < len(n) else ctx.zero()
+    _, n = _mn_polys(_weights(A, order), order)
+    return n[s] if s < len(n) else zero(order)
 
 
 def m_poly_prefix(A, s: int, order: int) -> TruncatedSeries:
@@ -114,14 +107,12 @@ def m_poly_prefix(A, s: int, order: int) -> TruncatedSeries:
         M^{2s}   <- b * M^{2s-1}_old + M^{2s}_old
         M^{2s+1} <- b * M^{2s}_new  + M^{2s+1}_old
     """
-    ctx = _Ctx(Grading.X, order)
-    parts = _materialize(A, ctx)
-    m = [ctx.one()]
-    zero_s = ctx.zero()
-    for a in parts:
-        b = ctx.part(a)
+    unit = one(order)
+    zero_s = zero(order)
+    m = [unit]
+    for b in _weights(A, order):
         m.extend((zero_s, zero_s))  # longest tuple grows by two per part
-        new_m = [ctx.one()]
+        new_m = [unit]
         for s_i in range(1, len(m)):
             if s_i % 2 == 0:
                 new_m.append(b * m[s_i - 1] + m[s_i])
@@ -130,7 +121,7 @@ def m_poly_prefix(A, s: int, order: int) -> TruncatedSeries:
         m = new_m
         while len(m) > 1 and not m[-1]:
             m.pop()
-    return m[s] if s < len(m) else ctx.zero()
+    return m[s] if s < len(m) else zero_s
 
 
 def gf_peak_recursive(A, order: int) -> TruncatedSeries:
@@ -143,16 +134,14 @@ def gf_peak_recursive(A, order: int) -> TruncatedSeries:
 
     starting from C = 1/(1 - x^{a_1} z) for the singleton set.
     """
-    ctx = _Ctx(Grading.X, order)
-    parts = _materialize(A, ctx)
-    unit = ctx.one()
-    if not parts:
+    weights = _weights(A, order)
+    unit = one(order)
+    if not weights:
         return unit
-    omy = ctx.one_minus_y()
-    yy = ctx.y()
-    c = (unit - ctx.part(parts[0])).reciprocal()
-    for a in parts[1:]:
-        b = ctx.part(a)
+    omy = _one_minus_y(order)
+    yy = make_monomial(order, 0, 0, 1)
+    c = (unit - weights[0]).reciprocal()
+    for b in weights[1:]:
         numer = (unit + b * omy) * c - b * omy
         denom = unit - b * (unit - b) * omy - b * (b * omy + yy) * c
         c = numer / denom
@@ -169,10 +158,9 @@ def qpochhammer_inverse(p: int, order: int) -> TruncatedSeries:
     Its coefficients count partitions into parts <= p, so they are
     nonnegative, and multiplying back by the finite product recovers 1.
     """
-    prod = one(Grading.X, order)
+    prod = one(order)
     for j in range(1, p + 1):
-        prod = prod * (one(Grading.X, order)
-                       - make_monomial(Grading.X, order, j, 0, 0, 1))
+        prod = prod * (1 - make_monomial(order, j, 0, 0))
     return prod.reciprocal()
 
 
@@ -202,7 +190,7 @@ def nat_closed_forms(kind: str, s_or_p: int, order: int) -> TruncatedSeries:
     else:
         raise ValueError(f"unknown kind {kind!r}; expected one of "
                          f"{NAT_CLOSED_KINDS}")
-    lead = make_monomial(Grading.X, order, x_deg, z_deg, 0, 1)
+    lead = make_monomial(order, x_deg, z_deg, 0)
     return lead * qpochhammer_inverse(q, order)
 
 
@@ -212,9 +200,8 @@ def nat_closed_forms(kind: str, s_or_p: int, order: int) -> TruncatedSeries:
 
 def word_gf_builders(p: PatternId, k: int, order: int) -> TruncatedSeries:
     """The word series for p over {1..k} from the composition builders run
-    part by part under z-grading, so every part weighs plain z (x := 1)."""
-    ctx = _Ctx(Grading.Z, order)
-    num, den = _NUM_DEN[p](range(1, k + 1), ctx)
+    part by part, with each of the k letters weighing x z."""
+    num, den = _NUM_DEN[p]([_z(order)] * k, order)
     return _check_counts(num / den)
 
 
@@ -249,13 +236,13 @@ def u_poly(n: int) -> list[int]:
 
 
 def _poly_to_series(coeffs: list[int], order: int) -> TruncatedSeries:
-    return TruncatedSeries(Grading.Z, order,
-                           {(0, 0, r): c for r, c in enumerate(coeffs)})
+    return TruncatedSeries(order, {(0, 0, r): c for r, c in enumerate(coeffs)})
 
 
 def u_poly_generating_function(order: int) -> TruncatedSeries:
-    """sum_n U_n(y) z^n = (1 + z + z^2) / (1 + (1+y) z^2 + z^4)."""
-    unit = one(Grading.Z, order)
+    """sum_n U_n(y) z^n = (1 + z + z^2) / (1 + (1+y) z^2 + z^4), with z
+    the weight x z of a letter, so U_n is the coefficient of (x z)^n."""
+    unit = one(order)
     z = _z(order)
     y = _z(order, 0, 1)
     num = unit + z + z * z
@@ -269,7 +256,7 @@ def w123_chebyshev(k: int, order: int) -> TruncatedSeries:
         1 / (1 - k z - sum_{j=3}^{k} (-z)^j C(k, j)
                             (1-y)^{floor(j/2)} U_{j-3}(y)).
     """
-    unit = one(Grading.Z, order)
+    unit = one(order)
     omy = unit - _z(order, 0, 1)
     den = unit - _z(order, 1, 0, k)
     for j in range(3, k + 1):
@@ -288,7 +275,7 @@ def w123_avoid_aj(k: int, order: int) -> TruncatedSeries:
     coefficient form 1 / sum_{j=0}^k a_j C(k, j) z^j with a_{3l} = 1,
     a_{3l+1} = -1, a_{3l+2} = 0.
     """
-    den = zero(Grading.Z, order)
+    den = zero(order)
     for j in range(0, k + 1):
         if j > order:
             break

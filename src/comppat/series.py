@@ -1,13 +1,12 @@
 """Exact truncated power series in the variables x, z and y.
 
 Every generating function in this package lives in the ring of polynomials
-in x, z, y with integer coefficients, truncated by the exponent of a single
-designated *grading* variable:
-
-* grading ``X`` keeps terms with x-exponent <= order (composition series,
-  where x tracks the sum n, z the number of parts m, y the occurrences r);
-* grading ``Z`` keeps terms with z-exponent <= order (word series, where z
-  tracks the word length).
+in x, z, y with integer coefficients, truncated by the exponent of x:
+a series of order N keeps the terms with x-exponent <= N.  For
+compositions x tracks the sum n, z the number of parts m and y the
+occurrences r.  Word series use the same ring: every letter weighs x z,
+so x and z both mark the length and the x-truncation is the truncation
+by word length.
 
 Coefficients are Python ints, so all arithmetic is exact.  Series are
 stored sparsely as a map from exponent triples ``(n, m, r)`` to nonzero
@@ -19,8 +18,8 @@ Only inside ``*`` and ``/`` are keys packed into one int,
 add and a key hashes as a small int (Monagan & Pearce, CASC 2007).  The
 field width S is chosen per operation from the operands' exponent bounds,
 so no field can carry into the next; results are unpacked on exit.
-Division solves ``den * q = num`` degree by degree in the grading
-variable, so a quotient never needs the full reciprocal of ``den``.
+Division solves ``den * q = num`` degree by degree in x, so a quotient
+never needs the full reciprocal of ``den``.
 
 Values are immutable once constructed: every operation returns a fresh
 series, so they can be shared freely.
@@ -28,7 +27,6 @@ series, so they can be shared freely.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Mapping
 
 Triple = tuple[int, int, int]
@@ -50,24 +48,12 @@ def _convolve_into(acc: Packed, a: Packed, b: Packed) -> None:
             acc[k] = get(k, 0) + c1 * c2
 
 
-class Grading(Enum):
-    """Which variable's exponent bounds the truncation."""
-
-    X = "x"
-    Z = "z"
-
-    @property
-    def index(self) -> int:
-        """Position of the grading exponent inside an ``(n, m, r)`` key."""
-        return 0 if self is Grading.X else 1
-
-
 class SeriesError(ValueError):
     """Base class for series arithmetic errors."""
 
 
 class GradingMismatchError(SeriesError):
-    """Operands disagree on grading variable or truncation order."""
+    """Operands disagree on the truncation order (an order mismatch)."""
 
 
 class NonInvertibleError(SeriesError):
@@ -75,9 +61,9 @@ class NonInvertibleError(SeriesError):
 
 
 class NormalizationError(SeriesError):
-    """Division by a series with a non-constant grading-degree-0 term.
+    """Division by a series with a non-constant x-degree-0 term.
 
-    Such denominators (e.g. a stray y-term with no x or z attached) must be
+    Such denominators (e.g. a stray y-term with no x attached) must be
     normalized by the caller before inversion; inverting them would leave
     the fraction-free integer ring.
     """
@@ -97,13 +83,12 @@ class TruncatedSeries:
     truncation order are dropped.
     """
 
-    __slots__ = ("grading", "order", "coeffs")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, grading: Grading, order: int,
+    def __init__(self, order: int,
                  coeffs: Mapping[Triple, int] | None = None):
         if not isinstance(order, int) or order < 0:
             raise ValueError("truncation order must be an int >= 0")
-        gi = grading.index
         clean: dict[Triple, int] = {}
         if coeffs:
             for key, c in coeffs.items():
@@ -114,9 +99,8 @@ class TruncatedSeries:
                         f"{key}: {c!r}")
                 if n < 0 or m < 0 or r < 0:
                     raise ValueError(f"negative exponent in {key}")
-                if c and key[gi] <= order:
+                if c and n <= order:
                     clean[key] = c
-        self.grading = grading
         self.order = order
         self.coeffs = clean
 
@@ -128,11 +112,11 @@ class TruncatedSeries:
     def coefficient(self, n: int, m: int, r: int) -> int:
         """Exact coefficient of x^n z^m y^r.
 
-        Raises OrderRangeError when the grading exponent exceeds the
-        truncation order: such a coefficient was discarded, not computed.
+        Raises OrderRangeError when n exceeds the truncation order: such a
+        coefficient was discarded, not computed.
         """
         key = (n, m, r)
-        if key[self.grading.index] > self.order:
+        if n > self.order:
             raise OrderRangeError(
                 f"coefficient {key} lies beyond truncation order {self.order}")
         return self.coeffs.get(key, 0)
@@ -140,19 +124,17 @@ class TruncatedSeries:
     # -- ring operations -----------------------------------------------
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
-        if self.grading is not other.grading or self.order != other.order:
+        if self.order != other.order:
             raise GradingMismatchError(
-                f"cannot combine series with grading/order "
-                f"({self.grading.value},{self.order}) and "
-                f"({other.grading.value},{other.order})")
+                f"cannot combine series of orders {self.order} and "
+                f"{other.order}")
 
     def _coerce(self, other) -> "TruncatedSeries | None":
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
             return other
         if isinstance(other, int):
-            return TruncatedSeries(self.grading, self.order,
-                                   {(0, 0, 0): other})
+            return TruncatedSeries(self.order, {(0, 0, 0): other})
         return None
 
     def __add__(self, other) -> "TruncatedSeries":
@@ -194,10 +176,10 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         # Every field of a product key is at most the sum of the operands'
-        # maxima, and the grading field at most the order.
+        # maxima, and the x field at most the order.
         bound = [ta + tb for ta, tb in zip(self._field_max(),
                                            other._field_max())]
-        bound[self.grading.index] = self.order
+        bound[0] = self.order
         shift = max(bound).bit_length()
         a_slices, b_slices = self._packed(shift), other._packed(shift)
         order = self.order
@@ -213,7 +195,7 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a non-negative int")
-        result = one(self.grading, self.order)
+        result = one(self.order)
         base = self
         e = exponent
         while e:
@@ -227,11 +209,11 @@ class TruncatedSeries:
         """The quotient q with other * q == self in the truncated ring.
 
         Requires the divisor's constant term to be +1 or -1 and every other
-        term to carry a positive grading exponent; under these conditions
-        the quotient is again integer-coefficient.  With the signs of both
+        term to carry a positive x-exponent; under these conditions the
+        quotient is again integer-coefficient.  With the signs of both
         operands flipped if need be, so that the divisor is 1 - t with t
-        free of grading degree 0, q = self + t * q is solved degree by
-        degree: q_deg needs only t times the lower degrees of q.
+        free of x-degree 0, q = self + t * q is solved degree by degree:
+        q_deg needs only t times the lower degrees of q.
         """
         den = self._coerce(other)
         if den is None:
@@ -240,24 +222,21 @@ class TruncatedSeries:
         if c0 not in (1, -1):
             raise NonInvertibleError(
                 f"constant term {c0} is not a unit (need +1 or -1)")
-        gi = self.grading.index
         order = self.order
         for key in den.coeffs:
-            if key[gi] == 0 and key != (0, 0, 0):
+            if key[0] == 0 and key != (0, 0, 0):
                 raise NormalizationError(
-                    f"term {key} has grading degree 0; "
+                    f"term {key} has x-degree 0; "
                     "normalize the denominator before inverting")
-        # By induction on the degree, a quotient term of grading degree g
-        # has every other field at most (numerator max) + g * ceil(max of
-        # field / degree over the divisor's terms), so no key can carry.
+        # By induction on the degree, a quotient term of x-degree g has
+        # every other field at most (numerator max) + g * ceil(max of
+        # field / x-degree over the divisor's terms), so no key can carry.
         bound = self._field_max()
-        for f in range(3):
-            if f == gi:
-                bound[f] = order
-            else:
-                slope = max((-(-key[f] // key[gi]) for key in den.coeffs
-                             if key[gi]), default=0)
-                bound[f] += order * slope
+        bound[0] = order
+        for f in (1, 2):
+            slope = max((-(-key[f] // key[0]) for key in den.coeffs
+                         if key[0]), default=0)
+            bound[f] += order * slope
         shift = max(bound).bit_length()
         num, den = (self, den) if c0 == 1 else (-self, -den)
         num_slices, t_slices = num._packed(shift), (1 - den)._packed(shift)
@@ -275,7 +254,7 @@ class TruncatedSeries:
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse within the truncated ring: ``1 / self``."""
-        return one(self.grading, self.order) / self
+        return one(self.order) / self
 
     # -- substitutions -------------------------------------------------
 
@@ -284,14 +263,7 @@ class TruncatedSeries:
         return self._wrap({k: c for k, c in self.coeffs.items() if k[2] == 0})
 
     def substitute_z1(self) -> "TruncatedSeries":
-        """Set z := 1, i.e. forget the number of parts by summing over m.
-
-        Only defined for X-graded series; z is the truncation variable of
-        word series, and collapsing it there would sum discarded terms.
-        """
-        if self.grading is not Grading.X:
-            raise GradingMismatchError(
-                "substitute_z1 requires an x-graded series")
+        """Set z := 1, i.e. forget the number of parts by summing over m."""
         out: dict[Triple, int] = {}
         for (n, _m, r), c in self.coeffs.items():
             key = (n, 0, r)
@@ -306,7 +278,6 @@ class TruncatedSeries:
 
     def _wrap(self, coeffs: dict[Triple, int]) -> "TruncatedSeries":
         s = TruncatedSeries.__new__(TruncatedSeries)
-        s.grading = self.grading
         s.order = self.order
         s.coeffs = coeffs
         return s
@@ -318,13 +289,11 @@ class TruncatedSeries:
         return [max(field) for field in zip(*self.coeffs)]
 
     def _packed(self, shift: int) -> dict[int, Packed]:
-        """Terms per grading degree, each key packed into one int as
+        """Terms per x-degree, each key packed into one int as
         n << 2*shift | m << shift | r."""
-        gi = self.grading.index
         slices: dict[int, Packed] = {}
-        for key, c in self.coeffs.items():
-            n, m, r = key
-            slices.setdefault(key[gi], {})[(n << shift | m) << shift | r] = c
+        for (n, m, r), c in self.coeffs.items():
+            slices.setdefault(n, {})[(n << shift | m) << shift | r] = c
         return slices
 
     def _unpack(self, slices: dict[int, Packed],
@@ -346,8 +315,7 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.grading is other.grading and self.order == other.order
-                and self.coeffs == other.coeffs)
+        return self.order == other.order and self.coeffs == other.coeffs
 
     __hash__ = None  # mutable dict inside; structural equality only
 
@@ -368,19 +336,18 @@ class TruncatedSeries:
         shown = " + ".join(parts) if parts else "0"
         if len(self.coeffs) > 8:
             shown += f" + ... ({len(self.coeffs)} terms)"
-        return (f"TruncatedSeries({self.grading.value}, order={self.order}, "
-                f"{shown})")
+        return f"TruncatedSeries(order={self.order}, {shown})"
 
 
-def make_monomial(grading: Grading, order: int, n: int, m: int, r: int,
+def make_monomial(order: int, n: int, m: int, r: int,
                   c: int = 1) -> TruncatedSeries:
     """The series c * x^n z^m y^r, or zero if it exceeds the order."""
-    return TruncatedSeries(grading, order, {(n, m, r): c})
+    return TruncatedSeries(order, {(n, m, r): c})
 
 
-def zero(grading: Grading, order: int) -> TruncatedSeries:
-    return TruncatedSeries(grading, order)
+def zero(order: int) -> TruncatedSeries:
+    return TruncatedSeries(order)
 
 
-def one(grading: Grading, order: int) -> TruncatedSeries:
-    return make_monomial(grading, order, 0, 0, 0, 1)
+def one(order: int) -> TruncatedSeries:
+    return make_monomial(order, 0, 0, 0, 1)

@@ -1,8 +1,11 @@
 """Occurrence statistics for words over a k-letter alphabet.
 
-A word series is a z-graded :class:`~comppat.series.TruncatedSeries` whose
-coefficient of z^m y^r counts words in {1..k}^m with exactly r occurrences
-of the statistic; no x-exponent ever appears.
+A word is a composition whose letters all weigh x z, so a word series is
+an ordinary x-truncated :class:`~comppat.series.TruncatedSeries` whose
+coefficient of x^m z^m y^r counts words in {1..k}^m with exactly r
+occurrences of the statistic: every key is (m, m, r), and the truncation
+at order N keeps the words of length <= N.  In the formulas below, z
+stands for the weight x z of one letter.
 
 :func:`word_gf` dispatches to the paper's closed forms in k
 (:func:`w111_closed`, :func:`w112_closed`, :func:`w123_closed`,
@@ -16,9 +19,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .genfun import _Ctx, _den_123, _num_den_alternating, _term_111
+from .genfun import _den_123, _num_den_alternating, _term_111
 from .patterns import PatternId
-from .series import Grading, TruncatedSeries, make_monomial, one
+from .series import TruncatedSeries, make_monomial, one
 
 
 def word_gf(p: PatternId, k: int, order: int) -> TruncatedSeries:
@@ -30,13 +33,18 @@ def word_gf(p: PatternId, k: int, order: int) -> TruncatedSeries:
 
 def word_table(series: TruncatedSeries) -> dict[tuple[int, int], int]:
     """(m, r) -> count view of a word series, for oracle comparison."""
-    if any(n for (n, _m, _r) in series.coeffs):
-        raise ValueError("word series has an x-exponent")
-    return {(m, r): c for (n, m, r), c in series.coeffs.items()}
+    table = {}
+    for (n, m, r), c in series.coeffs.items():
+        if n != m:
+            raise ValueError(f"word series key {(n, m, r)} has an "
+                             "x-exponent other than its length")
+        table[(m, r)] = c
+    return table
 
 
 def _z(order: int, m: int = 1, r: int = 0, c: int = 1) -> TruncatedSeries:
-    return make_monomial(Grading.Z, order, 0, m, r, c)
+    """c (x z)^m y^r: m letters, each weighing x z."""
+    return make_monomial(order, m, m, r, c)
 
 
 def w111_closed(k: int, order: int) -> TruncatedSeries:
@@ -45,8 +53,7 @@ def w111_closed(k: int, order: int) -> TruncatedSeries:
 
         (1 + z(1+z)(1-y)) / (1 - (k-1+y) z - (k-1)(1-y) z^2).
     """
-    ctx = _Ctx(Grading.Z, order)
-    numer, denom = _term_111(ctx.part(1), ctx)
+    numer, denom = _term_111(_z(order))
     return denom / (denom - k * numer)
 
 
@@ -59,7 +66,7 @@ def w112_closed(k: int, order: int) -> TruncatedSeries:
 
         1 / (1 - k z + sum_{j=2}^{k} (-1)^j C(k, j) (1-y)^{j-1} z^{2j-1}).
     """
-    unit = one(Grading.Z, order)
+    unit = one(order)
     omy = unit - _z(order, 0, 1)
     den = unit - _z(order, 1, 0, k)
     omy_pow = omy  # (1-y)^{j-1}, starting at j = 2
@@ -80,7 +87,7 @@ def w123_closed(k: int, order: int) -> TruncatedSeries:
                  C(p-3, j) C(k, p+j) z^{p+j} (y-1)^{p-2}).
     """
     t = [_z(order, p, 0, comb(k, p)) for p in range(min(k, order) + 1)]
-    return _den_123(t, _Ctx(Grading.Z, order)).reciprocal()
+    return _den_123(t, order).reciprocal()
 
 
 def w_peak_closed(k: int, order: int) -> TruncatedSeries:
@@ -93,7 +100,7 @@ def w_peak_closed(k: int, order: int) -> TruncatedSeries:
     """
     m = [_z(order, s, 0, comb(k - 1 + (s + 1) // 2, s))
          for s in range(min(order, 2 * k - 1) + 1)]
-    num, den = _num_den_alternating(m, m, _Ctx(Grading.Z, order))
+    num, den = _num_den_alternating(m, m, order)
     return num / den
 
 

@@ -13,7 +13,7 @@ def substitute_y1(s: TruncatedSeries) -> TruncatedSeries:
     out = {}
     for (n, m, _r), c in s.coeffs.items():
         out[(n, m, 0)] = out.get((n, m, 0), 0) + c
-    return TruncatedSeries(s.grading, s.order, out)
+    return TruncatedSeries(s.order, out)
 
 
 def truncate(s: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -22,4 +22,4 @@ def truncate(s: TruncatedSeries, order: int) -> TruncatedSeries:
     if order > s.order:
         raise ValueError(f"cannot extend truncation order {s.order} "
                          f"to {order}")
-    return TruncatedSeries(s.grading, order, s.coeffs)
+    return TruncatedSeries(order, s.coeffs)

@@ -18,7 +18,7 @@ from comppat.identities import (d_series, gf_123_recursive,
 from comppat.patterns import (ALL_PATTERNS, PartSet, PatternId,
                               brute_force_table, brute_force_word_table,
                               count_occurrences, enumerate_compositions)
-from comppat.series import Grading, make_monomial
+from comppat.series import make_monomial
 from enumeration import BATTERY, NAT, compositions_with_parts
 from series_helpers import substitute_y1, truncate
 
@@ -154,7 +154,7 @@ def test_criterion_6_word_identities():
             coeffs = identities.u_poly(n)
             for r in range(len(coeffs) + 2):
                 want = coeffs[r] if r < len(coeffs) else 0
-                assert gf_u.coefficient(0, n, r) == want, (n, r)
+                assert gf_u.coefficient(n, n, r) == want, (n, r)
         for k in range(1, 7):
             assert identities.w123_avoid_aj(k, 12) == \
                 words.word_gf(P.P123, k, 12).substitute_y0(), k
@@ -178,9 +178,9 @@ def test_criterion_7_structural_properties():
         for part_set in BATTERY:
             order = 12
             parts = part_set.materialize(order)
-            total = make_monomial(Grading.X, order, 0, 0, 0, 0)
+            total = make_monomial(order, 0, 0, 0, 0)
             for a in parts:
-                total = total + make_monomial(Grading.X, order, a, 1, 0, 1)
+                total = total + make_monomial(order, a, 1, 0, 1)
             plain = (1 - total).reciprocal()
             for p in ALL_PATTERNS:
                 assert substitute_y1(build_gf(p, part_set, order)) == \

@@ -57,6 +57,13 @@ def test_eval_domain_guard():
         eval_f(P.P112, 0.93)
 
 
+@pytest.mark.parametrize("p", list(P))
+def test_eval_rejects_nan_and_nonpositive_eps(p):
+    for eps in (float("nan"), 0.0, -1e-12):
+        with pytest.raises(ValueError, match="eps"):
+            eval_f(p, 0.5, eps)
+
+
 def test_f_is_the_denominator_for_simple_patterns():
     # the numerator of these four series is identically 1
     dens = {P.P111: _den_111, P.P112: _den_112, P.P221: _den_221,

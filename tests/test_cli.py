@@ -185,6 +185,20 @@ def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
         PatternId.P112, 0.6, 2048)
 
 
+def test_asymptotics_unwritable_curve_csv_exits_2(monkeypatch, capsys,
+                                                  tmp_path):
+    # the path is checked before the estimate runs, not after it
+    def never(*args):
+        raise AssertionError("estimate ran with an unwritable --curve-csv")
+    monkeypatch.setattr(asymptotics, "estimate", never)
+    rc = cli.main(["asymptotics", "--pattern", "112", "--curve-csv",
+                   str(tmp_path / "missing" / "c.csv")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--curve-csv" in captured.err
+    assert captured.out == ""
+
+
 def test_asymptotics_numeric_failure_exits_3(monkeypatch):
     def boom(*args):
         raise asymptotics.RootNotFoundError("no bracket")

@@ -14,7 +14,7 @@ from comppat.identities import (d_series, gf_123_recursive,
                                 t_poly)
 from comppat.patterns import (PartSet, PatternId, brute_force_table,
                               count_occurrences, enumerate_compositions)
-from comppat.series import Grading, make_monomial, one
+from comppat.series import make_monomial, one
 from series_helpers import substitute_y1, truncate
 
 P = PatternId
@@ -30,7 +30,7 @@ SEQ_VALLEY = [1, 1, 2, 4, 8, 15, 28, 52, 96, 177, 326, 600, 1104]
 
 
 def xz(order, a):
-    return make_monomial(Grading.X, order, a, 1, 0, 1)
+    return make_monomial(order, a, 1, 0, 1)
 
 
 # -- t polynomials -----------------------------------------------------------
@@ -46,7 +46,7 @@ def test_t2_three_parts():
 
 
 def test_t0_and_beyond():
-    assert t_poly((1, 2), 0, 10) == one(Grading.X, 10)
+    assert t_poly((1, 2), 0, 10) == one(10)
     assert not t_poly((1, 2), 3, 10)
 
 
@@ -103,7 +103,7 @@ def test_gf_123_oracle_123set():
 
 
 def test_gf_123_recursive_agrees():
-    assert gf_123_recursive((), 8) == one(Grading.X, 8)
+    assert gf_123_recursive((), 8) == one(8)
     for A in (PartSet.of(1, 2), PartSet.of(2, 3, 5), NAT):
         assert build_gf(P.P123, A, 12) == gf_123_recursive(A, 12)
 
@@ -111,7 +111,7 @@ def test_gf_123_recursive_agrees():
 # -- d_series ----------------------------------------------------------------
 
 def test_d_series_degenerate():
-    assert d_series((), 8) == one(Grading.X, 8)
+    assert d_series((), 8) == one(8)
     geo = (1 - xz(9, 3)).reciprocal()
     assert d_series((3,), 9) == geo
 
@@ -147,7 +147,7 @@ def test_n2_allows_repeats():
 
 
 def test_base_cases_empty_set():
-    assert m_poly((), 0, 5) == one(Grading.X, 5)
+    assert m_poly((), 0, 5) == one(5)
     assert not m_poly((), 2, 5)
     assert not n_poly((), 3, 5)
 
@@ -211,7 +211,7 @@ def test_y1_collapse_forgets_statistic(p):
     for A in (PartSet.of(1, 2), PartSet.of(2, 3, 5)):
         order = 10
         parts_sum = sum((xz(order, a) for a in A.parts),
-                        start=make_monomial(Grading.X, order, 0, 0, 0, 0))
+                        start=make_monomial(order, 0, 0, 0, 0))
         plain = (1 - parts_sum).reciprocal()
         assert substitute_y1(build_gf(p, A, order)) == plain, (p, A)
 
@@ -242,7 +242,7 @@ def test_raw_parts_validated_like_part_sets():
         build_gf(P.P111, (0, 1), 5)
     with pytest.raises(ValueError, match="strictly increasing"):
         build_gf(P.P111, (2, 2), 5)
-    assert build_gf(P.P111, (), 5) == one(Grading.X, 5)
+    assert build_gf(P.P111, (), 5) == one(5)
 
 
 def test_nat_materialization_stable_under_enlargement():
@@ -257,10 +257,10 @@ def test_nat_materialization_stable_under_enlargement():
 def test_qpochhammer_inverse_round_trip():
     for p in (1, 2, 5):
         inv = qpochhammer_inverse(p, 20)
-        prod = one(Grading.X, 20)
+        prod = one(20)
         for j in range(1, p + 1):
-            prod = prod * (1 - make_monomial(Grading.X, 20, j, 0, 0, 1))
-        assert inv * prod == one(Grading.X, 20)
+            prod = prod * (1 - make_monomial(20, j, 0, 0, 1))
+        assert inv * prod == one(20)
         assert all(c >= 0 for c in inv.coeffs.values())
 
 
@@ -274,6 +274,6 @@ def test_qpochhammer_inverse_counts_partitions():
 def test_check_counts_rejects_negative_coefficient():
     from comppat.genfun import _check_counts
 
-    s = one(Grading.X, 4) - make_monomial(Grading.X, 4, 1, 1, 1, 1)
+    s = one(4) - make_monomial(4, 1, 1, 1, 1)
     with pytest.raises(RuntimeError, match="negative coefficient"):
         _check_counts(s)

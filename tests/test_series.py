@@ -4,66 +4,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comppat.series import (Grading, GradingMismatchError,
-                            NonInvertibleError, NormalizationError,
-                            OrderRangeError, TruncatedSeries, make_monomial,
-                            one, zero)
+from comppat.series import (GradingMismatchError, NonInvertibleError,
+                            NormalizationError, OrderRangeError,
+                            TruncatedSeries, make_monomial, one, zero)
 from series_helpers import substitute_y1, truncate
 
-X, Z = Grading.X, Grading.Z
 
-
-def mono(n, m, r, c=1, order=10, grading=X):
-    return make_monomial(grading, order, n, m, r, c)
+def mono(n, m, r, c=1, order=10):
+    return make_monomial(order, n, m, r, c)
 
 
 # -- make_monomial ------------------------------------------------------
 
 def test_monomial_identity():
-    assert make_monomial(X, 10, 0, 0, 0, 1) == one(X, 10)
+    assert make_monomial(10, 0, 0, 0, 1) == one(10)
 
 
 def test_monomial_beyond_order_is_zero():
-    assert make_monomial(X, 5, 7, 1, 0, 1) == zero(X, 5)
+    assert make_monomial(5, 7, 1, 0, 1) == zero(5)
 
 
 def test_monomial_plain():
-    s = make_monomial(X, 10, 3, 1, 0, 1)
+    s = make_monomial(10, 3, 1, 0, 1)
     assert s.coeffs == {(3, 1, 0): 1}
-
-
-def test_z_grading_truncates_by_m():
-    assert make_monomial(Z, 3, 100, 2, 0, 1).coeffs == {(100, 2, 0): 1}
-    assert make_monomial(Z, 3, 0, 4, 0, 1) == zero(Z, 3)
 
 
 # -- add -----------------------------------------------------------------
 
 def test_add_cancels():
-    assert mono(1, 0, 0) + mono(1, 0, 0, -1) == zero(X, 10)
+    assert mono(1, 0, 0) + mono(1, 0, 0, -1) == zero(10)
 
 
 def test_add_simple():
-    s = one(X, 10) + mono(1, 0, 0)
+    s = one(10) + mono(1, 0, 0)
     assert s.coeffs == {(0, 0, 0): 1, (1, 0, 0): 1}
 
 
 def test_one_minus_y_plus_y():
     y = mono(0, 0, 1)
-    assert (one(X, 10) - y) + y == one(X, 10)
+    assert (one(10) - y) + y == one(10)
 
 
 def test_add_requires_same_frame():
     with pytest.raises(GradingMismatchError):
-        one(X, 10) + one(X, 11)
-    with pytest.raises(GradingMismatchError):
-        one(X, 10) + one(Z, 10)
+        one(10) + one(11)
 
 
 # -- mul -----------------------------------------------------------------
 
 def test_mul_difference_of_squares():
-    x = make_monomial(X, 5, 1, 0, 0, 1)
+    x = make_monomial(5, 1, 0, 0, 1)
     prod = (1 + x) * (1 - x)
     assert prod.coeffs == {(0, 0, 0): 1, (2, 0, 0): -1}
 
@@ -74,58 +64,58 @@ def test_mul_monomials():
 
 
 def test_mul_geometric_times_complement():
-    x = make_monomial(X, 3, 1, 0, 0, 1)
+    x = make_monomial(3, 1, 0, 0, 1)
     geo = (1 - x).reciprocal()
-    assert geo * (1 - x) == one(X, 3)
+    assert geo * (1 - x) == one(3)
 
 
 def test_mul_truncates():
-    x = make_monomial(X, 2, 1, 0, 0, 1)
+    x = make_monomial(2, 1, 0, 0, 1)
     cube = x * x * x
-    assert cube == zero(X, 2)
+    assert cube == zero(2)
 
 
 def test_scalar_arithmetic():
     x = mono(1, 0, 0)
     assert (3 * x).coeffs == {(1, 0, 0): 3}
-    assert (x * 0) == zero(X, 10)
+    assert (x * 0) == zero(10)
     assert (1 - x).coeffs == {(0, 0, 0): 1, (1, 0, 0): -1}
 
 
 # -- reciprocal ----------------------------------------------------------
 
 def test_reciprocal_of_one():
-    assert one(X, 7).reciprocal() == one(X, 7)
+    assert one(7).reciprocal() == one(7)
 
 
 def test_reciprocal_geometric():
-    x = make_monomial(X, 5, 1, 0, 0, 1)
+    x = make_monomial(5, 1, 0, 0, 1)
     inv = (1 - x).reciprocal()
     assert inv.coeffs == {(n, 0, 0): 1 for n in range(6)}
 
 
 def test_reciprocal_round_trip_trivariate():
     # 1 + x z (1 + x z)(1 - y) at order 3
-    xz = make_monomial(X, 3, 1, 1, 0, 1)
-    y = make_monomial(X, 3, 0, 0, 1, 1)
+    xz = make_monomial(3, 1, 1, 0, 1)
+    y = make_monomial(3, 0, 0, 1, 1)
     s = 1 + xz * (1 + xz) * (1 - y)
-    assert s * s.reciprocal() == one(X, 3)
+    assert s * s.reciprocal() == one(3)
 
 
 def test_reciprocal_negative_unit():
-    x = make_monomial(X, 4, 1, 0, 0, 1)
+    x = make_monomial(4, 1, 0, 0, 1)
     s = x - 1
-    assert s * s.reciprocal() == one(X, 4)
+    assert s * s.reciprocal() == one(4)
 
 
 def test_reciprocal_rejects_non_unit():
-    for bad in (2 * one(X, 4), zero(X, 4), 2 + mono(1, 0, 0, order=4)):
+    for bad in (2 * one(4), zero(4), 2 + mono(1, 0, 0, order=4)):
         with pytest.raises(NonInvertibleError):
             bad.reciprocal()
         with pytest.raises(NonInvertibleError):
-            one(X, 4) / bad
+            one(4) / bad
     with pytest.raises(NonInvertibleError):
-        one(X, 4) / 2
+        one(4) / 2
 
 
 def test_reciprocal_rejects_degree_zero_tail():
@@ -135,13 +125,13 @@ def test_reciprocal_rejects_degree_zero_tail():
     with pytest.raises(NormalizationError):
         mono(2, 1, 0) / (1 + y)
     with pytest.raises(NormalizationError):
-        one(Z, 4) / (1 + make_monomial(Z, 4, 7, 0, 0))
+        one(4) / (1 + make_monomial(4, 0, 7, 0))
 
 
 # -- division --------------------------------------------------------------
 
 def test_divide_geometric():
-    x = make_monomial(X, 5, 1, 0, 0, 1)
+    x = make_monomial(5, 1, 0, 0, 1)
     assert (x / (1 - x)).coeffs == {(n, 0, 0): 1 for n in range(1, 6)}
 
 
@@ -149,40 +139,31 @@ def test_divide_by_units():
     s = 1 + mono(2, 1, 3, -4)
     assert s / 1 == s
     assert s / -1 == -s
-    assert s / one(X, 10) == s
+    assert s / one(10) == s
     with pytest.raises(TypeError):
         s / "2"
-
-
-def test_divide_z_graded_with_x_exponents():
-    # 1 / (1 - x^100 z) = sum_j x^(100 j) z^j under z-grading
-    xz = make_monomial(Z, 3, 100, 1, 0)
-    assert (one(Z, 3) / (1 - xz)).coeffs == {
-        (100 * j, j, 0): 1 for j in range(4)}
-    assert (make_monomial(Z, 3, 100, 2, 0) / (1 - xz)).coeffs == {
-        (100, 2, 0): 1, (200, 3, 0): 1}
 
 
 # -- input validation -----------------------------------------------------
 
 def test_rejects_non_integer_exponents_and_coefficients():
     with pytest.raises(ValueError):
-        TruncatedSeries(X, 3, {(1.5, 0, 0): 1, (0, 0, 0): 2.5})
+        TruncatedSeries(3, {(1.5, 0, 0): 1, (0, 0, 0): 2.5})
     with pytest.raises(ValueError):
-        TruncatedSeries(X, 3, {(1, 0, 0): 2.5})
+        TruncatedSeries(3, {(1, 0, 0): 2.5})
     with pytest.raises(ValueError):
-        TruncatedSeries(Z, 3, {(0, 1, 2.0): 1})
+        TruncatedSeries(3, {(0, 1, 2.0): 1})
     with pytest.raises(ValueError):
-        TruncatedSeries(X, 3.0)
+        TruncatedSeries(3.0)
     with pytest.raises(ValueError):
-        TruncatedSeries(X, 3, {(0, 0, -1): 1})
+        TruncatedSeries(3, {(0, 0, -1): 1})
 
 
 # -- substitutions -------------------------------------------------------
 
 def test_substitute_y0():
     s = 1 + mono(1, 0, 1)
-    assert s.substitute_y0() == one(X, 10)
+    assert s.substitute_y0() == one(10)
     t = 1 + mono(2, 1, 0)
     assert t.substitute_y0() == t
 
@@ -199,27 +180,22 @@ def test_substitute_z1():
     assert t.substitute_z1() == t
 
 
-def test_substitute_z1_rejects_word_series():
-    with pytest.raises(GradingMismatchError):
-        one(Z, 5).substitute_z1()
-
-
 # -- coefficient access ---------------------------------------------------
 
 def test_coefficient_of_one():
-    assert one(X, 10).coefficient(0, 0, 0) == 1
-    assert one(X, 10).coefficient(4, 1, 0) == 0
+    assert one(10).coefficient(0, 0, 0) == 1
+    assert one(10).coefficient(4, 1, 0) == 0
 
 
 def test_coefficient_beyond_order_raises():
     with pytest.raises(OrderRangeError):
-        one(X, 10).coefficient(11, 0, 0)
+        one(10).coefficient(11, 0, 0)
     with pytest.raises(OrderRangeError):
-        one(Z, 4).coefficient(0, 5, 0)
+        one(4).coefficient(5, 5, 0)
 
 
 def test_truncate():
-    x = make_monomial(X, 8, 1, 0, 0, 1)
+    x = make_monomial(8, 1, 0, 0, 1)
     geo = (1 - x).reciprocal()
     assert truncate(geo, 3).coeffs == {(n, 0, 0): 1 for n in range(4)}
     with pytest.raises(ValueError):
@@ -228,11 +204,11 @@ def test_truncate():
 
 # -- randomized ring laws --------------------------------------------------
 
-def series_strategy(order=6, grading=X):
+def series_strategy(order=6):
     key = st.tuples(st.integers(0, order), st.integers(0, 3),
                     st.integers(0, 3))
     return st.dictionaries(key, st.integers(-5, 5), max_size=8).map(
-        lambda d: TruncatedSeries(grading, order, d))
+        lambda d: TruncatedSeries(order, d))
 
 
 @given(series_strategy(), series_strategy(), series_strategy())
@@ -249,46 +225,43 @@ def test_ring_laws(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_reciprocal_round_trip_random(tail, unit):
     s = with_unit_constant(tail, unit)
-    assert s * s.reciprocal() == one(tail.grading, tail.order)
+    assert s * s.reciprocal() == one(tail.order)
 
 
 # -- packed keys against a schoolbook reference ----------------------------
 
-WIDE = 500  # widest non-grading exponent drawn
+WIDE = 500  # widest z- and y-exponent drawn
 
 
 def schoolbook_mul(a, b):
     """Tuple-keyed product of every pair of terms, truncated."""
-    gi = a.grading.index
     out = {}
     for ka, ca in a.coeffs.items():
         for kb, cb in b.coeffs.items():
             key = tuple(u + v for u, v in zip(ka, kb))
-            if key[gi] <= a.order:
+            if key[0] <= a.order:
                 out[key] = out.get(key, 0) + ca * cb
     return {k: c for k, c in out.items() if c}
 
 
-def wide_series(grading, order, max_size):
-    """Series with grading exponents up to the order, others up to WIDE."""
+def wide_series(order, max_size):
+    """Series with x-exponents up to the order, others up to WIDE."""
     deg, wide = st.integers(0, order), st.integers(0, WIDE)
-    key = (st.tuples(deg, wide, wide) if grading is X
-           else st.tuples(wide, deg, wide))
-    return st.dictionaries(key, st.integers(-9, 9), max_size=max_size).map(
-        lambda d: TruncatedSeries(grading, order, d))
+    return st.dictionaries(st.tuples(deg, wide, wide), st.integers(-9, 9),
+                           max_size=max_size).map(
+        lambda d: TruncatedSeries(order, d))
 
 
 def wide_pairs(order, max_size):
-    return st.sampled_from([X, Z]).flatmap(lambda g: st.tuples(
-        wide_series(g, order, max_size), wide_series(g, order, max_size)))
+    return st.tuples(wide_series(order, max_size),
+                     wide_series(order, max_size))
 
 
 def with_unit_constant(s, unit):
-    """s with constant term `unit` and no other grading-degree-0 term."""
-    gi = s.grading.index
-    body = {k: c for k, c in s.coeffs.items() if k[gi] >= 1}
+    """s with constant term `unit` and no other x-degree-0 term."""
+    body = {k: c for k, c in s.coeffs.items() if k[0] >= 1}
     body[(0, 0, 0)] = unit
-    return TruncatedSeries(s.grading, s.order, body)
+    return TruncatedSeries(s.order, body)
 
 
 @given(wide_pairs(order=6, max_size=8))
@@ -312,14 +285,14 @@ def test_divide_field_width_rounds_slope_up():
     # z^3 per x^2 grows z faster than one per x: 1/(1 - x^2 z^3) reaches
     # z^9 at x^6, which a width sized by the rounded-down slope (z <= 6)
     # would carry into the x field
-    d = 1 - make_monomial(X, 6, 2, 3, 0)
-    assert (one(X, 6) / d).coeffs == {
+    d = 1 - make_monomial(6, 2, 3, 0)
+    assert (one(6) / d).coeffs == {
         (2 * j, 3 * j, 0): 1 for j in range(4)}
 
 
 def test_wide_exponent_fixed_cases():
-    big = make_monomial(Z, 3, 100, 2, 0)
-    d = 1 - make_monomial(Z, 3, 499, 1, 500) + make_monomial(Z, 3, 0, 2, 7)
+    big = make_monomial(3, 2, 100, 0)
+    d = 1 - make_monomial(3, 1, 499, 500) + make_monomial(3, 2, 0, 7)
     assert (big * d).coeffs == schoolbook_mul(big, d)
     assert (big / d) * d == big
-    assert (d / d) == one(Z, 3)
+    assert (d / d) == one(3)

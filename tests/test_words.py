@@ -1,9 +1,10 @@
-"""Word (x := 1) series: primary route, closed forms, cross-identities."""
+"""Word series (every letter weighs x z): primary route, closed forms,
+cross-identities."""
 
 import pytest
 
 from comppat.patterns import PatternId, brute_force_word_table
-from comppat.series import Grading, make_monomial
+from comppat.series import make_monomial
 from comppat.identities import (u_poly, u_poly_generating_function,
                                 w123_avoid_aj, w123_chebyshev,
                                 word_gf_builders)
@@ -20,14 +21,18 @@ def builder_route(p, k, order):
 
 
 def geometric_z(order):
-    # 1/(1-z): one word of every length over a single letter
-    z = make_monomial(Grading.Z, order, 0, 1, 0, 1)
+    # 1/(1-xz): one word of every length over a single letter
+    z = make_monomial(order, 1, 1, 0, 1)
     return (1 - z).reciprocal()
 
 
-def test_word_series_has_no_x_exponent():
-    s = word_gf(P.PEAK, 3, 8)
-    assert all(n == 0 for (n, m, r) in s.coeffs)
+@pytest.mark.parametrize("k", [1, 5, 1600])
+@pytest.mark.parametrize("p", list(P))
+def test_word_series_x_exponent_is_length(p, k):
+    # a letter weighs x z, so every key is (m, m, r)
+    s = word_gf(p, k, 20)
+    assert s.coeffs
+    assert all(n == m for (n, m, r) in s.coeffs)
 
 
 def test_one_letter_alphabet():
@@ -35,18 +40,22 @@ def test_one_letter_alphabet():
         assert word_gf(p, 1, 9) == geometric_z(9), p
     # over one letter, every window is a level+level occurrence
     s = word_gf(P.P111, 1, 9)
-    assert s.coeffs == {(0, 0, 0): 1, (0, 1, 0): 1,
-                        **{(0, m, m - 2): 1 for m in range(2, 10)}}
+    assert s.coeffs == {(0, 0, 0): 1, (1, 1, 0): 1,
+                        **{(m, m, m - 2): 1 for m in range(2, 10)}}
 
 
 def test_word_table_rejects_x_exponent():
-    s = make_monomial(Grading.X, 4, 1, 1, 0, 1)
-    with pytest.raises(ValueError, match="x-exponent"):
-        word_table(s)
+    # keys must be (m, m, r): an x-exponent other than the length is not
+    # a word, whichever way it differs
+    word = make_monomial(4, 2, 2, 1)
+    assert word_table(word) == {(2, 1): 1}
+    for n, m in ((1, 0), (0, 1), (2, 1), (1, 2)):
+        with pytest.raises(ValueError, match="x-exponent"):
+            word_table(word + make_monomial(4, n, m, 0))
 
 
 def test_word_gf_binary_111():
-    assert word_gf(P.P111, 2, 5).coefficient(0, 3, 1) == 2  # 111 and 222
+    assert word_gf(P.P111, 2, 5).coefficient(3, 3, 1) == 2  # 111 and 222
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -60,13 +69,13 @@ def test_word_gf_matches_oracle_small(k):
 
 def test_w111_closed_binary_avoiders():
     s = w111_closed(2, 6).substitute_y0()
-    assert [s.coefficient(0, m, 0) for m in range(6)] == [1, 2, 4, 6, 10, 16]
+    assert [s.coefficient(m, m, 0) for m in range(6)] == [1, 2, 4, 6, 10, 16]
 
 
 def test_w111_closed_one_letter():
     s = w111_closed(1, 8).substitute_y0()
     # all words of length >= 3 over one letter contain a triple repeat
-    assert s.coeffs == {(0, 0, 0): 1, (0, 1, 0): 1, (0, 2, 0): 1}
+    assert s.coeffs == {(0, 0, 0): 1, (1, 1, 0): 1, (2, 2, 0): 1}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -89,7 +98,7 @@ def test_w112_closed_binary_avoiders_against_oracle():
     s = w112_closed(2, 6).substitute_y0()
     oracle = brute_force_word_table(P.P112, 2, 6)
     zero_rows = {m: c for (m, r), c in oracle.counts.items() if r == 0}
-    assert {m: s.coefficient(0, m, 0) for m in zero_rows} == zero_rows
+    assert {m: s.coefficient(m, m, 0) for m in zero_rows} == zero_rows
 
 
 # -- the 123 family ------------------------------------------------------------
@@ -108,7 +117,7 @@ def test_u_poly_generating_function_through_z30():
         coeffs = u_poly(n)
         for r in range(max(len(coeffs), 4)):
             want = coeffs[r] if r < len(coeffs) else 0
-            assert gf.coefficient(0, n, r) == want, (n, r)
+            assert gf.coefficient(n, n, r) == want, (n, r)
 
 
 def test_u_poly_period_six_at_y0():
@@ -142,7 +151,7 @@ def test_w_peak_closed_binary_avoiders_against_oracle():
     s = w_peak_closed(2, 10).substitute_y0()
     oracle = brute_force_word_table(P.PEAK, 2, 10)
     zero_rows = {m: c for (m, r), c in oracle.counts.items() if r == 0}
-    assert {m: s.coefficient(0, m, 0) for m in zero_rows} == zero_rows
+    assert {m: s.coefficient(m, m, 0) for m in zero_rows} == zero_rows
 
 
 def test_w_peak_closed_one_letter():
