@@ -22,6 +22,7 @@ import contextlib
 import itertools
 import json
 import sys
+from typing import Iterable
 
 from . import __version__, asymptotics, genfun, words
 from .patterns import (PartSet, PatternId, brute_force_table,
@@ -72,15 +73,20 @@ def _envelope(command: list[str], **payload) -> dict:
     return report
 
 
-def _emit_json(report: dict) -> None:
-    # Written in batches of encoder chunks: json.dumps would hold every
-    # chunk of a large report at once (about 20 MB for an order-60 expand
-    # table), and json.dump writes each tiny chunk separately, which is
-    # several times slower on a pipe.
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
-    while batch := "".join(itertools.islice(chunks, 1 << 14)):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
+def _emit_json(report: dict, entries: Iterable[str] = ()) -> None:
+    # A table report carries "coefficients": [] and its entries come
+    # preformatted, written in batches: under indent, json's encoder is pure
+    # Python, about seven times slower on an order-60 expand table.
+    text = json.dumps(report, sort_keys=True, indent=2)
+    head, table, tail = text.partition('"coefficients": []')
+    sys.stdout.write(head)
+    if table:
+        entries, sep = iter(entries), '"coefficients": ['
+        while batch := ",".join(itertools.islice(entries, 1 << 12)):
+            sys.stdout.write(sep + batch)
+            sep = ","
+        sys.stdout.write("\n  ]" if sep == "," else table)
+    sys.stdout.write(tail + "\n")
 
 
 def cmd_expand(args, argv: list[str]) -> int:
@@ -100,9 +106,9 @@ def cmd_expand(args, argv: list[str]) -> int:
         set=str(part_set),
         materialized_parts=list(part_set.materialize(args.order)),
         order=args.order,
-        coefficients=[{"n": n, "m": m, "r": r, "count": str(c)}
-                      for (n, m, r), c in rows],
-    ))
+        coefficients=[],
+    ), (f'\n    {{\n      "count": "{c}",\n      "m": {m},\n      "n": {n},'
+         f'\n      "r": {r}\n    }}' for (n, m, r), c in rows))
     return 0
 
 
@@ -211,9 +217,9 @@ def cmd_words(args, argv: list[str]) -> int:
         pattern=args.pattern.value,
         k=args.k,
         order=args.order,
-        coefficients=[{"m": m, "r": r, "count": str(c)}
-                      for (m, r), c in rows],
-    ))
+        coefficients=[],
+    ), (f'\n    {{\n      "count": "{c}",\n      "m": {m},\n      "r": {r}'
+         f'\n    }}' for (m, r), c in rows))
     return 0
 
 

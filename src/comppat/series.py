@@ -13,13 +13,13 @@ stored sparsely as a map from exponent triples ``(n, m, r)`` to nonzero
 coefficients; zero is never stored, which makes equality structural, and
 callers read the tuple-keyed ``coeffs`` map directly.
 
-Only inside ``*`` and ``/`` are keys packed into one int,
-``n << 2S | m << S | r``, so that multiplying two monomials is one integer
-add and a key hashes as a small int (Monagan & Pearce, CASC 2007).  The
-field width S is chosen per operation from the operands' exponent bounds,
-so no field can carry into the next; results are unpacked on exit.
-Division solves ``den * q = num`` degree by degree in x, so a quotient
-never needs the full reciprocal of ``den``.
+Inside ``*`` and ``/`` each (n, m) row's y-polynomial is packed into one
+int, its value at y = 2**W, so a row product is one big-int multiply
+(Kronecker substitution in y only, whose rows are dense; Harvey, JSC
+2009).  Rows are read back as balanced digits, in [-2**(W-1), 2**(W-1)):
+W comes from the operands' absolute sums for ``*``, and for ``/``, which
+solves q = num + t q (den = 1 - t) degree by degree in x with q packed
+throughout, from the exact majorant |num|(x,1,1) / (1 - |t|(x,1,1)).
 
 Values are immutable once constructed: every operation returns a fresh
 series, so they can be shared freely.
@@ -30,22 +30,21 @@ from __future__ import annotations
 from typing import Mapping
 
 Triple = tuple[int, int, int]
+Rows = dict[int, dict[int, int]]  # n -> m -> y-polynomial packed in one int
 
 
-Packed = dict[int, int]  # packed exponent key -> coefficient
-
-
-def _convolve_into(acc: Packed, a: Packed, b: Packed) -> None:
-    """Add the product of two packed-key term maps into acc.
+def _mul_rows_into(acc: dict[int, int], a: dict[int, int],
+                   b: dict[int, int]) -> None:
+    """Add the product of two x-slices {m: packed y-polynomial} into acc.
 
     Zero sums stay in acc; the caller drops them once, not per product.
     """
     get = acc.get
     b_items = b.items()
-    for k1, c1 in a.items():
-        for k2, c2 in b_items:
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
+    for m1, p1 in a.items():
+        for m2, p2 in b_items:
+            m = m1 + m2
+            acc[m] = get(m, 0) + p1 * p2
 
 
 class SeriesError(ValueError):
@@ -175,20 +174,17 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        # Every field of a product key is at most the sum of the operands'
-        # maxima, and the x field at most the order.
-        bound = [ta + tb for ta, tb in zip(self._field_max(),
-                                           other._field_max())]
-        bound[0] = self.order
-        shift = max(bound).bit_length()
-        a_slices, b_slices = self._packed(shift), other._packed(shift)
+        # No coefficient exceeds the product of the operands' absolute sums.
+        width = (sum(self._abs_sums())
+                 * sum(other._abs_sums())).bit_length() + 1
+        a_rows, b_rows = self._rows(width), other._rows(width)
         order = self.order
-        acc: Packed = {}
-        for da, a in a_slices.items():
-            for db, b in b_slices.items():
+        out: Rows = {}
+        for da, a in a_rows.items():
+            for db, b in b_rows.items():
                 if da + db <= order:
-                    _convolve_into(acc, a, b)
-        return self._unpack({0: acc}, shift)
+                    _mul_rows_into(out.setdefault(da + db, {}), a, b)
+        return self._unrows(out, width)
 
     __rmul__ = __mul__
 
@@ -228,29 +224,29 @@ class TruncatedSeries:
                 raise NormalizationError(
                     f"term {key} has x-degree 0; "
                     "normalize the denominator before inverting")
-        # By induction on the degree, a quotient term of x-degree g has
-        # every other field at most (numerator max) + g * ceil(max of
-        # field / x-degree over the divisor's terms), so no key can carry.
-        bound = self._field_max()
-        bound[0] = order
-        for f in (1, 2):
-            slope = max((-(-key[f] // key[0]) for key in den.coeffs
-                         if key[0]), default=0)
-            bound[f] += order * slope
-        shift = max(bound).bit_length()
         num, den = (self, den) if c0 == 1 else (-self, -den)
-        num_slices, t_slices = num._packed(shift), (1 - den)._packed(shift)
-        q_slices: dict[int, Packed] = {}
+        t = 1 - den
+        # The quotient's absolute sum at x-degree g is at most Q_g, where
+        # Q = |num| / (1 - |t|) at x = z = y = 1 (the exact majorant):
+        # Q_g = N_g + sum over d >= 1 of T_d Q_{g-d}.
+        t_sums = [(d, s) for d, s in enumerate(t._abs_sums()) if s]
+        q_sums: list[int] = []
+        for g, n_sum in enumerate(num._abs_sums()):
+            q_sums.append(n_sum + sum(s * q_sums[g - d]
+                                      for d, s in t_sums if d <= g))
+        width = max(q_sums).bit_length() + 1
+        num_rows, t_rows = num._rows(width), t._rows(width)
+        q_rows: Rows = {}
         for deg in range(order + 1):
-            acc = num_slices.pop(deg, {})
-            for d, t in t_slices.items():
-                q_lower = q_slices.get(deg - d)
+            acc = num_rows.pop(deg, {})
+            for d, t_row in t_rows.items():
+                q_lower = q_rows.get(deg - d)
                 if q_lower:
-                    _convolve_into(acc, t, q_lower)
-            q = {k: c for k, c in acc.items() if c}
+                    _mul_rows_into(acc, t_row, q_lower)
+            q = {m: p for m, p in acc.items() if p}
             if q:
-                q_slices[deg] = q
-        return self._unpack(q_slices, shift)
+                q_rows[deg] = q
+        return self._unrows(q_rows, width)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse within the truncated ring: ``1 / self``."""
@@ -282,34 +278,41 @@ class TruncatedSeries:
         s.coeffs = coeffs
         return s
 
-    def _field_max(self) -> list[int]:
-        """The largest n, m and r exponents over the terms (0 for zero)."""
-        if not self.coeffs:
-            return [0, 0, 0]
-        return [max(field) for field in zip(*self.coeffs)]
+    def _abs_sums(self) -> list[int]:
+        """The sums of |coefficient| per x-degree 0..order."""
+        sums = [0] * (self.order + 1)
+        for (n, _m, _r), c in self.coeffs.items():
+            sums[n] += abs(c)
+        return sums
 
-    def _packed(self, shift: int) -> dict[int, Packed]:
-        """Terms per x-degree, each key packed into one int as
-        n << 2*shift | m << shift | r."""
-        slices: dict[int, Packed] = {}
+    def _rows(self, width: int) -> Rows:
+        """The terms as {n: {m: P}}, where P is the (n, m) row's
+        y-polynomial evaluated at y = 2**width."""
+        rows: Rows = {}
         for (n, m, r), c in self.coeffs.items():
-            slices.setdefault(n, {})[(n << shift | m) << shift | r] = c
-        return slices
+            row = rows.setdefault(n, {})
+            row[m] = row.get(m, 0) + (c << width * r)
+        return rows
 
-    def _unpack(self, slices: dict[int, Packed],
-                shift: int) -> "TruncatedSeries":
-        """The series of packed term maps, dropping zero coefficients.
-
-        Each map is released as soon as it is read, so the packed and
-        the tuple-keyed copies of a large result barely coexist.
-        """
-        mask = (1 << shift) - 1
+    def _unrows(self, rows: Rows, width: int) -> "TruncatedSeries":
+        """The series of packed rows, read as balanced base-2**width digits
+        (a field of 2**(width-1) or more is negative and borrows one);
+        each x-degree is released once read."""
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
         out: dict[Triple, int] = {}
-        while slices:
-            for k, c in slices.popitem()[1].items():
-                if c:
-                    out[(k >> shift >> shift, k >> shift & mask,
-                         k & mask)] = c
+        while rows:
+            n, row = rows.popitem()
+            for m, p in row.items():
+                # for width >= 2, a top digit r has |p| > 2**(width*r - 2)
+                for r in range(abs(p).bit_length() // width + 2):
+                    c = p & mask
+                    p >>= width
+                    if c >= half:
+                        c -= mask + 1
+                        p += 1
+                    if c:
+                        out[(n, m, r)] = c
         return self._wrap(out)
 
     def __eq__(self, other) -> bool:

@@ -44,6 +44,16 @@ def test_expand_json_schema_and_content():
     assert report["materialized_parts"] == [1, 2, 3, 4, 5, 6]
 
 
+# SHA-256 of the stdout of every job the benchmark runs, keyed by argv
+GOLDEN_DIGESTS = json.loads((ROOT / "perfbench" / "expected.json")
+                            .read_text())["digests"]
+
+
+def stdout_digest(capsys, argv):
+    assert cli.main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
 @pytest.mark.usefixtures("shared_build_gf")
 @pytest.mark.parametrize("pattern", cli.PATTERN_CHOICES)
 def test_expand_nat_at_order_cap_matches_golden_digest(pattern, capsys):
@@ -51,11 +61,18 @@ def test_expand_nat_at_order_cap_matches_golden_digest(pattern, capsys):
     # in the benchmark's expected digests
     argv = ["expand", "--pattern", pattern, "--set", "nat",
             "--order", str(cli.MAX_ORDER)]
-    expected = json.loads((ROOT / "perfbench" / "expected.json")
-                          .read_text())["digests"][" ".join(argv)]
-    assert cli.main(argv) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == expected
+    assert stdout_digest(capsys, argv) == GOLDEN_DIGESTS[" ".join(argv)]
+
+
+@pytest.mark.usefixtures("shared_build_gf")
+@pytest.mark.parametrize("job", [
+    job for job in GOLDEN_DIGESTS
+    if not (job.startswith("expand ") and job.endswith(" --set nat --order "
+                                                       f"{cli.MAX_ORDER}"))])
+def test_benchmark_job_matches_golden_digest(job, capsys):
+    # every other recorded job (avoiders, verify, words and the small
+    # tables), byte for byte
+    assert stdout_digest(capsys, job.split()) == GOLDEN_DIGESTS[job]
 
 
 def test_expand_order_zero():

@@ -1,5 +1,7 @@
 """Ring arithmetic of the truncated trivariate series."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -283,8 +285,7 @@ def test_divide_round_trip_wide_exponents(pair, unit):
 
 def test_divide_field_width_rounds_slope_up():
     # z^3 per x^2 grows z faster than one per x: 1/(1 - x^2 z^3) reaches
-    # z^9 at x^6, which a width sized by the rounded-down slope (z <= 6)
-    # would carry into the x field
+    # z^9 at x^6, and has no term at odd x-degrees
     d = 1 - make_monomial(6, 2, 3, 0)
     assert (one(6) / d).coeffs == {
         (2 * j, 3 * j, 0): 1 for j in range(4)}
@@ -296,3 +297,56 @@ def test_wide_exponent_fixed_cases():
     assert (big * d).coeffs == schoolbook_mul(big, d)
     assert (big / d) * d == big
     assert (d / d) == one(3)
+
+
+# -- large coefficients on dense y-rows ------------------------------------
+
+BIG = 2**120  # largest coefficient magnitude drawn
+
+
+def dense_series(order, max_rows):
+    """Series made of (n, m) rows, each filling y^0..y^R densely with
+    coefficients up to BIG in magnitude."""
+    row = st.tuples(st.integers(0, order), st.integers(0, 6),
+                    st.lists(st.integers(-BIG, BIG), min_size=1,
+                             max_size=12))
+    return st.lists(row, max_size=max_rows).map(
+        lambda rows: TruncatedSeries(order, {
+            (n, m, r): c for n, m, cs in rows for r, c in enumerate(cs)}))
+
+
+@given(dense_series(order=6, max_rows=6), dense_series(order=6, max_rows=6))
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_schoolbook_big_dense(a, b):
+    assert (a * b).coeffs == schoolbook_mul(a, b)
+
+
+@given(dense_series(order=5, max_rows=5), dense_series(order=5, max_rows=4),
+       st.sampled_from([1, -1]))
+@settings(max_examples=60, deadline=None)
+def test_divide_round_trip_big_dense(n, tail, unit):
+    d = with_unit_constant(tail, unit)
+    assert schoolbook_mul(n / d, d) == n.coeffs
+
+
+@pytest.mark.parametrize("c", [3, 255, 2**64 - 1, 2**120 - 1, 2**120],
+                         ids=["3", "255", "2^64-1", "2^120-1", "2^120"])
+def test_coefficients_at_their_bound(c):
+    # every quotient below reaches the majorant |num| / (1 - |t|) at
+    # x = z = y = 1 in some coefficient, and the product reaches the
+    # product of the absolute sums; signs alternate where t has a
+    # negative term
+    order = 6
+    xy, xz = make_monomial(order, 1, 0, 1), make_monomial(order, 1, 1, 0)
+    degrees = range(order + 1)
+    assert (one(order) / (1 + c * xy)).coeffs == {
+        (g, 0, g): (-c) ** g for g in degrees}
+    assert (c * one(order) / (1 + xy)).coeffs == {
+        (g, 0, g): c * (-1) ** g for g in degrees}
+    for sign in (1, -1):
+        q = one(order) / (1 - sign * c * xy - c * xz)
+        assert q.coeffs == {(g, g - j, j): comb(g, j) * (sign * c) ** j
+                            * c ** (g - j)
+                            for g in degrees for j in range(g + 1)}
+    assert (c * xy) * (-c * xy) == make_monomial(order, 2, 0, 2, -c * c)
+    assert (c * xy) * (c * xy) == make_monomial(order, 2, 0, 2, c * c)
