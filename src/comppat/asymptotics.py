@@ -14,12 +14,20 @@ the only (simple) zero inside it.  Four of the six statistics have N = 1,
 so f is their denominator evaluator; peak and valley share a nontrivial
 numerator N, and f = (N - S)/N with an odd-index sum S.
 
-All evaluators take a point x with |x| <= 0.8 and a tolerance eps, and
-return ``(value, bound)`` where bound is a guaranteed upper bound on the
-truncation error (floating-point rounding aside).
+All evaluators take a block of points xs with |x| <= 0.8 and a tolerance
+eps, and return ``(values, bound)`` where bound is a guaranteed upper
+bound on the truncation error at every point of the block (floating-point
+rounding aside).  Stopping indices and tail bounds grow with |x|, so they
+are computed once per block at its largest |x|; each point then sees the
+same operations it would see alone.  :func:`eval_f` is a one-point block.
 
 :func:`estimate` samples f on the circle once: the rows are the exported
-curve and their phase increments give the winding number.
+curve and their phase increments give the winding number.  f has real
+coefficients, so f(conj x) = conj f(x): only the upper half of the circle,
+indices 0 .. samples // 2, is evaluated, and each row past samples // 2 is
+the exact conjugate of its mirror row, which can differ in the last ulp
+from a direct evaluation at its own point.  The winding counts only if
+every sampled |f| exceeds the truncation bound.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ FD_STEP = 1e-6
 WINDING_SAMPLES = 4096
 WINDING_RADIUS = 0.7
 _MAX_ABS = 0.8
+# Circle points per evaluator call.  A block shares its stopping indices
+# and tail bounds; 221 keeps L suffix products per point alive at once.
+_BLOCK = 64
 
 
 class AsymptoticsError(Exception):
@@ -70,70 +81,73 @@ class AsymptoticEstimate:
         repr=False, compare=False)
 
 
-def _check_domain(x) -> float:
-    ax = abs(x)
+def _check_domain(xs) -> float:
+    """The largest |x| over the block; every shared bound is taken there."""
+    ax = max(abs(x) for x in xs)
     if ax > _MAX_ABS:
         raise DomainError(
             f"|x| = {ax:.4f} exceeds {_MAX_ABS}; tail bounds unavailable")
     return ax
 
 
-def _den_111(x, eps: float):
+def _den_111(xs, eps: float):
     """1 - sum_{i>=1} x^i (1 + x^i) / (1 + x^i (1 + x^i))."""
-    ax = _check_domain(x)
+    ax = _check_domain(xs)
     if ax == 0:
-        return 1.0 + 0 * x, 0.0
-    total = 0 * x
-    xi = 1
+        return [1.0 + 0 * x for x in xs], 0.0
+    totals = [0 * x for x in xs]
+    xis = [1] * len(xs)
     i = 0
     while True:
         i += 1
-        xi = xi * x
-        total += xi * (1 + xi) / (1 + xi * (1 + xi))
+        xis = [xi * x for xi, x in zip(xis, xs)]
+        totals = [total + xi * (1 + xi) / (1 + xi * (1 + xi))
+                  for total, xi in zip(totals, xis)]
         t = ax ** (i + 1)
         if t * (1 + t) < 0.5:
             # remaining terms are bounded by c * ax^j with j > i
             c = (1 + t) / (1 - t * (1 + t))
             tail = c * t / (1 - ax)
             if tail < eps:
-                return 1 - total, tail
+                return [1 - total for total in totals], tail
         if i > 100000:
             raise AsymptoticsError("111 series did not reach the tolerance")
 
 
-def _den_112(x, eps: float):
+def _den_112(xs, eps: float):
     """1 - sum_{j>=1} x^j prod_{i<j} (1 - x^{2i})."""
-    ax = _check_domain(x)
+    ax = _check_domain(xs)
     if ax == 0:
-        return 1.0 + 0 * x, 0.0
+        return [1.0 + 0 * x for x in xs], 0.0
     # |prod (1 - x^{2i})| <= prod (1 + ax^{2i}) <= exp(ax^2/(1-ax^2))
     cap = math.exp(ax * ax / (1 - ax * ax))
-    total = 0 * x
-    prod = 1
-    xj = 1
+    totals = [0 * x for x in xs]
+    prods = [1] * len(xs)
+    xjs = [1] * len(xs)
     j = 0
     while True:
         j += 1
-        xj = xj * x
-        total += xj * prod
-        prod = prod * (1 - xj * xj)
+        xjs = [xj * x for xj, x in zip(xjs, xs)]
+        totals = [total + xj * prod
+                  for total, xj, prod in zip(totals, xjs, prods)]
         tail = cap * ax ** (j + 1) / (1 - ax)
         if tail < eps:
-            return 1 - total, tail
+            return [1 - total for total in totals], tail
         if j > 100000:
             raise AsymptoticsError("112 series did not reach the tolerance")
+        prods = [prod * (1 - xj * xj) for prod, xj in zip(prods, xjs)]
 
 
-def _den_221(x, eps: float):
+def _den_221(xs, eps: float):
     """1 - sum_{i>=1} x^i prod_{j>=i+1} (1 - x^{2j}).
 
     The infinite guard products are truncated at a common index L once the
     omitted factors differ from 1 by less than eps in sum, then formed as
-    suffix products.
+    suffix products; the block holds L of them per point.
     """
-    ax = _check_domain(x)
+    ax = _check_domain(xs)
     if ax == 0:
-        return 1.0 + 0 * x, 0.0
+        return [1.0 + 0 * x for x in xs], 0.0
     cap = math.exp(ax * ax / (1 - ax * ax))
     L = 1
     while cap * ax ** (L + 1) / (1 - ax) >= eps / 2 \
@@ -141,15 +155,18 @@ def _den_221(x, eps: float):
         L += 1
     prod_tail_sum = ax ** (2 * (L + 1)) / (1 - ax * ax)
     prod_err = math.expm1(prod_tail_sum)
-    suffix = [1 + 0 * x] * (L + 2)  # suffix[i] = prod_{j=i+1..L} (1 - x^{2j})
+    # suffix[i][k] = prod_{j=i+1..L} (1 - x_k^{2j})
+    suffix = [[1 + 0 * x for x in xs]] * (L + 2)
     for i in range(L - 1, 0, -1):
-        suffix[i] = suffix[i + 1] * (1 - x ** (2 * (i + 1)))
-    total = 0 * x
+        e = 2 * (i + 1)
+        suffix[i] = [s * (1 - x ** e) for s, x in zip(suffix[i + 1], xs)]
+    totals = [0 * x for x in xs]
     for i in range(1, L + 1):
-        total += x ** i * suffix[i]
+        totals = [total + x ** i * s
+                  for total, x, s in zip(totals, xs, suffix[i])]
     outer_tail = cap * ax ** (L + 1) / (1 - ax)
     inner_tail = prod_err * cap * ax / (1 - ax)
-    return 1 - total, outer_tail + inner_tail
+    return [1 - total for total in totals], outer_tail + inner_tail
 
 
 def _qpoch_lower(ax: float) -> float:
@@ -162,103 +179,121 @@ def _qpoch_lower(ax: float) -> float:
     return prod * (1 - ax ** j / (1 - ax))
 
 
-def _ensure_poch(poch: list, x, q: int) -> None:
-    """Extend poch, where poch[i] = (x;x)_i, through index q."""
+def _ensure_poch(poch: list, xs, q: int) -> None:
+    """Extend poch, where poch[i][k] = (x_k;x_k)_i, through index q."""
     while len(poch) <= q:
-        poch.append(poch[-1] * (1 - x ** len(poch)))
+        i = len(poch)
+        poch.append([c * (1 - x ** i) for c, x in zip(poch[-1], xs)])
 
 
-def _den_123(x, eps: float):
+def _den_123(xs, eps: float):
     """1 - x/(1-x) - sum_{p>=3} (-1)^p sum_{j=0}^{p-3}
     C(p-3, j) x^{T(p+j)} / (x;x)_{p+j}  with T(q) = q(q+1)/2."""
-    ax = _check_domain(x)
+    ax = _check_domain(xs)
     if ax == 0:
-        return 1.0 + 0 * x, 0.0
+        return [1.0 + 0 * x for x in xs], 0.0
     c_min = _qpoch_lower(ax)
-    poch = [1]  # poch[q] = (x;x)_q
-    total = x / (1 - x)
+    poch = [[1] * len(xs)]
+    totals = [x / (1 - x) for x in xs]
     p = 2
     while True:
         p += 1
-        inner = 0 * x
+        inner = [0 * x for x in xs]
         for j in range(p - 2):
             q = p + j
-            _ensure_poch(poch, x, q)
-            inner += math.comb(p - 3, j) * x ** (q * (q + 1) // 2) / poch[q]
-        total += (-1) ** p * inner
+            _ensure_poch(poch, xs, q)
+            c, e = math.comb(p - 3, j), q * (q + 1) // 2
+            inner = [s + c * x ** e / pq
+                     for s, x, pq in zip(inner, xs, poch[q])]
+        sign = (-1) ** p
+        totals = [total + sign * s for total, s in zip(totals, inner)]
         bound_next = (2 ** (p - 2)) * ax ** ((p + 1) * (p + 2) // 2) / c_min
         ratio = 2 * ax ** (p + 2)
         if ratio < 0.5 and bound_next / (1 - ratio) < eps:
-            return 1 - total, bound_next / (1 - ratio)
+            return [1 - total for total in totals], bound_next / (1 - ratio)
         if p > 1000:
             raise AsymptoticsError("123 series did not reach the tolerance")
 
 
-def _super_sum(x, ax: float, c_min: float, poch: list, eps: float,
+def _super_sum(xs, ax: float, c_min: float, poch: list, eps: float,
                x_exp, poch_idx, start: int, constant: int):
     """constant + sum_{j>=start} x^{x_exp(j)} / (x;x)_{poch_idx(j)} for
     superexponentially growing exponents (x_exp(j+1) - x_exp(j) >= 2).
 
     c_min = _qpoch_lower(ax) bounds every |(x;x)_q| from below; poch is
-    the shared (x;x)_q cache of the evaluation point.
+    the shared (x;x)_q cache of the block.
     """
-    total = constant + 0 * x
+    totals = [constant + 0 * x for x in xs]
     j = start
     while True:
         q = poch_idx(j)
-        _ensure_poch(poch, x, q)
-        total += x ** x_exp(j) / poch[q]
+        _ensure_poch(poch, xs, q)
+        e = x_exp(j)
+        totals = [total + x ** e / pq
+                  for total, x, pq in zip(totals, xs, poch[q])]
         bound_next = ax ** x_exp(j + 1) / c_min
         if bound_next / (1 - ax) < eps:
-            return total, bound_next / (1 - ax)
+            return totals, bound_next / (1 - ax)
         j += 1
         if j > 10000:
             raise AsymptoticsError("sum did not reach the tolerance")
 
 
-def _peak_parts(x, eps: float, odd_exp):
-    """Numerator N = 1 + sum_{j>=1} x^{j(j+2)} / (x;x)_{2j} and odd sum
-    S = sum_{j>=0} x^{odd_exp(j)} / (x;x)_{2j+1} of the peak or valley
-    series, each to eps/2, as (N, N bound, S, S bound).  f = (N - S)/N."""
-    ax = _check_domain(x)
+def _f_alternating(xs, eps: float, odd_exp):
+    """f = (N - S)/N for peak or valley, from the numerator
+    N = 1 + sum_{j>=1} x^{j(j+2)} / (x;x)_{2j} and the odd sum
+    S = sum_{j>=0} x^{odd_exp(j)} / (x;x)_{2j+1}, each to eps/2.  The
+    bound is the largest of the per-point bounds (nb + sb + |f| nb) / |N|."""
+    ax = _check_domain(xs)
     if ax == 0:
-        return 1 + 0 * x, 0.0, 0 * x, 0.0
+        return [1.0 + 0 * x for x in xs], 0.0
     c_min = _qpoch_lower(ax)
-    poch = [1]
-    nv, nb = _super_sum(x, ax, c_min, poch, eps / 2, lambda j: j * (j + 2),
-                        lambda j: 2 * j, start=1, constant=1)
-    sv, sb = _super_sum(x, ax, c_min, poch, eps / 2, odd_exp,
-                        lambda j: 2 * j + 1, start=0, constant=0)
-    return nv, nb, sv, sb
+    poch = [[1] * len(xs)]
+    nvs, nb = _super_sum(xs, ax, c_min, poch, eps / 2, lambda j: j * (j + 2),
+                         lambda j: 2 * j, start=1, constant=1)
+    svs, sb = _super_sum(xs, ax, c_min, poch, eps / 2, odd_exp,
+                         lambda j: 2 * j + 1, start=0, constant=0)
+    values = []
+    bound = 0.0
+    for x, nv, sv in zip(xs, nvs, svs):
+        if abs(nv) < 1e-9:
+            raise AsymptoticsError(
+                f"numerator nearly vanishes at {x}; f undefined there")
+        value = (nv - sv) / nv
+        values.append(value)
+        bound = max(bound, (nb + sb + abs(value) * nb) / abs(nv))
+    return values, bound
 
 
-_DENOMINATORS = {
+# f on a block of points, as (values, one bound for the whole block).  The
+# numerator of the first four series is identically 1; peak and valley
+# differ in the x-exponent of the j-th term of the odd sum S.
+_EVALUATORS = {
     PatternId.P111: _den_111,
     PatternId.P112: _den_112,
     PatternId.P221: _den_221,
     PatternId.P123: _den_123,
+    PatternId.PEAK: lambda xs, eps: _f_alternating(
+        xs, eps, lambda j: j * j + 3 * j + 1),
+    PatternId.VALLEY: lambda xs, eps: _f_alternating(
+        xs, eps, lambda j: (j + 1) * (j + 1)),
 }
 
-# x-exponent of the j-th term of the odd sum S in f = (N - S)/N.
-_ODD_EXPONENTS = {
-    PatternId.PEAK: lambda j: j * j + 3 * j + 1,
-    PatternId.VALLEY: lambda j: (j + 1) * (j + 1),
-}
+
+def _evaluate(p: PatternId, xs, eps: float):
+    """f at every point of the block xs, as (values, bound): the bound
+    holds for each point, because every shared bound grows with |x| and
+    is taken at the largest |x| in the block."""
+    if not eps > 0:  # also rejects NaN
+        raise ValueError("eps must be positive")
+    return _EVALUATORS[p](xs, eps)
 
 
 def eval_f(p: PatternId, x, eps: float = EVAL_EPS):
     """f(x) = denominator/numerator of the avoidance series, with a bound
     on the truncation error.  Real input stays real."""
-    if not eps > 0:  # also rejects NaN
-        raise ValueError("eps must be positive")
-    if p in _DENOMINATORS:
-        return _DENOMINATORS[p](x, eps)
-    nv, nb, sv, sb = _peak_parts(x, eps, _ODD_EXPONENTS[p])
-    if abs(nv) < 1e-9:
-        raise AsymptoticsError(
-            f"numerator nearly vanishes at {x}; f undefined there")
-    value = (nv - sv) / nv
-    return value, (nb + sb + abs(value) * nb) / abs(nv)
+    values, bound = _evaluate(p, [x], eps)
+    return values[0], bound
 
 
 def find_rho(p: PatternId, tol: float = RHO_TOL,
@@ -334,8 +369,8 @@ def winding_number(p: PatternId, radius: float = WINDING_RADIUS,
                    eps: float = EVAL_EPS) -> int:
     """Winding number of f over |x| = radius: the count of zeros of f
     inside (zeros of the denominator minus zeros of the numerator)."""
-    return _winding([complex(eval_f(p, point, eps)[0])
-                     for point in _circle(radius, samples)])
+    return _winding([complex(rf, if_)
+                     for _, _, rf, if_ in emit_curve(p, radius, samples, eps)])
 
 
 def estimate(p: PatternId, radius: float = WINDING_RADIUS,
@@ -345,7 +380,8 @@ def estimate(p: PatternId, radius: float = WINDING_RADIUS,
 
     f'(rho) comes from central differences at steps h and h/2 combined by
     one Richardson extrapolation level.  The circle is sampled once, by
-    :func:`emit_curve`; the winding is read off those rows.
+    :func:`emit_curve`, which also certifies that no sample of f is 0;
+    the winding is read off those rows.
     """
     rho = find_rho(p, RHO_TOL)
 
@@ -383,9 +419,29 @@ def emit_curve(p: PatternId, radius: float = WINDING_RADIUS,
                samples: int = WINDING_SAMPLES, eps: float = EVAL_EPS,
                ) -> list[tuple[float, float, float, float]]:
     """Sampled image of the circle |x| = radius under f, as rows
-    (re x, im x, re f, im f) starting at angle 0."""
-    rows = []
-    for point in _circle(radius, samples):
-        value = complex(eval_f(p, point, eps)[0])
-        rows.append((point.real, point.imag, value.real, value.imag))
+    (re x, im x, re f, im f) starting at angle 0.
+
+    f has real coefficients, so f(conj x) = conj f(x): only the upper
+    half, indices 0 .. samples // 2, is evaluated, in blocks of at most
+    _BLOCK points, and row samples - k is the exact conjugate of row k.
+    Raises AsymptoticsError unless every sampled |f| exceeds the largest
+    block's truncation bound, which certifies that f vanishes at no
+    sample.
+    """
+    points = _circle(radius, samples)[:samples // 2 + 1]
+    values = []
+    bound = 0.0
+    for start in range(0, len(points), _BLOCK):
+        block, block_bound = _evaluate(p, points[start:start + _BLOCK], eps)
+        values += map(complex, block)
+        bound = max(bound, block_bound)
+    low = min(map(abs, values))
+    if not low > bound:
+        raise AsymptoticsError(
+            f"min |f| = {low:.3g} on |x| = {radius} does not exceed the "
+            f"truncation bound {bound:.3g}; the winding is not certified")
+    rows = [(x.real, x.imag, value.real, value.imag)
+            for x, value in zip(points, values)]
+    rows += [(rx, -ix, rf, -if_)
+             for rx, ix, rf, if_ in reversed(rows[1:(samples + 1) // 2])]
     return rows

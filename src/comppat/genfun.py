@@ -129,10 +129,11 @@ def _den_123(t: list[TruncatedSeries], order: int) -> TruncatedSeries:
         den = den - t[1]
     ym1 = powers(make_monomial(order, 0, 0, 1) - 1, max(top - 2, 0))
     for p in range(3, top + 1):
-        for j in range(p - 2):
-            if p + j > top:
-                break
-            den = den - comb(p - 3, j) * t[p + j] * ym1[p - 2]
+        # the terms of one p share (y-1)^(p-2): sum them, then multiply once
+        group = t[p]
+        for j in range(1, min(p - 2, top - p + 1)):
+            group = group + comb(p - 3, j) * t[p + j]
+        den = den - group * ym1[p - 2]
     return den
 
 

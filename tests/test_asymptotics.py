@@ -70,7 +70,8 @@ def test_f_is_the_denominator_for_simple_patterns():
             P.P123: _den_123}
     for p, den in dens.items():
         for x in (0.6, 0.7 * cmath.exp(0.73j)):
-            assert eval_f(p, x, 1e-12) == den(x, 1e-12), (p, x)
+            values, bound = den([x], 1e-12)
+            assert eval_f(p, x, 1e-12) == (values[0], bound), (p, x)
 
 
 def test_tail_bound_honest():
@@ -203,6 +204,24 @@ def test_curve_conjugate_symmetry():
         assert ix2 == pytest.approx(-ix)
         assert rf2 == pytest.approx(rf)
         assert if2 == pytest.approx(-if_)
+
+
+@pytest.mark.parametrize("samples", [1024, 1025])
+def test_curve_upper_half_is_eval_f_and_lower_half_its_conjugate(samples):
+    # blocks share their tail bounds, yet each evaluated row is exactly the
+    # single-point value; the rest mirror it, since f(conj x) = conj f(x)
+    half = samples // 2
+    points = _circle(0.7, samples)
+    for p in P:
+        rows = emit_curve(p, 0.7, samples)
+        assert len(rows) == samples
+        for k in range(half + 1):
+            value = complex(eval_f(p, points[k])[0])
+            assert rows[k] == (points[k].real, points[k].imag,
+                               value.real, value.imag), (p, k)
+        for k in range(1, samples - half):
+            rx, ix, rf, if_ = rows[k]
+            assert rows[samples - k] == (rx, -ix, rf, -if_), (p, k)
 
 
 def test_curve_phase_matches_winding():

@@ -179,27 +179,82 @@ def test_asymptotics_samples_cap(monkeypatch, capsys):
 
 
 def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
-    # the report's winding and the curve come from one pass over the
-    # requested circle; nothing samples the default |x| = 0.7
-    evaluate = asymptotics.eval_f
-    circle = []
+    # the report's winding and the curve come from one pass over the upper
+    # half of the requested circle, in blocks; nothing samples the default
+    # |x| = 0.7
+    evaluate = asymptotics._EVALUATORS[PatternId.P112]
+    blocks = []
 
-    def counting(p, x, *args):
-        if isinstance(x, complex):
-            circle.append(x)
-        return evaluate(p, x, *args)
-    monkeypatch.setattr(asymptotics, "eval_f", counting)
+    def counting(xs, eps):
+        if isinstance(xs[0], complex):
+            blocks.append(list(xs))
+        return evaluate(xs, eps)
+    monkeypatch.setitem(asymptotics._EVALUATORS, PatternId.P112, counting)
     curve = tmp_path / "curve.csv"
     rc = cli.main(["asymptotics", "--pattern", "112", "--radius", "0.6",
                    "--samples", "2048", "--curve-csv", str(curve)])
     assert rc == 0
-    assert len(circle) == 2048
+    circle = [x for block in blocks for x in block]
+    assert len(circle) == 2048 // 2 + 1
+    assert max(map(len, blocks)) <= asymptotics._BLOCK
+    assert all(x.imag >= 0 for x in circle)
     assert all(abs(abs(x) - 0.7) > 1e-3 for x in circle)
     assert len(curve.read_text().splitlines()) == 2049
     monkeypatch.undo()
     report = json.loads(capsys.readouterr().out)
     assert report["winding"] == asymptotics.winding_number(
         PatternId.P112, 0.6, 2048)
+
+
+def test_asymptotics_uncertified_circle_exits_3(monkeypatch, capsys):
+    # a truncation bound above min |f| on the circle leaves the winding
+    # uncertified: a numeric failure, with nothing on stdout
+    evaluate = asymptotics._EVALUATORS[PatternId.P112]
+
+    def loose(xs, eps):
+        return evaluate(xs, eps)[0], 1e6
+    monkeypatch.setitem(asymptotics._EVALUATORS, PatternId.P112, loose)
+    rc = cli.main(["asymptotics", "--pattern", "112", "--samples", "1024"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "not certified" in captured.err
+    assert captured.out == ""
+
+
+# SHA-256 of the stdout of `asymptotics --pattern P --samples 1024
+# --curve-csv c.csv` and of the CSV's data rows 0 .. 512, recorded when
+# every circle point was evaluated on its own.  The rows past 512 are
+# mirrored conjugates now, which differ from those old rows in the last ulp.
+ASYMPTOTICS_DIGESTS = {
+    "111": ("8a9a2efee3c46e2e316c11a2adc0f82cf0279bc66e5dac88ced0a9e70aa57f8e",
+            "1d69b4ce2c54f3b940c9ef945167c6aa6c02d2c1852f00fdb3f2738f45ff5c6d"),
+    "112": ("4c806f36faeb0ac0e349d0b63dc89d7b6be328fb8ecb5e9af714bc61b97d3ab0",
+            "ad30244a2aee3e33994d0add1296e7e652ea8894908d6ff56306ab6dcc7a69e3"),
+    "221": ("8ba637f3680ae59ad0b3c053ac33eaccf94b4462e44af164cb74b530b881783f",
+            "ef568327b2d9aaebbb1d9884d9a31f66415b3336c5d573e18133ab9f6881cd6e"),
+    "123": ("4e01fa5b5229ac1305fd3e7db792d6ee95f6ae4d5274b39180242caca6bf1656",
+            "ef67c7797e727846951546bd5736e7ccadf3bac33870269c53841d80af2e5122"),
+    "peak": ("433f3968643cd54804ba7c4f138a6daf99ca9625bf8128555e65c717f437a37e",
+             "9725e3cf622ab286c137d5e3bccde307efd737e84260aa44c5c3881a7e0be404"),
+    "valley": (
+        "657bd34c29a26cdae80d339175852df0ea23e59663413e6048d39636f75c965e",
+        "427ce5c1c37d0af2b50b90aadd1b6187576ed440e83dcce3bcaa1906850c2c8a"),
+}
+
+
+@pytest.mark.parametrize("pattern", cli.PATTERN_CHOICES)
+def test_asymptotics_matches_golden_digests(pattern, capsys, monkeypatch,
+                                            tmp_path):
+    # stdout (rho, v, K, winding) and the evaluated upper half of the
+    # curve, byte for byte
+    monkeypatch.chdir(tmp_path)
+    argv = ["asymptotics", "--pattern", pattern, "--samples", "1024",
+            "--curve-csv", "c.csv"]
+    stdout, rows = ASYMPTOTICS_DIGESTS[pattern]
+    assert stdout_digest(capsys, argv) == stdout
+    lines = (tmp_path / "c.csv").read_text().splitlines(keepends=True)
+    assert len(lines) == 1025
+    assert hashlib.sha256("".join(lines[1:514]).encode()).hexdigest() == rows
 
 
 def test_asymptotics_unwritable_curve_csv_exits_2(monkeypatch, capsys,
