@@ -14,12 +14,17 @@ the only (simple) zero inside it.  Four of the six statistics have N = 1,
 so f is their denominator evaluator; peak and valley share a nontrivial
 numerator N, and f = (N - S)/N with an odd-index sum S.
 
-All evaluators take a block of points xs with |x| <= 0.8 and a tolerance
-eps, and return ``(values, bound)`` where bound is a guaranteed upper
-bound on the truncation error at every point of the block (floating-point
-rounding aside).  Stopping indices and tail bounds grow with |x|, so they
-are computed once per block at its largest |x|; each point then sees the
-same operations it would see alone.  :func:`eval_f` is a one-point block.
+The evaluators take a block of points xs, its largest modulus ax and a
+tolerance eps, and return ``(values, bound)`` where bound is a guaranteed
+upper bound on the truncation error at every point of the block
+(floating-point rounding aside).  Stopping indices and tail bounds grow
+with |x|, so they are computed once per block at ax; points of modulus ax
+see the same operations they would see alone.  The one entry,
+:func:`_evaluate`, owns the input bounds: finite points with |x| <= 0.8
+and eps >= the smallest normal double.  So every loop ends: each tail
+bound decays at least geometrically in ax <= 0.8 and underflows to 0,
+below eps, within a few thousand terms.  :func:`eval_f` is a one-point
+block.
 
 :func:`estimate` samples f on the circle once: the rows are the exported
 curve and their phase increments give the winding number.  f has real
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .patterns import PatternId
@@ -81,20 +87,8 @@ class AsymptoticEstimate:
         repr=False, compare=False)
 
 
-def _check_domain(xs) -> float:
-    """The largest |x| over the block; every shared bound is taken there."""
-    ax = max(abs(x) for x in xs)
-    if ax > _MAX_ABS:
-        raise DomainError(
-            f"|x| = {ax:.4f} exceeds {_MAX_ABS}; tail bounds unavailable")
-    return ax
-
-
-def _den_111(xs, eps: float):
+def _den_111(xs, ax: float, eps: float):
     """1 - sum_{i>=1} x^i (1 + x^i) / (1 + x^i (1 + x^i))."""
-    ax = _check_domain(xs)
-    if ax == 0:
-        return [1.0 + 0 * x for x in xs], 0.0
     totals = [0 * x for x in xs]
     xis = [1] * len(xs)
     i = 0
@@ -110,15 +104,10 @@ def _den_111(xs, eps: float):
             tail = c * t / (1 - ax)
             if tail < eps:
                 return [1 - total for total in totals], tail
-        if i > 100000:
-            raise AsymptoticsError("111 series did not reach the tolerance")
 
 
-def _den_112(xs, eps: float):
+def _den_112(xs, ax: float, eps: float):
     """1 - sum_{j>=1} x^j prod_{i<j} (1 - x^{2i})."""
-    ax = _check_domain(xs)
-    if ax == 0:
-        return [1.0 + 0 * x for x in xs], 0.0
     # |prod (1 - x^{2i})| <= prod (1 + ax^{2i}) <= exp(ax^2/(1-ax^2))
     cap = math.exp(ax * ax / (1 - ax * ax))
     totals = [0 * x for x in xs]
@@ -133,21 +122,16 @@ def _den_112(xs, eps: float):
         tail = cap * ax ** (j + 1) / (1 - ax)
         if tail < eps:
             return [1 - total for total in totals], tail
-        if j > 100000:
-            raise AsymptoticsError("112 series did not reach the tolerance")
         prods = [prod * (1 - xj * xj) for prod, xj in zip(prods, xjs)]
 
 
-def _den_221(xs, eps: float):
+def _den_221(xs, ax: float, eps: float):
     """1 - sum_{i>=1} x^i prod_{j>=i+1} (1 - x^{2j}).
 
     The infinite guard products are truncated at a common index L once the
     omitted factors differ from 1 by less than eps in sum, then formed as
     suffix products; the block holds L of them per point.
     """
-    ax = _check_domain(xs)
-    if ax == 0:
-        return [1.0 + 0 * x for x in xs], 0.0
     cap = math.exp(ax * ax / (1 - ax * ax))
     L = 1
     while cap * ax ** (L + 1) / (1 - ax) >= eps / 2 \
@@ -186,12 +170,9 @@ def _ensure_poch(poch: list, xs, q: int) -> None:
         poch.append([c * (1 - x ** i) for c, x in zip(poch[-1], xs)])
 
 
-def _den_123(xs, eps: float):
+def _den_123(xs, ax: float, eps: float):
     """1 - x/(1-x) - sum_{p>=3} (-1)^p sum_{j=0}^{p-3}
     C(p-3, j) x^{T(p+j)} / (x;x)_{p+j}  with T(q) = q(q+1)/2."""
-    ax = _check_domain(xs)
-    if ax == 0:
-        return [1.0 + 0 * x for x in xs], 0.0
     c_min = _qpoch_lower(ax)
     poch = [[1] * len(xs)]
     totals = [x / (1 - x) for x in xs]
@@ -211,8 +192,6 @@ def _den_123(xs, eps: float):
         ratio = 2 * ax ** (p + 2)
         if ratio < 0.5 and bound_next / (1 - ratio) < eps:
             return [1 - total for total in totals], bound_next / (1 - ratio)
-        if p > 1000:
-            raise AsymptoticsError("123 series did not reach the tolerance")
 
 
 def _super_sum(xs, ax: float, c_min: float, poch: list, eps: float,
@@ -235,18 +214,13 @@ def _super_sum(xs, ax: float, c_min: float, poch: list, eps: float,
         if bound_next / (1 - ax) < eps:
             return totals, bound_next / (1 - ax)
         j += 1
-        if j > 10000:
-            raise AsymptoticsError("sum did not reach the tolerance")
 
 
-def _f_alternating(xs, eps: float, odd_exp):
+def _f_alternating(xs, ax: float, eps: float, odd_exp):
     """f = (N - S)/N for peak or valley, from the numerator
     N = 1 + sum_{j>=1} x^{j(j+2)} / (x;x)_{2j} and the odd sum
     S = sum_{j>=0} x^{odd_exp(j)} / (x;x)_{2j+1}, each to eps/2.  The
     bound is the largest of the per-point bounds (nb + sb + |f| nb) / |N|."""
-    ax = _check_domain(xs)
-    if ax == 0:
-        return [1.0 + 0 * x for x in xs], 0.0
     c_min = _qpoch_lower(ax)
     poch = [[1] * len(xs)]
     nvs, nb = _super_sum(xs, ax, c_min, poch, eps / 2, lambda j: j * (j + 2),
@@ -273,20 +247,27 @@ _EVALUATORS = {
     PatternId.P112: _den_112,
     PatternId.P221: _den_221,
     PatternId.P123: _den_123,
-    PatternId.PEAK: lambda xs, eps: _f_alternating(
-        xs, eps, lambda j: j * j + 3 * j + 1),
-    PatternId.VALLEY: lambda xs, eps: _f_alternating(
-        xs, eps, lambda j: (j + 1) * (j + 1)),
+    PatternId.PEAK: lambda xs, ax, eps: _f_alternating(
+        xs, ax, eps, lambda j: j * j + 3 * j + 1),
+    PatternId.VALLEY: lambda xs, ax, eps: _f_alternating(
+        xs, ax, eps, lambda j: (j + 1) * (j + 1)),
 }
 
 
 def _evaluate(p: PatternId, xs, eps: float):
     """f at every point of the block xs, as (values, bound): the bound
     holds for each point, because every shared bound grows with |x| and
-    is taken at the largest |x| in the block."""
-    if not eps > 0:  # also rejects NaN
-        raise ValueError("eps must be positive")
-    return _EVALUATORS[p](xs, eps)
+    is taken at the largest |x| in the block.  Raises ValueError unless
+    eps >= sys.float_info.min, and DomainError unless every x is finite
+    with |x| <= 0.8."""
+    if not eps >= sys.float_info.min:  # also rejects NaN
+        raise ValueError(f"eps must be at least {sys.float_info.min}")
+    mags = [abs(x) for x in xs]
+    bad = [x for x, mag in zip(xs, mags) if not mag <= _MAX_ABS]  # NaN too
+    if bad:
+        raise DomainError(f"x = {bad[0]} is not finite with |x| <= "
+                          f"{_MAX_ABS}; tail bounds unavailable")
+    return _EVALUATORS[p](xs, max(mags), eps)
 
 
 def eval_f(p: PatternId, x, eps: float = EVAL_EPS):
@@ -300,26 +281,19 @@ def find_rho(p: PatternId, tol: float = RHO_TOL,
              eps: float = EVAL_EPS) -> float:
     """Smallest positive root of f, by bracket scan then bisection.
 
-    Scans x = 0.5, 0.51, ... for the first sign change from positive
-    (every f starts at f(0) = 1) and bisects the bracket down to width
-    `tol`.  The scan is capped at 0.8, the evaluators' domain; all six
-    statistics root well below that.
+    Evaluates f at x = 0.50, 0.51, ..., 0.80 as one block, takes the
+    first sign change from positive (every f starts at f(0) = 1) and
+    bisects that bracket down to width `tol`.  The scan stops at 0.8, the
+    evaluators' domain; all six statistics root well below that.
     """
-    if tol < 1e-12:
+    if not tol >= 1e-12:  # also rejects NaN
         raise ValueError("tol below 1e-12 exceeds double-precision headroom")
-    xs = 0.5
-    f_prev = eval_f(p, xs, eps)[0]
-    lo = hi = None
-    while xs < _MAX_ABS - 1e-12:
-        x_next = round(xs + 0.01, 10)
-        if x_next > _MAX_ABS:
+    xs = [k / 100 for k in range(50, 81)]
+    fs = _evaluate(p, xs, eps)[0]
+    for lo, hi, f_lo, f_hi in zip(xs, xs[1:], fs, fs[1:]):
+        if f_lo > 0 >= f_hi:
             break
-        f_next = eval_f(p, x_next, eps)[0]
-        if f_prev > 0 >= f_next:
-            lo, hi = xs, x_next
-            break
-        xs, f_prev = x_next, f_next
-    if lo is None:
+    else:
         raise RootNotFoundError(
             f"no sign change of f_{p.value} on (0.5, {_MAX_ABS})")
     while hi - lo > tol:
@@ -346,12 +320,8 @@ def _winding(values: list[complex]) -> int:
 
     Accumulates principal-branch phase increments between consecutive
     samples and refuses to guess across jumps larger than pi/2, which
-    signals under-sampling.
+    signals under-sampling.  No value may be 0; emit_curve certifies it.
     """
-    for idx, value in enumerate(values):
-        if value == 0:
-            raise UndersamplingError(
-                f"f vanishes at sample {idx}; perturb radius or samples")
     samples = len(values)
     total = 0.0
     for idx in range(samples):

@@ -5,13 +5,17 @@ test_acceptance.py; here the focus is the numeric plumbing.
 """
 
 import cmath
+import math
+import sys
 
 import pytest
 
+from comppat import asymptotics
 from comppat.asymptotics import (DomainError, UndersamplingError, _circle,
                                  _den_111, _den_112, _den_123, _den_221,
-                                 _winding, emit_curve, estimate, eval_f,
-                                 find_rho, predict_count, winding_number)
+                                 _evaluate, _winding, emit_curve, estimate,
+                                 eval_f, find_rho, predict_count,
+                                 winding_number)
 from comppat.genfun import avoidance_sequence
 from comppat.patterns import PartSet, PatternId
 
@@ -42,8 +46,25 @@ def test_find_rho_examples():
 
 
 def test_find_rho_rejects_tiny_tolerance():
-    with pytest.raises(ValueError):
-        find_rho(P.P111, tol=1e-14)
+    for tol in (1e-14, float("nan")):
+        with pytest.raises(ValueError):
+            find_rho(P.P111, tol=tol)
+
+
+@pytest.mark.parametrize("p", list(P))
+def test_find_rho_scans_in_one_block(monkeypatch, p):
+    # the bracket scan 0.50, 0.51, ..., 0.80 is one block; only the
+    # bisection evaluates single points
+    evaluate = asymptotics._EVALUATORS[p]
+    sizes = []
+
+    def counting(xs, ax, eps):
+        sizes.append(len(xs))
+        return evaluate(xs, ax, eps)
+    monkeypatch.setitem(asymptotics._EVALUATORS, p, counting)
+    find_rho(p)
+    assert sizes[0] == 31
+    assert len(sizes) > 1 and set(sizes[1:]) == {1}
 
 
 def test_rho_above_half_for_all_patterns():
@@ -53,13 +74,30 @@ def test_rho_above_half_for_all_patterns():
 
 
 def test_eval_domain_guard():
-    with pytest.raises(DomainError):
-        eval_f(P.P112, 0.93)
+    nan = float("nan")
+    for x in (0.93, nan, complex(nan, 0), complex(0.1, nan), float("inf")):
+        with pytest.raises(DomainError):
+            eval_f(P.P112, x)
+        # the bad point need not be the first of its block
+        for p in P:
+            with pytest.raises(DomainError):
+                _evaluate(p, [0.5, x], 1e-12)
+
+
+@pytest.mark.parametrize("p", list(P))
+def test_eval_terminates_at_the_input_bounds(p):
+    # the evaluators have no iteration caps: at the largest |x| and the
+    # smallest eps that _evaluate accepts, every tail bound still drops
+    # below eps after finitely many terms
+    values, bound = _evaluate(p, [0.8, 0.8 * cmath.exp(1j), -0.8, 0.0],
+                              sys.float_info.min)
+    assert all(cmath.isfinite(v) for v in values)
+    assert math.isfinite(bound)
 
 
 @pytest.mark.parametrize("p", list(P))
 def test_eval_rejects_nan_and_nonpositive_eps(p):
-    for eps in (float("nan"), 0.0, -1e-12):
+    for eps in (float("nan"), 0.0, -1e-12, 5e-324, 1e-320):
         with pytest.raises(ValueError, match="eps"):
             eval_f(p, 0.5, eps)
 
@@ -70,7 +108,7 @@ def test_f_is_the_denominator_for_simple_patterns():
             P.P123: _den_123}
     for p, den in dens.items():
         for x in (0.6, 0.7 * cmath.exp(0.73j)):
-            values, bound = den([x], 1e-12)
+            values, bound = den([x], abs(x), 1e-12)
             assert eval_f(p, x, 1e-12) == (values[0], bound), (p, x)
 
 

@@ -185,10 +185,10 @@ def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
     evaluate = asymptotics._EVALUATORS[PatternId.P112]
     blocks = []
 
-    def counting(xs, eps):
+    def counting(xs, ax, eps):
         if isinstance(xs[0], complex):
             blocks.append(list(xs))
-        return evaluate(xs, eps)
+        return evaluate(xs, ax, eps)
     monkeypatch.setitem(asymptotics._EVALUATORS, PatternId.P112, counting)
     curve = tmp_path / "curve.csv"
     rc = cli.main(["asymptotics", "--pattern", "112", "--radius", "0.6",
@@ -211,8 +211,8 @@ def test_asymptotics_uncertified_circle_exits_3(monkeypatch, capsys):
     # uncertified: a numeric failure, with nothing on stdout
     evaluate = asymptotics._EVALUATORS[PatternId.P112]
 
-    def loose(xs, eps):
-        return evaluate(xs, eps)[0], 1e6
+    def loose(xs, ax, eps):
+        return evaluate(xs, ax, eps)[0], 1e6
     monkeypatch.setitem(asymptotics._EVALUATORS, PatternId.P112, loose)
     rc = cli.main(["asymptotics", "--pattern", "112", "--samples", "1024"])
     assert rc == 3
