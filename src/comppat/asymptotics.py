@@ -40,7 +40,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .patterns import PatternId
 
@@ -71,20 +70,33 @@ class UndersamplingError(AsymptoticsError):
     """A winding-number phase step exceeded pi/2; double the samples."""
 
 
-@dataclass(frozen=True)
 class AsymptoticEstimate:
     """Dominant-pole data for one statistic: the avoider count of n is
     approximately constant_K * growth_v ** n.  ``curve`` holds the sampled
-    image of the winding circle, rows (re x, im x, re f, im f)."""
+    image of the winding circle, rows (re x, im x, re f, im f); equality
+    and the repr leave it out."""
 
-    pattern: PatternId
-    rho: float
-    growth_v: float
-    constant_K: float
-    winding: int
-    tolerances: dict
-    curve: list[tuple[float, float, float, float]] = field(
-        repr=False, compare=False)
+    __slots__ = ("pattern", "rho", "growth_v", "constant_K", "winding",
+                 "tolerances", "curve")
+
+    def __init__(self, pattern: PatternId, rho: float, growth_v: float,
+                 constant_K: float, winding: int, tolerances: dict,
+                 curve: list[tuple[float, float, float, float]]):
+        self.pattern, self.rho, self.growth_v = pattern, rho, growth_v
+        self.constant_K, self.winding = constant_K, winding
+        self.tolerances, self.curve = tolerances, curve
+
+    def _fields(self) -> list[tuple[str, object]]:
+        return [(name, getattr(self, name)) for name in self.__slots__[:-1]]
+
+    def __eq__(self, other):
+        if type(other) is not AsymptoticEstimate:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "AsymptoticEstimate(" + ", ".join(
+            f"{name}={value!r}" for name, value in self._fields()) + ")"
 
 
 def _den_111(xs, ax: float, eps: float):
@@ -281,17 +293,21 @@ def find_rho(p: PatternId, tol: float = RHO_TOL,
              eps: float = EVAL_EPS) -> float:
     """Smallest positive root of f, by bracket scan then bisection.
 
-    Evaluates f at x = 0.50, 0.51, ..., 0.80 as one block, takes the
-    first sign change from positive (every f starts at f(0) = 1) and
-    bisects that bracket down to width `tol`.  The scan stops at 0.8, the
-    evaluators' domain; all six statistics root well below that.
+    Evaluates f at x = 0.50, 0.51, ..., 0.65 as one block, then, only if
+    no sign change from positive (every f starts at f(0) = 1) was found,
+    at 0.65, ..., 0.80, and bisects the first such bracket down to width
+    `tol`.  The scan stops at 0.8, the evaluators' domain; all six
+    statistics root below 0.65.
     """
     if not tol >= 1e-12:  # also rejects NaN
         raise ValueError("tol below 1e-12 exceeds double-precision headroom")
-    xs = [k / 100 for k in range(50, 81)]
-    fs = _evaluate(p, xs, eps)[0]
-    for lo, hi, f_lo, f_hi in zip(xs, xs[1:], fs, fs[1:]):
-        if f_lo > 0 >= f_hi:
+    for ks in (range(50, 66), range(65, 81)):
+        xs = [k / 100 for k in ks]
+        fs = _evaluate(p, xs, eps)[0]
+        brackets = [(lo, hi) for lo, hi, f_lo, f_hi
+                    in zip(xs, xs[1:], fs, fs[1:]) if f_lo > 0 >= f_hi]
+        if brackets:
+            lo, hi = brackets[0]
             break
     else:
         raise RootNotFoundError(

@@ -20,11 +20,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import sys
-from typing import Iterable
+from collections.abc import Iterable
 
-from . import __version__, asymptotics, genfun, words
+from . import __version__
 from .patterns import (PartSet, PatternId, brute_force_table,
                        brute_force_word_table)
 
@@ -74,6 +73,7 @@ def _envelope(command: list[str], **payload) -> dict:
 
 
 def _emit_json(report: dict, entries: Iterable[str] = ()) -> None:
+    import json
     # A table report carries "coefficients": [] and its entries come
     # preformatted, written in batches: under indent, json's encoder is pure
     # Python, about seven times slower on an order-60 expand table.
@@ -90,6 +90,7 @@ def _emit_json(report: dict, entries: Iterable[str] = ()) -> None:
 
 
 def cmd_expand(args, argv: list[str]) -> int:
+    from . import genfun
     part_set = parse_set_spec(args.set)
     _require(0 <= args.order <= MAX_ORDER,
              f"--order: must be between 0 and {MAX_ORDER}")
@@ -113,6 +114,7 @@ def cmd_expand(args, argv: list[str]) -> int:
 
 
 def cmd_avoiders(args, argv: list[str]) -> int:
+    from . import genfun
     part_set = parse_set_spec(args.set)
     _require(0 <= args.order <= MAX_ORDER,
              f"--order: must be between 0 and {MAX_ORDER}")
@@ -133,6 +135,7 @@ def cmd_avoiders(args, argv: list[str]) -> int:
 
 
 def cmd_asymptotics(args, argv: list[str]) -> int:
+    from . import asymptotics
     _require(0 < args.radius < 0.8, "--radius: must lie in (0, 0.8)")
     _require(1024 <= args.samples <= MAX_SAMPLES,
              f"--samples: must be between 1024 and {MAX_SAMPLES}")
@@ -145,7 +148,11 @@ def cmd_asymptotics(args, argv: list[str]) -> int:
             raise UsageError(f"--curve-csv: cannot write {args.curve_csv!r}: "
                              f"{exc.strerror}") from None
     with curve as fh:
-        est = asymptotics.estimate(args.pattern, args.radius, args.samples)
+        try:
+            est = asymptotics.estimate(args.pattern, args.radius, args.samples)
+        except asymptotics.AsymptoticsError as exc:
+            sys.stderr.write(f"comppat: numeric failure: {exc}\n")
+            return 3
         if fh is not None:
             fh.write("re_x,im_x,re_f,im_f\n")
             for rx, ix, rf, if_ in est.curve:
@@ -167,6 +174,7 @@ def cmd_asymptotics(args, argv: list[str]) -> int:
 
 
 def cmd_verify(args, argv: list[str]) -> int:
+    from . import genfun, words
     if args.words:
         _require(args.k is not None, "-k: required with --words")
         _require(args.max_m is not None, "--max-m: required with --words")
@@ -201,6 +209,7 @@ def cmd_verify(args, argv: list[str]) -> int:
 
 
 def cmd_words(args, argv: list[str]) -> int:
+    from . import words
     _require(1 <= args.k <= MAX_WORDS_K,
              f"-k: alphabet size must be between 1 and {MAX_WORDS_K}")
     _require(0 <= args.order <= MAX_ORDER,
@@ -288,9 +297,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"comppat: error: {exc}\n")
         return 2
-    except asymptotics.AsymptoticsError as exc:
-        sys.stderr.write(f"comppat: numeric failure: {exc}\n")
-        return 3
 
 
 def run() -> None:

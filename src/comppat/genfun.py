@@ -19,8 +19,8 @@ truncation, so this is exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import comb
-from typing import Sequence
 
 from .patterns import PartSet, PatternId, check_parts
 from .series import TruncatedSeries, make_monomial, one, zero

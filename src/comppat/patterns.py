@@ -33,9 +33,8 @@ exhaustive reference the tests check the count against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
 
 
 class PatternId(Enum):
@@ -63,7 +62,6 @@ def check_parts(parts: Iterable[int]) -> tuple[int, ...]:
     return parts
 
 
-@dataclass(frozen=True)
 class PartSet:
     """An ordered set of allowed parts: an explicit finite set or all of N.
 
@@ -73,17 +71,29 @@ class PartSet:
     composition of n <= N).
     """
 
-    parts: tuple[int, ...] = ()
-    is_nat: bool = False
+    __slots__ = ("parts", "is_nat")
 
-    def __post_init__(self):
-        if self.is_nat:
-            if self.parts:
-                raise ValueError("the naturals take no explicit parts")
-            return
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...] = (), is_nat: bool = False):
+        if is_nat and parts:
+            raise ValueError("the naturals take no explicit parts")
+        if not (is_nat or check_parts(parts)):
             raise ValueError("explicit part set must be nonempty")
-        check_parts(self.parts)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "is_nat", is_nat)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not PartSet:
+            return NotImplemented
+        return (self.parts, self.is_nat) == (other.parts, other.is_nat)
+
+    def __hash__(self):
+        return hash((self.parts, self.is_nat))
+
+    def __repr__(self) -> str:
+        return f"PartSet(parts={self.parts!r}, is_nat={self.is_nat!r})"
 
     @classmethod
     def of(cls, *parts: int) -> "PartSet":
@@ -114,13 +124,13 @@ STEPS = {
 }
 
 
-@dataclass
 class OccurrenceTable:
     """Oracle counts: (n, m, r) -> compositions of n with m parts and r
     occurrences, or (m, r) -> words of length m with r occurrences.  Zero
     cells are not stored."""
 
-    counts: dict = field(default_factory=dict)
+    def __init__(self, counts: dict):
+        self.counts = counts
 
 
 def count_occurrences(parts: Sequence[int], p: PatternId) -> int:

@@ -27,7 +27,7 @@ series, so they can be shared freely.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 Triple = tuple[int, int, int]
 Rows = dict[int, dict[int, int]]  # n -> m -> y-polynomial packed in one int

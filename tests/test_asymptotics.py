@@ -53,18 +53,60 @@ def test_find_rho_rejects_tiny_tolerance():
 
 @pytest.mark.parametrize("p", list(P))
 def test_find_rho_scans_in_one_block(monkeypatch, p):
-    # the bracket scan 0.50, 0.51, ..., 0.80 is one block; only the
-    # bisection evaluates single points
+    # every statistic roots below 0.65, so the bracket scan is the one
+    # block 0.50, 0.51, ..., 0.65; only the bisection evaluates single
+    # points
     evaluate = asymptotics._EVALUATORS[p]
-    sizes = []
+    blocks = []
 
     def counting(xs, ax, eps):
-        sizes.append(len(xs))
+        blocks.append((xs[0], len(xs), ax))
         return evaluate(xs, ax, eps)
     monkeypatch.setitem(asymptotics._EVALUATORS, p, counting)
     find_rho(p)
-    assert sizes[0] == 31
-    assert len(sizes) > 1 and set(sizes[1:]) == {1}
+    assert blocks[0] == (0.5, 16, 0.65)
+    assert len(blocks) > 1 and {n for _, n, _ in blocks[1:]} == {1}
+
+
+@pytest.mark.parametrize("root", [0.6505, 0.655, 0.6599, 0.7777])
+def test_find_rho_scans_the_upper_block_only_without_a_bracket(
+        monkeypatch, root):
+    # a root above 0.65 is found in the second block, 0.65 ... 0.80,
+    # which repeats 0.65 so that the pair (0.65, 0.66) is not skipped
+    blocks = []
+
+    def linear(xs, ax, eps):
+        blocks.append((xs[0], len(xs), ax))
+        return [root - x for x in xs], 0.0
+    monkeypatch.setitem(asymptotics._EVALUATORS, P.P111, linear)
+    assert abs(find_rho(P.P111) - root) < 1e-10
+    assert blocks[:2] == [(0.5, 16, 0.65), (0.65, 16, 0.8)]
+    assert {n for _, n, _ in blocks[2:]} == {1}
+
+
+def test_find_rho_without_a_sign_change_scans_both_blocks(monkeypatch):
+    sizes = []
+
+    def positive(xs, ax, eps):
+        sizes.append(len(xs))
+        return [1.0] * len(xs), 0.0
+    monkeypatch.setitem(asymptotics._EVALUATORS, P.P111, positive)
+    with pytest.raises(asymptotics.RootNotFoundError):
+        find_rho(P.P111)
+    assert sizes == [16, 16]
+
+
+def test_estimate_equality_and_repr_leave_out_the_curve(default_estimate):
+    est = default_estimate(P.P111)
+    fields = {name: getattr(est, name) for name in (
+        "pattern", "rho", "growth_v", "constant_K", "winding", "tolerances")}
+    same = asymptotics.AsymptoticEstimate(**fields, curve=[])
+    assert same == est and same.curve == [] and est.curve
+    assert repr(same) == repr(est)
+    assert "curve" not in repr(est)
+    assert repr(est).startswith("AsymptoticEstimate(pattern=<PatternId.P111")
+    assert same != asymptotics.AsymptoticEstimate(
+        **dict(fields, winding=2), curve=est.curve)
 
 
 def test_rho_above_half_for_all_patterns():

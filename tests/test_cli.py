@@ -279,6 +279,19 @@ def test_asymptotics_numeric_failure_exits_3(monkeypatch):
     assert rc == 3
 
 
+def test_asymptotics_root_not_found_exits_3(monkeypatch, capsys):
+    # raised inside the estimate, below the subcommand's handler
+    def no_root(*args):
+        raise asymptotics.RootNotFoundError("no sign change of f_111")
+    monkeypatch.setattr(asymptotics, "find_rho", no_root)
+    rc = cli.main(["asymptotics", "--pattern", "111"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "comppat: numeric failure: no sign change of f_111\n"
+
+
 def test_asymptotics_base_numeric_failure_exits_3(monkeypatch, capsys):
     def boom(*args):
         raise asymptotics.AsymptoticsError("numerator nearly vanishes")

@@ -34,6 +34,23 @@ def test_part_set_validation():
         PartSet.of()
     with pytest.raises(ValueError, match="positive integers"):
         PartSet.of(1.5, 2)
+    with pytest.raises(ValueError, match="no explicit parts"):
+        PartSet(parts=(1,), is_nat=True)
+
+
+def test_part_set_is_an_immutable_value():
+    a, b = PartSet.of(1, 3), PartSet(parts=(1, 3))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != PartSet.of(1, 4) and a != PartSet.naturals()
+    assert PartSet.naturals() == PartSet(is_nat=True)
+    assert len({a, b, PartSet.naturals(), PartSet.naturals()}) == 2
+    assert a != (1, 3)
+    assert repr(a) == "PartSet(parts=(1, 3), is_nat=False)"
+    assert repr(PartSet.naturals()) == "PartSet(parts=(), is_nat=True)"
+    for name, value in (("parts", (2,)), ("is_nat", True), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    assert a.parts == (1, 3) and not a.is_nat
 
 
 # -- one window ----------------------------------------------------------
