@@ -23,6 +23,8 @@ import itertools
 import sys
 from collections.abc import Iterable
 
+# genfun, words, asymptotics and json are imported by the handlers that
+# run them, so a launch loads only what its subcommand needs.
 from . import __version__
 from .patterns import (PartSet, PatternId, brute_force_table,
                        brute_force_word_table)
