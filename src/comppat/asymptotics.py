@@ -50,7 +50,8 @@ WINDING_SAMPLES = 4096
 WINDING_RADIUS = 0.7
 _MAX_ABS = 0.8
 # Circle points per evaluator call.  A block shares its stopping indices
-# and tail bounds; 221 keeps L suffix products per point alive at once.
+# and tail bounds, and 123 its (x;x)_q and x^T(q) caches; 221 forms its
+# L suffix products one point at a time.
 _BLOCK = 64
 
 
@@ -101,40 +102,43 @@ class AsymptoticEstimate:
 
 def _den_111(xs, ax: float, eps: float):
     """1 - sum_{i>=1} x^i (1 + x^i) / (1 + x^i (1 + x^i))."""
-    totals = [0 * x for x in xs]
-    xis = [1] * len(xs)
     i = 0
     while True:
         i += 1
-        xis = [xi * x for xi, x in zip(xis, xs)]
-        totals = [total + xi * (1 + xi) / (1 + xi * (1 + xi))
-                  for total, xi in zip(totals, xis)]
         t = ax ** (i + 1)
         if t * (1 + t) < 0.5:
             # remaining terms are bounded by c * ax^j with j > i
             c = (1 + t) / (1 - t * (1 + t))
             tail = c * t / (1 - ax)
             if tail < eps:
-                return [1 - total for total in totals], tail
+                break
+    values = []
+    for x in xs:
+        total, xi = 0 * x, 1
+        for _ in range(i):
+            xi = xi * x
+            total = total + xi * (1 + xi) / (1 + xi * (1 + xi))
+        values.append(1 - total)
+    return values, tail
 
 
 def _den_112(xs, ax: float, eps: float):
     """1 - sum_{j>=1} x^j prod_{i<j} (1 - x^{2i})."""
     # |prod (1 - x^{2i})| <= prod (1 + ax^{2i}) <= exp(ax^2/(1-ax^2))
     cap = math.exp(ax * ax / (1 - ax * ax))
-    totals = [0 * x for x in xs]
-    prods = [1] * len(xs)
-    xjs = [1] * len(xs)
-    j = 0
-    while True:
+    j = 1
+    while cap * ax ** (j + 1) / (1 - ax) >= eps:
         j += 1
-        xjs = [xj * x for xj, x in zip(xjs, xs)]
-        totals = [total + xj * prod
-                  for total, xj, prod in zip(totals, xjs, prods)]
-        tail = cap * ax ** (j + 1) / (1 - ax)
-        if tail < eps:
-            return [1 - total for total in totals], tail
-        prods = [prod * (1 - xj * xj) for prod, xj in zip(prods, xjs)]
+    tail = cap * ax ** (j + 1) / (1 - ax)
+    values = []
+    for x in xs:
+        total, prod, xj = 0 * x, 1, 1
+        for _ in range(j):
+            xj = xj * x
+            total = total + xj * prod
+            prod = prod * (1 - xj * xj)
+        values.append(1 - total)
+    return values, tail
 
 
 def _den_221(xs, ax: float, eps: float):
@@ -142,7 +146,7 @@ def _den_221(xs, ax: float, eps: float):
 
     The infinite guard products are truncated at a common index L once the
     omitted factors differ from 1 by less than eps in sum, then formed as
-    suffix products; the block holds L of them per point.
+    suffix products, one point at a time.
     """
     cap = math.exp(ax * ax / (1 - ax * ax))
     L = 1
@@ -151,18 +155,22 @@ def _den_221(xs, ax: float, eps: float):
         L += 1
     prod_tail_sum = ax ** (2 * (L + 1)) / (1 - ax * ax)
     prod_err = math.expm1(prod_tail_sum)
-    # suffix[i][k] = prod_{j=i+1..L} (1 - x_k^{2j})
-    suffix = [[1 + 0 * x for x in xs]] * (L + 2)
-    for i in range(L - 1, 0, -1):
-        e = 2 * (i + 1)
-        suffix[i] = [s * (1 - x ** e) for s, x in zip(suffix[i + 1], xs)]
-    totals = [0 * x for x in xs]
-    for i in range(1, L + 1):
-        totals = [total + x ** i * s
-                  for total, x, s in zip(totals, xs, suffix[i])]
+    # each x ** e once: e <= L in the sum, even e <= 2L in the guards
+    exps = {*range(1, L + 1), *range(4, 2 * L + 1, 2)}
+    values = []
+    for x in xs:
+        pw = {e: x ** e for e in exps}
+        # suffix[i] = prod_{j=i+1..L} (1 - x^{2j})
+        suffix = [1 + 0 * x] * (L + 2)
+        for i in range(L - 1, 0, -1):
+            suffix[i] = suffix[i + 1] * (1 - pw[2 * (i + 1)])
+        total = 0 * x
+        for i in range(1, L + 1):
+            total = total + pw[i] * suffix[i]
+        values.append(1 - total)
     outer_tail = cap * ax ** (L + 1) / (1 - ax)
     inner_tail = prod_err * cap * ax / (1 - ax)
-    return [1 - total for total in totals], outer_tail + inner_tail
+    return values, outer_tail + inner_tail
 
 
 def _qpoch_lower(ax: float) -> float:
@@ -187,6 +195,7 @@ def _den_123(xs, ax: float, eps: float):
     C(p-3, j) x^{T(p+j)} / (x;x)_{p+j}  with T(q) = q(q+1)/2."""
     c_min = _qpoch_lower(ax)
     poch = [[1] * len(xs)]
+    x_tri = {}  # q -> [x ** T(q) for x in xs]
     totals = [x / (1 - x) for x in xs]
     p = 2
     while True:
@@ -195,9 +204,11 @@ def _den_123(xs, ax: float, eps: float):
         for j in range(p - 2):
             q = p + j
             _ensure_poch(poch, xs, q)
-            c, e = math.comb(p - 3, j), q * (q + 1) // 2
-            inner = [s + c * x ** e / pq
-                     for s, x, pq in zip(inner, xs, poch[q])]
+            if q not in x_tri:
+                x_tri[q] = [x ** (q * (q + 1) // 2) for x in xs]
+            c = math.comb(p - 3, j)
+            inner = [s + c * xe / pq
+                     for s, xe, pq in zip(inner, x_tri[q], poch[q])]
         sign = (-1) ** p
         totals = [total + sign * s for total, s in zip(totals, inner)]
         bound_next = (2 ** (p - 2)) * ax ** ((p + 1) * (p + 2) // 2) / c_min

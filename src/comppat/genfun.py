@@ -4,13 +4,15 @@
 x^n z^m y^r counts compositions of n with m parts in A and exactly r
 occurrences of the statistic, truncated at a given x-order; each
 statistic's series is one numerator/denominator pair from ``_NUM_DEN``.
-:func:`avoidance_sequence` specializes the pair to y := 0, z := 1 before
-the single inversion.
 
-The builders see the parts only through their weights: the ordered list
-of monomials b_i, one per part.  A part a weighs x^a z.  Word series
-(:mod:`comppat.words`) run the same formulas with every letter weighing
-x z, so x and z both mark the length and the keys are (m, m, r).
+The builders see the parts only through their weights, the ordered list
+of monomials b_i, one per part, and the statistic only through the ring
+element y they are given.  :func:`build_gf` passes the weights x^a z and
+the monomial y.  :func:`avoidance_sequence` builds in the image of
+y := 0, z := 1: it passes the weights x^a and y = 0, so every series is
+in effect in Z[[x]].  Word series (:mod:`comppat.words`) run the same
+formulas with every letter weighing x z, so x and z both mark the length
+and the keys are (m, m, r).
 
 The naturals are handled by materializing A = {1..order}: parts larger than
 the truncation order cannot appear in any composition that survives the
@@ -28,9 +30,9 @@ from .series import TruncatedSeries, make_monomial, one, zero
 Weights = Sequence[TruncatedSeries]  # one monomial per part, in part order
 
 
-def _weights(A, order: int) -> list[TruncatedSeries]:
-    """The weights x^a z of the parts relevant at this x-truncation, in
-    increasing order of a.
+def _weights(A, order: int, z_exp: int = 1) -> list[TruncatedSeries]:
+    """The weights x^a z^z_exp (z_exp = 0 in the z := 1 image) of the parts
+    relevant at this x-truncation, in increasing order of a.
 
     Accepts a PartSet or any iterable of parts (possibly empty, for the
     degenerate bases of the recursions).  Parts beyond the order are
@@ -41,11 +43,7 @@ def _weights(A, order: int) -> list[TruncatedSeries]:
         parts = A.materialize(order)
     else:
         parts = tuple(a for a in check_parts(A) if a <= order)
-    return [make_monomial(order, a, 1, 0) for a in parts]
-
-
-def _one_minus_y(order: int) -> TruncatedSeries:
-    return one(order) - make_monomial(order, 0, 0, 1)
+    return [make_monomial(order, a, z_exp, 0) for a in parts]
 
 
 def powers(base: TruncatedSeries, top: int) -> list[TruncatedSeries]:
@@ -59,34 +57,34 @@ def powers(base: TruncatedSeries, top: int) -> list[TruncatedSeries]:
 # ---------------------------------------------------------------------------
 # numerator / denominator pairs
 #
-# Every statistic's series is num/den with den of constant term 1.  Keeping
-# the two halves separate lets the y and z specializations (which are ring
-# homomorphisms) happen before the single expensive inversion.
+# Every statistic's series is num/den with den of constant term 1.  Each
+# builder takes the weights and the ring element that stands for y, and
+# reads the truncation order from y.
 # ---------------------------------------------------------------------------
 
-def _num_den_111(weights: Weights, order: int):
+def _num_den_111(weights: Weights, y: TruncatedSeries):
     """111 (level + level):
 
     1 / (1 - sum over a in A of x^a z (1 + (1-y) x^a z)
                                 / (1 + x^a z (1 + x^a z)(1-y))).
     """
-    unit = one(order)
-    total = zero(order)
+    unit = one(y.order)
+    total = zero(y.order)
     for b in weights:
-        numer, denom = _term_111(b)
+        numer, denom = _term_111(b, y)
         total = total + numer / denom
     return unit, unit - total
 
 
-def _term_111(b: TruncatedSeries):
+def _term_111(b: TruncatedSeries, y: TruncatedSeries):
     """Numerator and denominator of one part's term in the 111 sum,
     b (1 + (1-y) b) / (1 + b (1+b) (1-y)), for the part weight b."""
-    unit = one(b.order)
-    omy = _one_minus_y(b.order)
+    unit = one(y.order)
+    omy = unit - y
     return b * (unit + omy * b), unit + b * (unit + b) * omy
 
 
-def _num_den_level(weights: Weights, order: int, mirrored: bool):
+def _num_den_level(weights: Weights, y: TruncatedSeries, mirrored: bool):
     """112 (level + rise):
 
     1 / (1 - sum_j x^{a_j} z * prod_{i<j} (1 - (1-y) x^{2 a_i} z^2)).
@@ -94,10 +92,10 @@ def _num_den_level(weights: Weights, order: int, mirrored: bool):
     221 (level + drop), ``mirrored``, is its mirror with the guard product
     over the parts larger than a_j.
     """
-    unit = one(order)
-    omy = _one_minus_y(order)
+    unit = one(y.order)
+    omy = unit - y
     prod = unit
-    total = zero(order)
+    total = zero(y.order)
     for b in (reversed(weights) if mirrored else weights):
         total = total + b * prod
         prod = prod * (unit - omy * b * b)
@@ -122,12 +120,12 @@ def _t_polys(weights: Weights, order: int) -> list[TruncatedSeries]:
     return t
 
 
-def _den_123(t: list[TruncatedSeries], order: int) -> TruncatedSeries:
+def _den_123(t: list[TruncatedSeries], y: TruncatedSeries):
     top = len(t) - 1
-    den = one(order)
+    den = one(y.order)
     if top >= 1:
         den = den - t[1]
-    ym1 = powers(make_monomial(order, 0, 0, 1) - 1, max(top - 2, 0))
+    ym1 = powers(y - 1, max(top - 2, 0))
     for p in range(3, top + 1):
         # the terms of one p share (y-1)^(p-2): sum them, then multiply once
         group = t[p]
@@ -137,13 +135,13 @@ def _den_123(t: list[TruncatedSeries], order: int) -> TruncatedSeries:
     return den
 
 
-def _num_den_123(weights: Weights, order: int):
+def _num_den_123(weights: Weights, y: TruncatedSeries):
     """123 (rise + rise):
 
     1 / (1 - t^1(A) - sum_{p>=3} sum_{j=0}^{p-3} C(p-3, j) t^{p+j}(A)
                          (y-1)^{p-2}).
     """
-    return one(order), _den_123(_t_polys(weights, order), order)
+    return one(y.order), _den_123(_t_polys(weights, y.order), y)
 
 
 def _mn_polys(weights: Weights, order: int,
@@ -179,7 +177,8 @@ def _mn_polys(weights: Weights, order: int,
     return m, n
 
 
-def _num_den_peak_valley(weights: Weights, order: int, valley: bool):
+def _num_den_peak_valley(weights: Weights, y: TruncatedSeries,
+                         valley: bool):
     """peak (rise + drop):
 
         (1 + sum_{j>=1} M^{2j} (1-y)^j)
@@ -188,21 +187,21 @@ def _num_den_peak_valley(weights: Weights, order: int, valley: bool):
     valley (drop + rise), ``valley``, has the same numerator with N^{2j+1}
     replacing M^{2j+1} in the denominator.
     """
-    m, n = _mn_polys(weights, order)
-    return _num_den_alternating(m, n if valley else m, order)
+    m, n = _mn_polys(weights, y.order)
+    return _num_den_alternating(m, n if valley else m, y)
 
 
 def _num_den_alternating(m: list[TruncatedSeries],
-                         odd: list[TruncatedSeries], order: int):
+                         odd: list[TruncatedSeries], y: TruncatedSeries):
     """The peak/valley pair from the tuple sums: M^{2j} from m for the
     numerator, and the odd-length sums (M for peak, N for valley) from
     odd; len(m) - 1 is the longest tuple length that enters."""
     top = len(m) - 1
-    omy_pow = powers(_one_minus_y(order), top // 2)
-    num = one(order)
+    omy_pow = powers(1 - y, top // 2)
+    num = one(y.order)
     for j in range(1, top // 2 + 1):
         num = num + m[2 * j] * omy_pow[j]
-    sub = zero(order)
+    sub = zero(y.order)
     for j in range((top + 1) // 2):
         sub = sub + odd[2 * j + 1] * omy_pow[j]
     return num, num - sub
@@ -210,15 +209,13 @@ def _num_den_alternating(m: list[TruncatedSeries],
 
 _NUM_DEN = {
     PatternId.P111: _num_den_111,
-    PatternId.P112: lambda weights, order: _num_den_level(weights, order,
-                                                          False),
-    PatternId.P221: lambda weights, order: _num_den_level(weights, order,
-                                                          True),
+    PatternId.P112: lambda weights, y: _num_den_level(weights, y, False),
+    PatternId.P221: lambda weights, y: _num_den_level(weights, y, True),
     PatternId.P123: _num_den_123,
-    PatternId.PEAK: lambda weights, order: _num_den_peak_valley(
-        weights, order, False),
-    PatternId.VALLEY: lambda weights, order: _num_den_peak_valley(
-        weights, order, True),
+    PatternId.PEAK: lambda weights, y: _num_den_peak_valley(weights, y,
+                                                            False),
+    PatternId.VALLEY: lambda weights, y: _num_den_peak_valley(weights, y,
+                                                              True),
 }
 
 
@@ -232,21 +229,19 @@ def _check_counts(series: TruncatedSeries) -> TruncatedSeries:
 
 def build_gf(p: PatternId, A, order: int) -> TruncatedSeries:
     """The closed-form counting series for statistic p over A."""
-    num, den = _NUM_DEN[p](_weights(A, order), order)
+    num, den = _NUM_DEN[p](_weights(A, order), make_monomial(order, 0, 0, 1))
     return _check_counts(num / den)
 
 
 def avoidance_sequence(p: PatternId, A, order: int) -> list[int]:
     """Counts of p-avoiding compositions of n = 0..order with parts in A.
 
-    Sets y := 0 and z := 1 in the builder.  Both substitutions are ring
-    homomorphisms of the x-truncated ring, so applying them to numerator
-    and denominator before the final inversion gives the same values as
-    substituting on the full trivariate series (the test suite checks
-    this), while keeping the inversion univariate.
+    Runs the builder in the image of y := 0, z := 1, with the weights x^a
+    and y = 0.  Both substitutions are ring homomorphisms of the
+    x-truncated ring, so this gives the same values as substituting on
+    the full trivariate series (the test suite checks this), while every
+    product and the single inversion stay univariate.
     """
-    num, den = _NUM_DEN[p](_weights(A, order), order)
-    num0 = num.substitute_y0().substitute_z1()
-    den0 = den.substitute_y0().substitute_z1()
-    series = num0 / den0
+    num, den = _NUM_DEN[p](_weights(A, order, z_exp=0), zero(order))
+    series = num / den
     return [series.coefficient(n, 0, 0) for n in range(order + 1)]

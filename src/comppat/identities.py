@@ -22,8 +22,8 @@ production code computes, or exposes one of its intermediate series:
 * :func:`u_poly`, :func:`u_poly_generating_function`,
   :func:`w123_chebyshev` -- the U-polynomial form of 123 over {1..k};
   checks ``words.w123_closed`` (what ``words.word_gf`` runs for 123).
-* :func:`w123_avoid_aj` -- the 123-avoiding words (y = 0 slice); checks
-  ``words.word_gf(PatternId.P123, ...).substitute_y0()``.
+* :func:`w123_avoid_aj` -- the 123-avoiding words; checks the y = 0
+  slice of ``words.word_gf(PatternId.P123, ...)``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import comb
 
 from .genfun import (_NUM_DEN, _check_counts, _den_123, _mn_polys,
-                     _one_minus_y, _t_polys, _weights, powers)
+                     _t_polys, _weights, powers)
 from .patterns import PatternId
 from .series import TruncatedSeries, make_monomial, one, zero
 from .words import _z
@@ -59,13 +59,14 @@ def d_series(A, order: int) -> TruncatedSeries:
     t = _t_polys(_weights(A, order), order)
     top = len(t) - 1
     num = one(order)
-    ym1 = powers(make_monomial(order, 0, 0, 1) - 1, max(top - 1, 0))
+    y = make_monomial(order, 0, 0, 1)
+    ym1 = powers(y - 1, max(top - 1, 0))
     for p in range(2, top + 1):
         for j in range(p - 1):
             if p + j > top:
                 break
             num = num + comb(p - 2, j) * t[p + j] * ym1[p - 1]
-    return num / _den_123(t, order)
+    return num / _den_123(t, y)
 
 
 def gf_123_recursive(A, order: int) -> TruncatedSeries:
@@ -78,7 +79,7 @@ def gf_123_recursive(A, order: int) -> TruncatedSeries:
     starting from C = D = 1 for the empty set.
     """
     unit = one(order)
-    omy = _one_minus_y(order)
+    omy = 1 - make_monomial(order, 0, 0, 1)
     c = unit
     d = unit
     for b in reversed(_weights(A, order)):
@@ -138,8 +139,8 @@ def gf_peak_recursive(A, order: int) -> TruncatedSeries:
     unit = one(order)
     if not weights:
         return unit
-    omy = _one_minus_y(order)
     yy = make_monomial(order, 0, 0, 1)
+    omy = 1 - yy
     c = (unit - weights[0]).reciprocal()
     for b in weights[1:]:
         numer = (unit + b * omy) * c - b * omy
@@ -201,7 +202,7 @@ def nat_closed_forms(kind: str, s_or_p: int, order: int) -> TruncatedSeries:
 def word_gf_builders(p: PatternId, k: int, order: int) -> TruncatedSeries:
     """The word series for p over {1..k} from the composition builders run
     part by part, with each of the k letters weighing x z."""
-    num, den = _NUM_DEN[p]([_z(order)] * k, order)
+    num, den = _NUM_DEN[p]([_z(order)] * k, _z(order, 0, 1))
     return _check_counts(num / den)
 
 

@@ -13,12 +13,14 @@ stored sparsely as a map from exponent triples ``(n, m, r)`` to nonzero
 coefficients; zero is never stored, which makes equality structural, and
 callers read the tuple-keyed ``coeffs`` map directly.
 
-Inside ``*`` and ``/`` each (n, m) row's y-polynomial is packed into one
-int, its value at y = 2**W, so a row product is one big-int multiply
-(Kronecker substitution in y only, whose rows are dense; Harvey, JSC
-2009).  Rows are read back as balanced digits, in [-2**(W-1), 2**(W-1)):
-W comes from the operands' absolute sums for ``*``, and for ``/``, which
-solves q = num + t q (den = 1 - t) degree by degree in x with q packed
+A product with a one-term factor c x^a z^b y^e shifts the other
+operand's keys by (a, b, e) and scales them by c.  Any other ``*``, and
+every ``/``, packs each (n, m) row's y-polynomial into one int, its
+value at y = 2**W, so a row product is one big-int multiply (Kronecker
+substitution in y only, whose rows are dense; Harvey, JSC 2009).  Rows
+are read back as balanced digits, in [-2**(W-1), 2**(W-1)): W comes from
+the operands' absolute sums for ``*``, and for ``/``, which solves
+q = num + t q (den = 1 - t) degree by degree in x with q packed
 throughout, from the exact majorant |num|(x,1,1) / (1 - |t|(x,1,1)).
 
 Values are immutable once constructed: every operation returns a fresh
@@ -174,6 +176,14 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
+        for mono, rest in ((self, other), (other, self)):
+            if len(mono.coeffs) == 1:
+                # c x^a z^b y^e shifts the other's keys by (a, b, e)
+                ((a, b, e), c), = mono.coeffs.items()
+                top = self.order - a
+                return self._wrap({(n + a, m + b, r + e): c * v
+                                   for (n, m, r), v in rest.coeffs.items()
+                                   if n <= top})
         # No coefficient exceeds the product of the operands' absolute sums.
         width = (sum(self._abs_sums())
                  * sum(other._abs_sums())).bit_length() + 1
@@ -251,24 +261,6 @@ class TruncatedSeries:
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse within the truncated ring: ``1 / self``."""
         return one(self.order) / self
-
-    # -- substitutions -------------------------------------------------
-
-    def substitute_y0(self) -> "TruncatedSeries":
-        """Set y := 0, i.e. keep only the occurrence-free (r = 0) terms."""
-        return self._wrap({k: c for k, c in self.coeffs.items() if k[2] == 0})
-
-    def substitute_z1(self) -> "TruncatedSeries":
-        """Set z := 1, i.e. forget the number of parts by summing over m."""
-        out: dict[Triple, int] = {}
-        for (n, _m, r), c in self.coeffs.items():
-            key = (n, 0, r)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return self._wrap(out)
 
     # -- plumbing --------------------------------------------------------
 

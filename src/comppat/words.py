@@ -53,7 +53,7 @@ def w111_closed(k: int, order: int) -> TruncatedSeries:
 
         (1 + z(1+z)(1-y)) / (1 - (k-1+y) z - (k-1)(1-y) z^2).
     """
-    numer, denom = _term_111(_z(order))
+    numer, denom = _term_111(_z(order), _z(order, 0, 1))
     return denom / (denom - k * numer)
 
 
@@ -87,7 +87,7 @@ def w123_closed(k: int, order: int) -> TruncatedSeries:
                  C(p-3, j) C(k, p+j) z^{p+j} (y-1)^{p-2}).
     """
     t = [_z(order, p, 0, comb(k, p)) for p in range(min(k, order) + 1)]
-    return _den_123(t, order).reciprocal()
+    return _den_123(t, _z(order, 0, 1)).reciprocal()
 
 
 def w_peak_closed(k: int, order: int) -> TruncatedSeries:
@@ -100,7 +100,7 @@ def w_peak_closed(k: int, order: int) -> TruncatedSeries:
     """
     m = [_z(order, s, 0, comb(k - 1 + (s + 1) // 2, s))
          for s in range(min(order, 2 * k - 1) + 1)]
-    num, den = _num_den_alternating(m, m, order)
+    num, den = _num_den_alternating(m, m, _z(order, 0, 1))
     return num / den
 
 

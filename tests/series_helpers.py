@@ -1,11 +1,26 @@
 """Series operations that only the tests need.
 
 The package has no production caller for these, so they live here: the
-y := 1 collapse (the y-free composition series the builders must reduce
+y := 0, z := 1 and y := 1 substitutions (the avoiders' projection of a
+full series, and the y-free composition series the builders must reduce
 to) and re-truncation to a smaller order.
 """
 
 from comppat.series import TruncatedSeries
+
+
+def substitute_y0(s: TruncatedSeries) -> TruncatedSeries:
+    """Set y := 0, i.e. keep only the occurrence-free (r = 0) terms."""
+    return TruncatedSeries(s.order, {k: c for k, c in s.coeffs.items()
+                                     if k[2] == 0})
+
+
+def substitute_z1(s: TruncatedSeries) -> TruncatedSeries:
+    """Set z := 1, i.e. forget the number of parts by summing over m."""
+    out = {}
+    for (n, _m, r), c in s.coeffs.items():
+        out[(n, 0, r)] = out.get((n, 0, r), 0) + c
+    return TruncatedSeries(s.order, out)
 
 
 def substitute_y1(s: TruncatedSeries) -> TruncatedSeries:

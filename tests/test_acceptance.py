@@ -20,7 +20,7 @@ from comppat.patterns import (ALL_PATTERNS, PartSet, PatternId,
                               count_occurrences, enumerate_compositions)
 from comppat.series import make_monomial
 from enumeration import BATTERY, NAT, compositions_with_parts
-from series_helpers import substitute_y1, truncate
+from series_helpers import substitute_y0, substitute_y1, truncate
 
 P = PatternId
 
@@ -157,7 +157,7 @@ def test_criterion_6_word_identities():
                 assert gf_u.coefficient(n, n, r) == want, (n, r)
         for k in range(1, 7):
             assert identities.w123_avoid_aj(k, 12) == \
-                words.word_gf(P.P123, k, 12).substitute_y0(), k
+                substitute_y0(words.word_gf(P.P123, k, 12)), k
 
 
 def test_criterion_7_structural_properties():

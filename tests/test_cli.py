@@ -257,6 +257,43 @@ def test_asymptotics_matches_golden_digests(pattern, capsys, monkeypatch,
     assert hashlib.sha256("".join(lines[1:514]).encode()).hexdigest() == rows
 
 
+# The same digests on the benchmark's circle, the default 4,096 samples
+# (rows 0 .. 2048 are the evaluated upper half), recorded before the
+# evaluators shared their powers of x.
+ASYMPTOTICS_DEFAULT_DIGESTS = {
+    "111": (
+        "e817233bf11171ccfc5d5fbc1efacbd16a9e57d38d8912712043f8a72ecfa20e",
+        "621b75cfe761c5c86d4da07c0a11f2145b7cbef7b15674d2b22aaa243d8147c5"),
+    "112": (
+        "a67d6c50beb9c09fbcc6ff017134de7e9c3d6b6a0c0283d96a433b780c7d9fda",
+        "d8480ef3fddbf4414428db28e8c4d9cb66328efd172562ac51fa17f7c8f27de2"),
+    "221": (
+        "9a1d1d93b360024523070f8abae3b4503e620fd013f3c87afe6955837592a4c2",
+        "02128d18350bb43834d42fa562b9a00d7fe8442eaa73eb476eb15b071c201f03"),
+    "123": (
+        "2018230dbffb88e79769048834258a90a764d348d6e5da435552747244567ac4",
+        "a3b997fabd94829faa1c97ee27d27820e0f4e49f7970472b2f1a732b4f3666c7"),
+    "peak": (
+        "bab2ae852958d423e7f443187c9fbcbea42b02bfcdd77e2769c6bc3352596327",
+        "37d365b8e48192d8541e6f77ef4e2f32d256e3f47f8230cd61016fe6dfbe329e"),
+    "valley": (
+        "90e85a8f408955b0d0be2d8ebf430f769ce21835d5162944de50c52a806060d8",
+        "3cd3e9ae89c39f61c549cdf0cd31aab4172553e999cbe84e6be29e7a0dfe4643"),
+}
+
+
+@pytest.mark.parametrize("pattern", cli.PATTERN_CHOICES)
+def test_asymptotics_default_circle_matches_golden_digests(
+        pattern, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    argv = ["asymptotics", "--pattern", pattern, "--curve-csv", "c.csv"]
+    stdout, rows = ASYMPTOTICS_DEFAULT_DIGESTS[pattern]
+    assert stdout_digest(capsys, argv) == stdout
+    lines = (tmp_path / "c.csv").read_text().splitlines(keepends=True)
+    assert len(lines) == 4097
+    assert hashlib.sha256("".join(lines[1:2050]).encode()).hexdigest() == rows
+
+
 def test_asymptotics_unwritable_curve_csv_exits_2(monkeypatch, capsys,
                                                   tmp_path):
     # the path is checked before the estimate runs, not after it

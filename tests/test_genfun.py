@@ -15,7 +15,8 @@ from comppat.identities import (d_series, gf_123_recursive,
 from comppat.patterns import (PartSet, PatternId, brute_force_table,
                               count_occurrences, enumerate_compositions)
 from comppat.series import make_monomial, one
-from series_helpers import substitute_y1, truncate
+from series_helpers import (substitute_y0, substitute_y1, substitute_z1,
+                            truncate)
 
 P = PatternId
 NAT = PartSet.naturals()
@@ -230,9 +231,14 @@ def test_builder_support_bounds(p):
 
 @pytest.mark.parametrize("p", list(P))
 def test_specialization_chain_matches_collapsed_path(p):
-    full = build_gf(p, NAT, 12).substitute_y0().substitute_z1()
-    assert [full.coefficient(n, 0, 0) for n in range(13)] == \
-        avoidance_sequence(p, NAT, 12)
+    # avoidance_sequence builds in the y := 0, z := 1 image and never sees
+    # the trivariate series; projecting that series must give the same
+    for A, order in ((NAT, 12), (NAT, 30), (PartSet.of(1, 3), 20),
+                     (PartSet.of(2, 3, 5), 20),
+                     (PartSet.of(1, 2, 3, 4, 5, 6), 20)):
+        full = substitute_z1(substitute_y0(build_gf(p, A, order)))
+        assert [full.coefficient(n, 0, 0) for n in range(order + 1)] == \
+            avoidance_sequence(p, A, order), (A, order)
 
 
 def test_raw_parts_validated_like_part_sets():

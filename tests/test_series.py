@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from comppat.series import (GradingMismatchError, NonInvertibleError,
                             NormalizationError, OrderRangeError,
                             TruncatedSeries, make_monomial, one, zero)
-from series_helpers import substitute_y1, truncate
+from series_helpers import (substitute_y0, substitute_y1, substitute_z1,
+                            truncate)
 
 
 def mono(n, m, r, c=1, order=10):
@@ -82,6 +83,10 @@ def test_scalar_arithmetic():
     assert (3 * x).coeffs == {(1, 0, 0): 3}
     assert (x * 0) == zero(10)
     assert (1 - x).coeffs == {(0, 0, 0): 1, (1, 0, 0): -1}
+    # an int scales every term; it is never taken for a one-term series
+    s = mono(1, 0, 0, 3) + mono(2, 1, 4, -2)
+    assert (s * -5).coeffs == (-5 * s).coeffs == {(1, 0, 0): -15,
+                                                  (2, 1, 4): 10}
 
 
 # -- reciprocal ----------------------------------------------------------
@@ -165,9 +170,9 @@ def test_rejects_non_integer_exponents_and_coefficients():
 
 def test_substitute_y0():
     s = 1 + mono(1, 0, 1)
-    assert s.substitute_y0() == one(10)
+    assert substitute_y0(s) == one(10)
     t = 1 + mono(2, 1, 0)
-    assert t.substitute_y0() == t
+    assert substitute_y0(t) == t
 
 
 def test_substitute_y1_sums_over_r():
@@ -177,9 +182,9 @@ def test_substitute_y1_sums_over_r():
 
 def test_substitute_z1():
     s = mono(1, 1, 0) + mono(1, 2, 0)
-    assert s.substitute_z1().coeffs == {(1, 0, 0): 2}
+    assert substitute_z1(s).coeffs == {(1, 0, 0): 2}
     t = 1 + mono(3, 0, 0)
-    assert t.substitute_z1() == t
+    assert substitute_z1(t) == t
 
 
 # -- coefficient access ---------------------------------------------------
@@ -350,3 +355,45 @@ def test_coefficients_at_their_bound(c):
                             for g in degrees for j in range(g + 1)}
     assert (c * xy) * (-c * xy) == make_monomial(order, 2, 0, 2, -c * c)
     assert (c * xy) * (c * xy) == make_monomial(order, 2, 0, 2, c * c)
+
+
+# -- one-term factors --------------------------------------------------------
+
+def one_term(order):
+    """c x^a z^b y^e with |c| up to BIG and x^a within the order."""
+    return st.builds(lambda a, b, e, c: make_monomial(order, a, b, e, c),
+                     st.integers(0, order), st.integers(0, WIDE),
+                     st.integers(0, WIDE),
+                     st.integers(-BIG, BIG).filter(bool))
+
+
+@given(one_term(6), dense_series(order=6, max_rows=6), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_one_term_factor_matches_schoolbook(t, s, t_first):
+    a, b = (t, s) if t_first else (s, t)
+    assert (a * b).coeffs == schoolbook_mul(a, b)
+
+
+def test_one_term_shift_at_and_past_the_order():
+    s = one(6) + mono(2, 1, 0, 5, order=6) + mono(4, 0, 3, -7, order=6)
+    lands_on = mono(2, 3, 1, -2, order=6)  # takes x^4 onto the order
+    assert (lands_on * s).coeffs == schoolbook_mul(lands_on, s) == {
+        (2, 3, 1): -2, (4, 4, 1): -10, (6, 3, 4): 14}
+    past = mono(3, 0, 0, order=6)  # takes x^4 past it, to x^7
+    assert (s * past).coeffs == {(3, 0, 0): 1, (5, 1, 0): 5}
+    assert mono(6, 0, 0, order=6) * mono(1, 0, 0, order=6) == zero(6)
+    with pytest.raises(GradingMismatchError):
+        past * mono(1, 0, 0)
+
+
+def test_one_term_times_one_term():
+    a, b = mono(1, 2, 3, -BIG), mono(4, 5, 6, BIG + 1)
+    assert (a * b).coeffs == {(5, 7, 9): -BIG * (BIG + 1)}
+    assert (a * b).coeffs == schoolbook_mul(a, b)
+
+
+@given(dense_series(order=6, max_rows=6))
+@settings(max_examples=40, deadline=None)
+def test_one_is_the_identity(s):
+    assert one(6) * s == s
+    assert s * one(6) == s
