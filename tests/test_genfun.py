@@ -232,7 +232,7 @@ def test_builder_support_bounds(p):
 @pytest.mark.parametrize("p", list(P))
 def test_specialization_chain_matches_collapsed_path(p):
     # avoidance_sequence builds in the y := 0, z := 1 image and never sees
-    # the trivariate series; projecting that series must give the same
+    # the trivariate series; projecting that series must give the same counts
     for A, order in ((NAT, 12), (NAT, 30), (PartSet.of(1, 3), 20),
                      (PartSet.of(2, 3, 5), 20),
                      (PartSet.of(1, 2, 3, 4, 5, 6), 20)):
