@@ -18,8 +18,9 @@ The evaluators take a block of points xs, its largest modulus ax and a
 tolerance eps, and return ``(values, bound)`` where bound is a guaranteed
 upper bound on the truncation error at every point of the block
 (floating-point rounding aside).  Stopping indices and tail bounds grow
-with |x|, so they are computed once per block at ax; points of modulus ax
-see the same operations they would see alone.  The one entry,
+with |x|, so each evaluator fixes them from ax and eps alone, once per
+block, and then runs one scalar loop per point: a point's value depends
+on ax and eps, not on the other points of its block.  The one entry,
 :func:`_evaluate`, owns the input bounds: finite points with |x| <= 0.8
 and eps >= the smallest normal double.  So every loop ends: each tail
 bound decays at least geometrically in ax <= 0.8 and underflows to 0,
@@ -29,10 +30,10 @@ block.
 :func:`estimate` samples f on the circle once: the rows are the exported
 curve and their phase increments give the winding number.  f has real
 coefficients, so f(conj x) = conj f(x): only the upper half of the circle,
-indices 0 .. samples // 2, is evaluated, and each row past samples // 2 is
-the exact conjugate of its mirror row, which can differ in the last ulp
-from a direct evaluation at its own point.  The winding counts only if
-every sampled |f| exceeds the truncation bound.
+indices 0 .. samples // 2, is evaluated, as one block, and each row past
+samples // 2 is the exact conjugate of its mirror row, which can differ in
+the last ulp from a direct evaluation at its own point.  The winding
+counts only if every sampled |f| exceeds the truncation bound.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ FD_STEP = 1e-6
 WINDING_SAMPLES = 4096
 WINDING_RADIUS = 0.7
 _MAX_ABS = 0.8
-# Circle points per evaluator call.  A block shares its stopping indices
-# and tail bounds, and 123 its (x;x)_q and x^T(q) caches; 221 forms its
-# L suffix products one point at a time.
-_BLOCK = 64
 
 
 class AsymptoticsError(Exception):
@@ -183,76 +180,78 @@ def _qpoch_lower(ax: float) -> float:
     return prod * (1 - ax ** j / (1 - ax))
 
 
-def _ensure_poch(poch: list, xs, q: int) -> None:
-    """Extend poch, where poch[i][k] = (x_k;x_k)_i, through index q."""
-    while len(poch) <= q:
-        i = len(poch)
-        poch.append([c * (1 - x ** i) for c, x in zip(poch[-1], xs)])
+def _poch(x, top: int) -> list:
+    """[(x;x)_0, ..., (x;x)_top] at the point x."""
+    poch = [1]
+    for i in range(1, top + 1):
+        poch.append(poch[-1] * (1 - x ** i))
+    return poch
 
 
 def _den_123(xs, ax: float, eps: float):
     """1 - x/(1-x) - sum_{p>=3} (-1)^p sum_{j=0}^{p-3}
     C(p-3, j) x^{T(p+j)} / (x;x)_{p+j}  with T(q) = q(q+1)/2."""
     c_min = _qpoch_lower(ax)
-    poch = [[1] * len(xs)]
-    x_tri = {}  # q -> [x ** T(q) for x in xs]
-    totals = [x / (1 - x) for x in xs]
     p = 2
     while True:
         p += 1
-        inner = [0 * x for x in xs]
-        for j in range(p - 2):
-            q = p + j
-            _ensure_poch(poch, xs, q)
-            if q not in x_tri:
-                x_tri[q] = [x ** (q * (q + 1) // 2) for x in xs]
-            c = math.comb(p - 3, j)
-            inner = [s + c * xe / pq
-                     for s, xe, pq in zip(inner, x_tri[q], poch[q])]
-        sign = (-1) ** p
-        totals = [total + sign * s for total, s in zip(totals, inner)]
         bound_next = (2 ** (p - 2)) * ax ** ((p + 1) * (p + 2) // 2) / c_min
         ratio = 2 * ax ** (p + 2)
         if ratio < 0.5 and bound_next / (1 - ratio) < eps:
-            return [1 - total for total in totals], bound_next / (1 - ratio)
-
-
-def _super_sum(xs, ax: float, c_min: float, poch: list, eps: float,
-               x_exp, poch_idx, start: int, constant: int):
-    """constant + sum_{j>=start} x^{x_exp(j)} / (x;x)_{poch_idx(j)} for
-    superexponentially growing exponents (x_exp(j+1) - x_exp(j) >= 2).
-
-    c_min = _qpoch_lower(ax) bounds every |(x;x)_q| from below; poch is
-    the shared (x;x)_q cache of the block.
-    """
-    totals = [constant + 0 * x for x in xs]
-    j = start
-    while True:
-        q = poch_idx(j)
-        _ensure_poch(poch, xs, q)
-        e = x_exp(j)
-        totals = [total + x ** e / pq
-                  for total, x, pq in zip(totals, xs, poch[q])]
-        bound_next = ax ** x_exp(j + 1) / c_min
-        if bound_next / (1 - ax) < eps:
-            return totals, bound_next / (1 - ax)
-        j += 1
+            break
+    # for k = 3 .. p: (-1)^k and the pairs (q, C(k-3, j)), q = k + j
+    rows = [((-1) ** k, [(k + j, math.comb(k - 3, j)) for j in range(k - 2)])
+            for k in range(3, p + 1)]
+    exps = [q * (q + 1) // 2 for q in range(2 * p - 2)]
+    values = []
+    for x in xs:
+        poch = _poch(x, 2 * p - 3)
+        x_pow = [x ** e for e in exps]
+        total = x / (1 - x)
+        for sign, pairs in rows:
+            inner = 0 * x
+            for q, c in pairs:
+                inner = inner + c * x_pow[q] / poch[q]
+            total = total + sign * inner
+        values.append(1 - total)
+    return values, bound_next / (1 - ratio)
 
 
 def _f_alternating(xs, ax: float, eps: float, odd_exp):
     """f = (N - S)/N for peak or valley, from the numerator
     N = 1 + sum_{j>=1} x^{j(j+2)} / (x;x)_{2j} and the odd sum
     S = sum_{j>=0} x^{odd_exp(j)} / (x;x)_{2j+1}, each to eps/2.  The
-    bound is the largest of the per-point bounds (nb + sb + |f| nb) / |N|."""
+    bound is the largest of the per-point bounds (nb + sb + |f| nb) / |N|.
+
+    Both exponents grow by at least 2 a term and c_min = _qpoch_lower(ax)
+    bounds every |(x;x)_q| from below, so the terms after the j-th sum to
+    at most ax^{x_exp(j+1)} / c_min / (1 - ax).
+    """
     c_min = _qpoch_lower(ax)
-    poch = [[1] * len(xs)]
-    nvs, nb = _super_sum(xs, ax, c_min, poch, eps / 2, lambda j: j * (j + 2),
-                         lambda j: 2 * j, start=1, constant=1)
-    svs, sb = _super_sum(xs, ax, c_min, poch, eps / 2, odd_exp,
-                         lambda j: 2 * j + 1, start=0, constant=0)
+    # per sum, N then S: (constant, [(x-exponent, (x;x) index)]).  N's
+    # constant 1 is its j = 0 term, so each sum's terms start at j = constant
+    plans, tails = [], []
+    for start, x_exp, odd in ((1, lambda j: j * (j + 2), 0),
+                              (0, odd_exp, 1)):
+        j = start
+        while (tail := ax ** x_exp(j + 1) / c_min / (1 - ax)) >= eps / 2:
+            j += 1
+        plans.append((start, [(x_exp(i), 2 * i + odd)
+                              for i in range(start, j + 1)]))
+        tails.append(tail)
+    nb, sb = tails
+    top = max(terms[-1][1] for _, terms in plans)
     values = []
     bound = 0.0
-    for x, nv, sv in zip(xs, nvs, svs):
+    for x in xs:
+        poch = _poch(x, top)
+        sums = []
+        for constant, terms in plans:
+            total = constant + 0 * x
+            for e, q in terms:
+                total = total + x ** e / poch[q]
+            sums.append(total)
+        nv, sv = sums
         if abs(nv) < 1e-9:
             raise AsymptoticsError(
                 f"numerator nearly vanishes at {x}; f undefined there")
@@ -336,8 +335,8 @@ def _circle(radius: float, samples: int) -> list[complex]:
     """The points radius * exp(2 pi i idx / samples), idx = 0 .. samples-1."""
     if samples < 1024:
         raise ValueError("need at least 1024 samples")
-    if radius >= _MAX_ABS:
-        raise ValueError(f"radius must be below {_MAX_ABS}")
+    if not 0 < radius < _MAX_ABS:  # also rejects NaN
+        raise ValueError(f"radius must be in (0, {_MAX_ABS})")
     return [radius * cmath.exp(2j * cmath.pi * idx / samples)
             for idx in range(samples)]
 
@@ -419,19 +418,13 @@ def emit_curve(p: PatternId, radius: float = WINDING_RADIUS,
     (re x, im x, re f, im f) starting at angle 0.
 
     f has real coefficients, so f(conj x) = conj f(x): only the upper
-    half, indices 0 .. samples // 2, is evaluated, in blocks of at most
-    _BLOCK points, and row samples - k is the exact conjugate of row k.
-    Raises AsymptoticsError unless every sampled |f| exceeds the largest
-    block's truncation bound, which certifies that f vanishes at no
-    sample.
+    half, indices 0 .. samples // 2, is evaluated as one block, and row
+    samples - k is the exact conjugate of row k.  Raises AsymptoticsError
+    unless every sampled |f| exceeds the block's truncation bound, which
+    certifies that f vanishes at no sample.
     """
     points = _circle(radius, samples)[:samples // 2 + 1]
-    values = []
-    bound = 0.0
-    for start in range(0, len(points), _BLOCK):
-        block, block_bound = _evaluate(p, points[start:start + _BLOCK], eps)
-        values += map(complex, block)
-        bound = max(bound, block_bound)
+    values, bound = _evaluate(p, points, eps)
     low = min(map(abs, values))
     if not low > bound:
         raise AsymptoticsError(

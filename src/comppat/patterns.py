@@ -73,10 +73,11 @@ class PartSet:
 
     __slots__ = ("parts", "is_nat")
 
-    def __init__(self, parts: tuple[int, ...] = (), is_nat: bool = False):
+    def __init__(self, parts: Iterable[int] = (), is_nat: bool = False):
+        parts = check_parts(parts)
         if is_nat and parts:
             raise ValueError("the naturals take no explicit parts")
-        if not (is_nat or check_parts(parts)):
+        if not (is_nat or parts):
             raise ValueError("explicit part set must be nonempty")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "is_nat", is_nat)

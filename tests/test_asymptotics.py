@@ -5,6 +5,7 @@ test_acceptance.py; here the focus is the numeric plumbing.
 """
 
 import cmath
+import hashlib
 import math
 import sys
 
@@ -154,6 +155,46 @@ def test_f_is_the_denominator_for_simple_patterns():
             assert eval_f(p, x, 1e-12) == (values[0], bound), (p, x)
 
 
+@pytest.mark.parametrize("p", list(P))
+def test_a_point_value_does_not_depend_on_its_block(p):
+    # stopping indices come from ax and eps alone, so each point of a block
+    # sees the operations it would see alone at the same ax
+    evaluate = asymptotics._EVALUATORS[p]
+    xs = [0.0, 0.3, -0.6, 0.5j, 0.7 * cmath.exp(0.73j), 0.75 * cmath.exp(3j)]
+    for eps in (1e-15, 1e-9):
+        values, bound = evaluate(xs, 0.75, eps)
+        alone = [evaluate([x], 0.75, eps) for x in xs]
+        assert values == [value for (value,), _ in alone]
+        assert bound == max(b for _, b in alone)
+
+
+# SHA-256 over the repr of every eval_f value and bound at the points
+# below, three blocks and find_rho at three (tol, eps) pairs, recorded
+# before 123 and peak/valley evaluated each point in its own scalar loop.
+EVALUATOR_FINGERPRINT = \
+    "68c2bd339681930369bf038cc959ba6279aaf1692cd77d1064cd9d85f5df2582"
+
+
+def test_evaluators_match_recorded_fingerprint():
+    reals = [k / 20 for k in range(-16, 17)]
+    off_axis = [r * cmath.exp(1j * t) for r in (0.3, 0.7, 0.79)
+                for t in (0.4, 1.3, 2.2, 3.1)] + [0.8j, -0.8j, 0j]
+    blocks = [[k / 100 for k in range(50, 66)], _circle(0.75, 1024)[:40],
+              [0.2, -0.5j, 0.7 * cmath.exp(2j), 0.8]]
+    lines = []
+    for p in P:
+        for eps in (1e-15, 1e-9, sys.float_info.min):
+            lines += [repr((p.value, eps, x, eval_f(p, x, eps)))
+                      for x in reals + off_axis]
+            lines += [repr((p.value, eps, _evaluate(p, xs, eps)))
+                      for xs in blocks]
+        lines += [repr((p.value, tol, eps, find_rho(p, tol, eps)))
+                  for tol, eps in ((1e-11, 1e-15), (1e-9, 1e-9),
+                                   (1e-12, sys.float_info.min))]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == EVALUATOR_FINGERPRINT
+
+
 def test_tail_bound_honest():
     # the loose-eps value differs from the tight-eps value by no more
     # than the reported tail bound
@@ -198,6 +239,12 @@ def test_winding_monomial_stub():
 def test_winding_undersampling_guard():
     with pytest.raises(UndersamplingError):
         winding_of(lambda x: x ** 600, 0.7, 1024)
+
+
+def test_circle_radius_must_lie_in_the_domain():
+    for radius in (0.0, -0.5, 0.8, 0.93, float("nan")):
+        with pytest.raises(ValueError, match="radius"):
+            estimate(P.P112, radius, 1024)
 
 
 def test_winding_requires_enough_samples():

@@ -180,8 +180,8 @@ def test_asymptotics_samples_cap(monkeypatch, capsys):
 
 def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
     # the report's winding and the curve come from one pass over the upper
-    # half of the requested circle, in blocks; nothing samples the default
-    # |x| = 0.7
+    # half of the requested circle, as one block of complex points;
+    # nothing samples the default |x| = 0.7
     evaluate = asymptotics._EVALUATORS[PatternId.P112]
     blocks = []
 
@@ -194,10 +194,10 @@ def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
     rc = cli.main(["asymptotics", "--pattern", "112", "--radius", "0.6",
                    "--samples", "2048", "--curve-csv", str(curve)])
     assert rc == 0
-    circle = [x for block in blocks for x in block]
+    assert len(blocks) == 1
+    circle = blocks[0]
     assert len(circle) == 2048 // 2 + 1
-    assert max(map(len, blocks)) <= asymptotics._BLOCK
-    assert all(x.imag >= 0 for x in circle)
+    assert all(type(x) is complex and x.imag >= 0 for x in circle)
     assert all(abs(abs(x) - 0.7) > 1e-3 for x in circle)
     assert len(curve.read_text().splitlines()) == 2049
     monkeypatch.undo()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comppat.genfun import avoidance_sequence
 from comppat.patterns import (ALL_PATTERNS, PartSet, PatternId,
                               brute_force_table, brute_force_word_table,
                               count_occurrences, enumerate_compositions)
@@ -36,6 +37,18 @@ def test_part_set_validation():
         PartSet.of(1.5, 2)
     with pytest.raises(ValueError, match="no explicit parts"):
         PartSet(parts=(1,), is_nat=True)
+
+
+def test_part_set_stores_its_checked_parts_as_a_tuple():
+    # a list would leave the set unhashable, and a generator would be
+    # consumed by the check and leave the set empty
+    for parts in ([1, 3], (a for a in (1, 3))):
+        ps = PartSet(parts=parts)
+        assert ps.parts == (1, 3) and ps.materialize(5) == (1, 3)
+        assert ps == PartSet.of(1, 3) and hash(ps) == hash(PartSet.of(1, 3))
+    gen = PartSet(parts=(a for a in (1, 3)))
+    assert avoidance_sequence(P.P111, gen, 5) == \
+        avoidance_sequence(P.P111, PartSet.of(1, 3), 5)
 
 
 def test_part_set_is_an_immutable_value():
