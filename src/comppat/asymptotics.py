@@ -15,17 +15,18 @@ so f is their denominator evaluator; peak and valley share a nontrivial
 numerator N, and f = (N - S)/N with an odd-index sum S.
 
 The evaluators take a block of points xs, its largest modulus ax and a
-tolerance eps, and return ``(values, bound)`` where bound is a guaranteed
-upper bound on the truncation error at every point of the block
-(floating-point rounding aside).  Stopping indices and tail bounds grow
-with |x|, so each evaluator fixes them from ax and eps alone, once per
-block, and then runs one scalar loop per point: a point's value depends
-on ax and eps, not on the other points of its block.  The one entry,
-:func:`_evaluate`, owns the input bounds: finite points with |x| <= 0.8
-and eps >= the smallest normal double.  So every loop ends: each tail
-bound decays at least geometrically in ax <= 0.8 and underflows to 0,
-below eps, within a few thousand terms.  :func:`eval_f` is a one-point
-block.
+tolerance eps, and return ``(values, bound)`` where bound is a
+guaranteed upper bound on the truncation error at every point of the
+block (floating-point rounding aside).  Stopping indices and tail bounds
+grow with |x|, so each evaluator fixes them from ax and eps alone, once
+per block, and then runs one scalar loop per point: a point's value
+depends on ax and eps, not on the other points of its block.  A point's
+powers x^e come from one ladder of squarings (:func:`_powers`), with the
+bits of ``x ** e``.  The one entry, :func:`_evaluate`, owns the input
+bounds: finite points with |x| <= 0.8 and eps >= the smallest normal
+double.  So every loop ends: each tail bound decays at least
+geometrically in ax <= 0.8 and underflows to 0, below eps, within a few
+thousand terms.  :func:`eval_f` is a one-point block.
 
 :func:`estimate` samples f on the circle once: the rows are the exported
 curve and their phase increments give the winding number.  f has real
@@ -114,7 +115,8 @@ def _den_111(xs, ax: float, eps: float):
         total, xi = 0 * x, 1
         for _ in range(i):
             xi = xi * x
-            total = total + xi * (1 + xi) / (1 + xi * (1 + xi))
+            u = xi * (1 + xi)
+            total = total + u / (1 + u)
         values.append(1 - total)
     return values, tail
 
@@ -152,11 +154,11 @@ def _den_221(xs, ax: float, eps: float):
         L += 1
     prod_tail_sum = ax ** (2 * (L + 1)) / (1 - ax * ax)
     prod_err = math.expm1(prod_tail_sum)
-    # each x ** e once: e <= L in the sum, even e <= 2L in the guards
-    exps = {*range(1, L + 1), *range(4, 2 * L + 1, 2)}
+    # the sum's x^i for i <= L and the guards' x^{2j} for j <= L
+    plan = _plan({*range(1, L + 1), *range(4, 2 * L + 1, 2)}, xs)
     values = []
     for x in xs:
-        pw = {e: x ** e for e in exps}
+        pw = _powers(x, plan)
         # suffix[i] = prod_{j=i+1..L} (1 - x^{2j})
         suffix = [1 + 0 * x] * (L + 2)
         for i in range(L - 1, 0, -1):
@@ -180,11 +182,43 @@ def _qpoch_lower(ax: float) -> float:
     return prod * (1 - ax ** j / (1 - ax))
 
 
-def _poch(x, top: int) -> list:
-    """[(x;x)_0, ..., (x;x)_top] at the point x."""
+def _plan(exps, xs) -> tuple:
+    """Plan for :func:`_powers` on the block xs: sorted exps, the ladder
+    steps (e, e - 2^h, h) for each e <= 100 of exps and what is left as its
+    top bit h drops, if xs holds a complex point, and the exps above 100."""
+    exps, steps = sorted(exps), {}
+    for e in exps if any(type(x) is complex for x in xs) else ():
+        while 0 < e <= 100 and e not in steps:
+            h = e.bit_length() - 1
+            steps[e] = (e, e - (1 << h), h)
+            e -= 1 << h
+    return exps, sorted(steps.values()), [e for e in exps if e > 100]
+
+
+def _powers(x, plan):
+    """pw[e] == x ** e bit for bit for the plan's exponents: CPython raises a
+    complex x to an integer e <= 100 by this right-to-left binary ladder,
+    x^e = x^(e - 2^h) * x^(2^h) from x^0 = 1 + 0j (that product can flip a
+    zero's sign).  Float (libm pow) and int x, and e > 100, use ``**``."""
+    exps, steps, high = plan
+    if type(x) is not complex or not steps:
+        return {e: x ** e for e in exps}
+    sq = [x]
+    for _ in range(steps[-1][2]):
+        sq.append(sq[-1] * sq[-1])
+    pw = [1 + 0j] + [None] * exps[-1]
+    for e, rest, h in steps:
+        pw[e] = pw[rest] * sq[h]
+    for e in high:
+        pw[e] = x ** e
+    return pw
+
+
+def _poch(pw, top: int) -> list:
+    """[(x;x)_0, ..., (x;x)_top] from one point's powers pw[i] = x^i."""
     poch = [1]
     for i in range(1, top + 1):
-        poch.append(poch[-1] * (1 - x ** i))
+        poch.append(poch[-1] * (1 - pw[i]))
     return poch
 
 
@@ -199,19 +233,22 @@ def _den_123(xs, ax: float, eps: float):
         ratio = 2 * ax ** (p + 2)
         if ratio < 0.5 and bound_next / (1 - ratio) < eps:
             break
-    # for k = 3 .. p: (-1)^k and the pairs (q, C(k-3, j)), q = k + j
-    rows = [((-1) ** k, [(k + j, math.comb(k - 3, j)) for j in range(k - 2)])
+    # for k = 3 .. p: (-1)^k and the triples (T(q), q, C(k-3, j)), q = k + j
+    rows = [((-1) ** k, [((k + j) * (k + j + 1) // 2, k + j,
+                          math.comb(k - 3, j)) for j in range(k - 2)])
             for k in range(3, p + 1)]
-    exps = [q * (q + 1) // 2 for q in range(2 * p - 2)]
+    # x^T(q) for the terms and x^i, i <= 2p - 3, for (x;x)_q
+    plan = _plan({*(t for _, terms in rows for t, _, _ in terms),
+                  *range(1, 2 * p - 2)}, xs)
     values = []
     for x in xs:
-        poch = _poch(x, 2 * p - 3)
-        x_pow = [x ** e for e in exps]
+        pw = _powers(x, plan)
+        poch = _poch(pw, 2 * p - 3)
         total = x / (1 - x)
-        for sign, pairs in rows:
+        for sign, terms in rows:
             inner = 0 * x
-            for q, c in pairs:
-                inner = inner + c * x_pow[q] / poch[q]
+            for t, q, c in terms:
+                inner = inner + c * pw[t] / poch[q]
             total = total + sign * inner
         values.append(1 - total)
     return values, bound_next / (1 - ratio)
@@ -241,15 +278,18 @@ def _f_alternating(xs, ax: float, eps: float, odd_exp):
         tails.append(tail)
     nb, sb = tails
     top = max(terms[-1][1] for _, terms in plans)
+    plan = _plan({*(e for _, terms in plans for e, _ in terms),
+                  *range(1, top + 1)}, xs)
     values = []
     bound = 0.0
     for x in xs:
-        poch = _poch(x, top)
+        pw = _powers(x, plan)
+        poch = _poch(pw, top)
         sums = []
         for constant, terms in plans:
             total = constant + 0 * x
             for e, q in terms:
-                total = total + x ** e / poch[q]
+                total = total + pw[e] / poch[q]
             sums.append(total)
         nv, sv = sums
         if abs(nv) < 1e-9:

@@ -143,7 +143,7 @@ def cmd_asymptotics(args, argv: list[str]) -> int:
              f"--samples: must be between 1024 and {MAX_SAMPLES}")
     # Opened before the estimate runs, so a bad path fails at once.
     curve = contextlib.nullcontext()
-    if args.curve_csv:
+    if args.curve_csv is not None:
         try:
             curve = open(args.curve_csv, "w", encoding="utf-8")
         except OSError as exc:
@@ -156,9 +156,17 @@ def cmd_asymptotics(args, argv: list[str]) -> int:
             sys.stderr.write(f"comppat: numeric failure: {exc}\n")
             return 3
         if fh is not None:
+            # row samples - k is the exact conjugate of row k (emit_curve):
+            # its line is row k's reprs with im x and im f negated as text
+            half = [(f"{rx!r}", f"{ix!r}", f"{rf!r}", f"{if_!r}")
+                    for rx, ix, rf, if_ in est.curve[:args.samples // 2 + 1]]
+
+            def neg(text: str) -> str:
+                return text[1:] if text[0] == "-" else "-" + text
             fh.write("re_x,im_x,re_f,im_f\n")
-            for rx, ix, rf, if_ in est.curve:
-                fh.write(f"{rx!r},{ix!r},{rf!r},{if_!r}\n")
+            fh.writelines(f"{rx},{ix},{rf},{if_}\n" for rx, ix, rf, if_ in half)
+            fh.writelines(f"{rx},{neg(ix)},{rf},{neg(if_)}\n" for rx, ix, rf, if_
+                          in reversed(half[1:(args.samples + 1) // 2]))
     payload = {
         "pattern": args.pattern.value,
         "rho": est.rho,

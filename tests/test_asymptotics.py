@@ -14,7 +14,8 @@ import pytest
 from comppat import asymptotics
 from comppat.asymptotics import (DomainError, UndersamplingError, _circle,
                                  _den_111, _den_112, _den_123, _den_221,
-                                 _evaluate, _winding, emit_curve, estimate,
+                                 _evaluate, _plan, _powers, _winding,
+                                 emit_curve, estimate,
                                  eval_f, find_rho, predict_count,
                                  winding_number)
 from comppat.genfun import avoidance_sequence
@@ -167,6 +168,28 @@ def test_a_point_value_does_not_depend_on_its_block(p):
         assert values == [value for (value,), _ in alone]
         assert bound == max(b for _, b in alone)
 
+
+
+# complex points on and off the circle, signed zeros, the domain edge
+# +-0.8j, and float and int points, which keep ``**`` (libm pow)
+POWER_POINTS = [0.7 * cmath.exp(2j * math.pi * k / 4096)
+                for k in (0, 1, 700, 1024, 2047, 2048)] + [
+    0.3 + 0.4j, -0.79 + 0.01j, 0.05 - 0.6j, complex(0.3, -0.0),
+    complex(-0.0, 0.0), complex(-0.0, -0.0), 0j, 0.8j, -0.8j,
+    complex(-0.8, 0.0), 0.7, -0.55, 0.0, -0.0, 0, 1, -1, 3]
+
+
+@pytest.mark.parametrize("exps", [
+    range(1, 101), range(90, 131), [1], [64], [100, 101], [3, 37, 99, 130],
+    {*range(1, 105), *range(4, 209, 2)}, [q * (q + 1) // 2
+                                          for q in range(1, 18)]],
+    ids=["1-100", "90-130", "1", "64", "100-101", "sparse", "221", "123"])
+def test_powers_match_python_pow(exps):
+    # the ladder gives the bits of ``x ** e`` on both sides of e = 100
+    for x in POWER_POINTS:
+        pw = _powers(x, _plan(exps, [0j, x]))
+        assert [repr(pw[e]) for e in exps] == \
+            [repr(x ** e) for e in exps], x
 
 # SHA-256 over the repr of every eval_f value and bound at the points
 # below, three blocks and find_rho at three (tol, eps) pairs, recorded

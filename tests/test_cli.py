@@ -294,6 +294,69 @@ def test_asymptotics_default_circle_matches_golden_digests(
     assert hashlib.sha256("".join(lines[1:2050]).encode()).hexdigest() == rows
 
 
+
+# SHA-256 of the whole curve CSV of `asymptotics --pattern P --samples N
+# --curve-csv c.csv`, header and mirrored rows included, recorded when
+# every line was formatted from its own floats.  At the odd N = 1025 the
+# mirror starts at row 513, not past the middle row.
+CURVE_FILE_DIGESTS = {
+    1024: {
+        "111": (
+            "1ec93fe5e114b0076fd54ba8ce364f2123fa602c9c87cd0ccc73ce2734f8649b"),
+        "112": (
+            "9dd4226618587415d478362da473e87ed4ecea4571d233ffa026def41b9926eb"),
+        "221": (
+            "c77e49697120a5b48fa55831feb75cd8afcfe98482e9a1139c9d870215ee02bb"),
+        "123": (
+            "62a10c2c7bba2c598e28fb361f7982260abbde2078d8c896de71e15413939d84"),
+        "peak": (
+            "ce81c6a10fbccef56206b906eee8b777e5bbcc5f96a99123773632b59b7136da"),
+        "valley": (
+            "8ddea3abbb105a727f480f3f67105cb3ebd73828f48c97419cea45372addde45"),
+    },
+    1025: {
+        "111": (
+            "ef797e68193989c8b53fd87551bcd8bc8dee99d3cbb6ca175a69b13ac5eb0050"),
+        "112": (
+            "65afd8ed28cd9ceffe536baa21bbe38da6672aefda097b0a5920b4d273ddbce7"),
+        "221": (
+            "3f9aee3979634ccfbf0fab89fac8b0d4b1bd10d502baba70c7fe055a4a1e7a98"),
+        "123": (
+            "c04a974a7044bf72d4936512c93097fce29c5bf41f9a841d5ed638b2023ccab5"),
+        "peak": (
+            "890ccaab6b06b47a2d4710a1e24e3c13590e14711d570adce609df566d5c0292"),
+        "valley": (
+            "2868583342b19c0dab75a1678a558f369d9b550c18644c66390666c2663b7a35"),
+    },
+    4096: {
+        "111": (
+            "8025d6f09cc34b85c4dccf9923986c648d1fb309f95e964f3bdad175add906ad"),
+        "112": (
+            "08bb6ac2fec4a2af2a56ded4805eddc0041eefa37b4bacd4c36a8e7123e1ee1c"),
+        "221": (
+            "90497fb0347bef6bdd2d1f13d9dd81781b7117fc832e497575c2b3124fb30fe2"),
+        "123": (
+            "dabd8eae30218e053e554f1383d29bf8e0fb1fce002fcea981615ab8f2c83bcf"),
+        "peak": (
+            "ded621759114cf62f187697df58ac8ca2022059535c0cab1907ccdf523fd4e1a"),
+        "valley": (
+            "8f43dc25a28443600f174c4a0300a111b4c709e20fa27750d132d8af45e363cb"),
+    },
+}
+
+
+@pytest.mark.parametrize("samples", sorted(CURVE_FILE_DIGESTS))
+@pytest.mark.parametrize("pattern", cli.PATTERN_CHOICES)
+def test_asymptotics_curve_file_matches_golden_digests(
+        pattern, samples, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["asymptotics", "--pattern", pattern, "--samples",
+                     str(samples), "--curve-csv", "c.csv"]) == 0
+    data = (tmp_path / "c.csv").read_bytes()
+    assert data.count(b"\n") == samples + 1
+    assert hashlib.sha256(data).hexdigest() == \
+        CURVE_FILE_DIGESTS[samples][pattern]
+
 def test_asymptotics_unwritable_curve_csv_exits_2(monkeypatch, capsys,
                                                   tmp_path):
     # the path is checked before the estimate runs, not after it
@@ -307,6 +370,18 @@ def test_asymptotics_unwritable_curve_csv_exits_2(monkeypatch, capsys,
     assert "--curve-csv" in captured.err
     assert captured.out == ""
 
+
+
+def test_asymptotics_empty_curve_csv_exits_2(monkeypatch, capsys):
+    # an empty path is a path that cannot be written, not "no CSV"
+    def never(*args):
+        raise AssertionError("estimate ran with an empty --curve-csv")
+    monkeypatch.setattr(asymptotics, "estimate", never)
+    rc = cli.main(["asymptotics", "--pattern", "112", "--curve-csv", ""])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--curve-csv: cannot write ''" in captured.err
+    assert captured.out == ""
 
 def test_asymptotics_numeric_failure_exits_3(monkeypatch):
     def boom(*args):
