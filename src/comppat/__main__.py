@@ -1,6 +1,6 @@
-import sys
+"""``python -m comppat``: exits through `cli.run`, as the script does."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

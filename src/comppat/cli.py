@@ -10,9 +10,11 @@ Subcommands::
 
 JSON reports are deterministic: sorted keys, no timestamps, counts as
 decimal strings (values at order 60 overflow 53-bit JSON numbers).  Exit
-codes: 0 success, 2 usage error (including a ``--curve-csv`` path that
-cannot be opened for writing), 3 numeric failure, 4 verification
-mismatch.
+codes: 0 success, 1 stdout closed early by its reader, 2 usage error
+(including a ``--curve-csv`` path that cannot be opened for writing), 3
+numeric failure, 4 verification mismatch.  A launch ends in `run` by
+``os._exit`` once stdout and stderr are flushed; ``atexit`` handlers do
+not run, so cover subprocess runs through `main`, which never exits.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
+import os
 import sys
 from collections.abc import Iterable
 
@@ -310,4 +313,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """Run `main` as the process; end it by ``os._exit`` once flushed."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse: --help and usage errors
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:  # leave the unwritten rest unflushed
+        sys.stderr.write("comppat: error: stdout closed by its reader\n")
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -573,3 +574,76 @@ def test_order_cap():
                   "--order", "61")
     assert res.returncode == 2
     assert "--order" in res.stderr
+
+
+# -- the launch: `python -m comppat` ends in cli.run's hard exit ------------
+
+EXPAND_111_CAP = ["expand", "--pattern", "111", "--set", "nat",
+                  "--order", str(cli.MAX_ORDER)]
+
+
+def launch(*argv, **kwargs):
+    # block-buffered stdout, so output left unflushed at the exit is lost
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, "-m", "comppat", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env, **kwargs)
+
+
+def launched(*argv, text=True):
+    """(exit code, stdout, stderr) of one launch."""
+    with launch(*argv, text=text) as proc:
+        out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err
+
+
+def test_launch_pipes_a_table_larger_than_the_pipe_buffer():
+    # 2.1 MB on a pipe, byte for byte, are written before os._exit
+    code, out, err = launched(*EXPAND_111_CAP, text=False)
+    assert code == 0, err
+    assert len(out) > 2_000_000
+    assert hashlib.sha256(out).hexdigest() == \
+        GOLDEN_DIGESTS[" ".join(EXPAND_111_CAP)]
+
+
+def test_launch_writes_the_whole_curve_file(tmp_path):
+    code, out, err = launched("asymptotics", "--pattern", "valley",
+                              "--samples", "1024",
+                              "--curve-csv", str(tmp_path / "c.csv"))
+    assert code == 0, err
+    assert json.loads(out)["winding"] == 1
+    assert hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest() == \
+        CURVE_FILE_DIGESTS[1024]["valley"]
+
+
+def test_launch_help_exits_0_with_the_full_usage(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # one width in both processes
+    assert launched("--help") == (0, cli.build_parser().format_help(), "")
+
+
+def test_launch_argparse_error_exits_2_with_its_message(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["expand", "--pattern", "122", "--set", "nat", "--order", "4"]
+    with pytest.raises(SystemExit):
+        cli.main(argv)
+    code, out, err = launched(*argv)
+    assert (code, out) == (2, "")
+    assert err == capsys.readouterr().err
+    assert "error: argument --pattern: invalid choice" in err
+
+
+def test_launch_usage_error_exits_2_with_its_message():
+    assert launched("avoiders", "--pattern", "111", "--set", "nat",
+                    "--order", "61") == (
+        2, "", "comppat: error: --order: must be between 0 and 60\n")
+
+
+def test_launch_into_a_pipe_closed_early_exits_1_without_a_traceback():
+    # the reader closes the pipe after 100 bytes of the 2.1 MB table
+    with launch(*EXPAND_111_CAP) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in err.decode()
+    assert err == b"comppat: error: stdout closed by its reader\n"

@@ -17,14 +17,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
 # Runs `python -m comppat ARGS...` in this interpreter, then writes the
-# exit code and every loaded module name to stderr, on the last line.
+# exit code and every loaded module name to stderr, on the last line.  The
+# CLI ends the process with os._exit, so the line is written by a wrapper
+# of os._exit before it exits.
 RUN_MAIN = """
-import runpy, sys
-try:
-    runpy.run_module("comppat", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-print(code, *sorted(sys.modules), file=sys.stderr)
+import os, runpy, sys
+def hard_exit(code, exit=os._exit):
+    print(code, *sorted(sys.modules), file=sys.stderr, flush=True)
+    exit(code)
+os._exit = hard_exit
+runpy.run_module("comppat", run_name="__main__", alter_sys=True)
 """
 
 EXPORTS = {
