@@ -1,6 +1,7 @@
 """CLI surface: formats, determinism, schemas, exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -100,6 +101,35 @@ def test_expand_csv_header_and_rows():
     lines = res.stdout.splitlines()
     assert lines[0] == "n,m,r,count"
     assert lines[1] == "0,0,0,1"
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.usefixtures("shared_build_gf")
+@pytest.mark.parametrize("argv, digest", [
+    # 25,297 lines, digest recorded with one write per row
+    ("expand --pattern 111 --set nat --order 60 --format csv",
+     "13cb80ebbf13584fdb819693b3dca3017bd49a584665a9fcb19d0fcbc91d308c"),
+    ("words --pattern 123 -k 1600 --order 40 --format csv",
+     "db7918fd11370ad945cb4d2dc3a0a40c16053e2f08bea6ed7ead2f767a7197ae"),
+    ("avoiders --pattern valley --set nat --order 60 --bfile",
+     GOLDEN_DIGESTS["avoiders --pattern valley --set nat --order 60 --bfile"]),
+], ids=["expand", "words", "avoiders"])
+def test_row_output_is_written_in_batches(argv, digest, monkeypatch):
+    # one write per 4,096 rows, not per row: each is a system call on an
+    # unbuffered stdout (PYTHONUNBUFFERED=1)
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(argv.split()) == 0
+    assert out.writes <= 10
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_expand_deterministic():
@@ -616,20 +646,25 @@ def test_launch_writes_the_whole_curve_file(tmp_path):
         CURVE_FILE_DIGESTS[1024]["valley"]
 
 
-def test_launch_help_exits_0_with_the_full_usage(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # one width in both processes
-    assert launched("--help") == (0, cli.build_parser().format_help(), "")
+def test_launch_help_exits_0_with_the_full_usage(capsys):
+    # the help formatted from cli.COMMANDS, the same in process and launched
+    assert cli.main(["--help"]) == 0
+    text = capsys.readouterr().out
+    assert launched("--help") == (0, text, "")
+    assert text.startswith(
+        "usage: comppat {expand,avoiders,asymptotics,verify,words} FLAGS\n")
+    assert all(f"\n  {command} " in text for command in cli.COMMANDS)
 
 
-def test_launch_argparse_error_exits_2_with_its_message(monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_launch_argparse_error_exits_2_with_its_message(capsys):
+    # a refused argument is one error line and exit 2, in process and
+    # launched; main returns the code and never raises SystemExit
     argv = ["expand", "--pattern", "122", "--set", "nat", "--order", "4"]
-    with pytest.raises(SystemExit):
-        cli.main(argv)
-    code, out, err = launched(*argv)
-    assert (code, out) == (2, "")
-    assert err == capsys.readouterr().err
-    assert "error: argument --pattern: invalid choice" in err
+    message = ("comppat: error: --pattern: must be one of 111, 112, 221, 123,"
+               " peak, valley\n")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", message)
+    assert launched(*argv) == (2, "", message)
 
 
 def test_launch_usage_error_exits_2_with_its_message():

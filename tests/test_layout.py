@@ -52,30 +52,52 @@ def test_production_modules_do_not_import_identities():
     assert res.stdout.strip() == "False"
 
 
-def modules_loaded_by(argv, cwd):
+def modules_loaded_by(argv, cwd, code="0"):
     res = subprocess.run([sys.executable, "-c", RUN_MAIN, *argv],
                          capture_output=True, text=True, env=ENV, cwd=cwd,
                          timeout=120)
-    code, *modules = res.stderr.splitlines()[-1].split()
-    assert code == "0", res.stderr
+    exit_code, *modules = res.stderr.splitlines()[-1].split()
+    assert exit_code == code, res.stderr
     return set(modules)
+
+
+# The standard library's argv parser and JSON encoder, with the modules
+# argparse pulls in: about 7 ms of a launch, which no launch needs.
+UNUSED_STDLIB = {"argparse", "gettext", "locale", "json"}
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
     (["--help"], {"comppat.cli", "comppat.patterns"},
      {"comppat.series", "comppat.genfun", "comppat.words",
-      "comppat.asymptotics", "json"}),
+      "comppat.asymptotics"}),
+    (["expand", "--pattern", "111", "--set", "nat", "--order", "4"],
+     {"comppat.genfun"}, {"comppat.words", "comppat.asymptotics"}),
+    (["avoiders", "--pattern", "112", "--set", "nat", "--order", "4"],
+     {"comppat.genfun"}, {"comppat.words", "comppat.asymptotics"}),
     (["asymptotics", "--pattern", "valley", "--samples", "1024"],
      {"comppat.asymptotics"},
      {"comppat.series", "comppat.genfun", "comppat.words"}),
+    (["verify", "--pattern", "221", "--set", "nat", "--max-n", "6"],
+     {"comppat.genfun"}, {"comppat.words", "comppat.asymptotics"}),
+    (["verify", "--pattern", "123", "--words", "-k", "3", "--max-m", "4"],
+     {"comppat.words"}, {"comppat.asymptotics"}),
     (["words", "--pattern", "111", "-k", "3", "--order", "6"],
      {"comppat.words"}, {"comppat.asymptotics"}),
-], ids=["help", "asymptotics", "words"])
+], ids=["help", "expand", "avoiders", "asymptotics", "verify-set",
+        "verify-words", "words"])
 def test_subcommand_loads_only_the_modules_it_runs(argv, loaded, absent,
                                                    tmp_path):
     modules = modules_loaded_by(argv, tmp_path)
     assert loaded <= modules
-    assert not (absent | {"dataclasses", "comppat.identities"}) & modules
+    assert not (absent | UNUSED_STDLIB | {"dataclasses",
+                                          "comppat.identities"}) & modules
+
+
+def test_usage_error_loads_neither_argparse_nor_json(tmp_path):
+    modules = modules_loaded_by(["expand", "--pattern", "122", "--set", "nat",
+                                 "--order", "4"], tmp_path, code="2")
+    assert {"comppat.cli", "comppat.patterns"} <= modules
+    assert not (UNUSED_STDLIB | {"comppat.series"}) & modules
 
 
 def test_sources_import_neither_typing_nor_dataclasses():
