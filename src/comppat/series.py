@@ -22,6 +22,12 @@ are read back as balanced digits, in [-2**(W-1), 2**(W-1)): W comes from
 the operands' absolute sums for ``*``, and for ``/``, which solves
 q = num + t q (den = 1 - t) degree by degree in x with q packed
 throughout, from the exact majorant |num|(x,1,1) / (1 - |t|(x,1,1)).
+``/`` keeps each solved row of q as the list of its packed values over
+its m-range lo..hi, so a row product adds into list slots by position,
+with no key lookup or key sum per pair; a row whose list would be
+longer than the products that fill it (a few terms far apart in m)
+stays a {m: P} dict.  Every product of two series and every quotient
+lists its keys in ascending (n, m, r) order.
 
 Values are immutable once constructed: every operation returns a fresh
 series, so they can be shared freely.
@@ -32,7 +38,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 Triple = tuple[int, int, int]
-Rows = dict[int, dict[int, int]]  # n -> m -> y-polynomial packed in one int
+# n -> m -> y-polynomial packed in one int; a row is a {m: P} dict, or
+# in a quotient (lo, [P at m = lo, lo + 1, ...])
+Rows = dict[int, dict[int, int] | tuple[int, list[int]]]
 
 
 def _mul_rows_into(acc: dict[int, int], a: dict[int, int],
@@ -182,8 +190,8 @@ class TruncatedSeries:
                 ((a, b, e), c), = mono.coeffs.items()
                 top = self.order - a
                 return self._wrap({(n + a, m + b, r + e): c * v
-                                   for (n, m, r), v in rest.coeffs.items()
-                                   if n <= top})
+                                   for (n, m, r), v in sorted(
+                                       rest.coeffs.items()) if n <= top})
         # No coefficient exceeds the product of the operands' absolute sums.
         width = (sum(self._abs_sums())
                  * sum(other._abs_sums())).bit_length() + 1
@@ -219,7 +227,10 @@ class TruncatedSeries:
         quotient is again integer-coefficient.  With the signs of both
         operands flipped if need be, so that the divisor is 1 - t with t
         free of x-degree 0, q = self + t * q is solved degree by degree:
-        q_deg needs only t times the lower degrees of q.
+        q_deg needs only t times the lower degrees of q.  Each solved row
+        is a list over its m-range lo..hi, or a dict where that list would
+        outgrow the products that fill it, so no row costs memory in
+        proportion to its m-range alone.
         """
         den = self._coerce(other)
         if den is None:
@@ -245,18 +256,45 @@ class TruncatedSeries:
             q_sums.append(n_sum + sum(s * q_sums[g - d]
                                       for d, s in t_sums if d <= g))
         width = max(q_sums).bit_length() + 1
-        num_rows, t_rows = num._rows(width), t._rows(width)
-        q_rows: Rows = {}
+        num_rows = num._rows(width)
+        t_rows = [(d, min(row), max(row), row)
+                  for d, row in t._rows(width).items()]
+        # deg -> (lo, hi, row of q): a list over m = lo..hi, or a dict
+        q_rows: dict[int, tuple[int, int, list[int] | dict[int, int]]] = {}
         for deg in range(order + 1):
             acc = num_rows.pop(deg, {})
-            for d, t_row in t_rows.items():
-                q_lower = q_rows.get(deg - d)
-                if q_lower:
-                    _mul_rows_into(acc, t_row, q_lower)
-            q = {m: p for m, p in acc.items() if p}
-            if q:
-                q_rows[deg] = q
-        return self._unrows(q_rows, width)
+            # (least m, largest m, t's row, q's row) per lower degree
+            lower = [(t_lo + q[0], t_hi + q[1], t_row, q)
+                     for d, t_lo, t_hi, t_row in t_rows
+                     if (q := q_rows.get(deg - d))]
+            if not (acc or lower):
+                continue
+            lo = min([*acc, *[low[0] for low in lower]])
+            hi = max([*acc, *[low[1] for low in lower]])
+            # a list over m = lo..hi unless it outgrows the products that
+            # fill it; each lower degree gives one, so count past that only
+            if (hi - lo < len(acc) + len(lower) or hi - lo < len(acc) + sum(
+                    [len(t_row) * len(q[2]) for _, _, t_row, q in lower])):
+                row = [0] * (hi - lo + 1)
+                for m, p in acc.items():
+                    row[m - lo] = p
+                for _, _, t_row, (q_lo, q_hi, q) in lower:
+                    if isinstance(q, dict):  # no longer than row
+                        q = [q.get(m, 0) for m in range(q_lo, q_hi + 1)]
+                    for m1, p1 in t_row.items():
+                        for m, p2 in enumerate(q, m1 + q_lo - lo):
+                            row[m] += p1 * p2
+                if any(row):
+                    q_rows[deg] = (lo, hi, row)
+            else:  # a few terms spread over a wide m-range stay a dict
+                for _, _, t_row, (q_lo, _, q) in lower:
+                    _mul_rows_into(acc, t_row, q if isinstance(q, dict)
+                                   else dict(enumerate(q, q_lo)))
+                row = {m: p for m, p in acc.items() if p}
+                if row:
+                    q_rows[deg] = (min(row), max(row), row)
+        return self._unrows({deg: q if isinstance(q, dict) else (lo, q)
+                             for deg, (lo, _, q) in q_rows.items()}, width)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse within the truncated ring: ``1 / self``."""
@@ -288,14 +326,16 @@ class TruncatedSeries:
 
     def _unrows(self, rows: Rows, width: int) -> "TruncatedSeries":
         """The series of packed rows, read as balanced base-2**width digits
-        (a field of 2**(width-1) or more is negative and borrows one);
-        each x-degree is released once read."""
+        (a field of 2**(width-1) or more is negative and borrows one), with
+        its keys in ascending (n, m, r) order; each x-degree is released
+        once read."""
         mask = (1 << width) - 1
         half = 1 << (width - 1)
         out: dict[Triple, int] = {}
-        while rows:
-            n, row = rows.popitem()
-            for m, p in row.items():
+        for n in sorted(rows):
+            row = rows.pop(n)
+            for m, p in (sorted(row.items()) if isinstance(row, dict)
+                         else enumerate(row[1], row[0])):
                 # for width >= 2, a top digit r has |p| > 2**(width*r - 2)
                 for r in range(abs(p).bit_length() // width + 2):
                     c = p & mask

@@ -1,5 +1,6 @@
 """Ring arithmetic of the truncated trivariate series."""
 
+import tracemalloc
 from math import comb
 
 import pytest
@@ -275,7 +276,9 @@ def with_unit_constant(s, unit):
 @settings(max_examples=80, deadline=None)
 def test_mul_matches_schoolbook_wide_exponents(pair):
     a, b = pair
-    assert (a * b).coeffs == schoolbook_mul(a, b)
+    s = a * b
+    assert s.coeffs == schoolbook_mul(a, b)
+    assert list(s.coeffs) == sorted(s.coeffs)
 
 
 @given(wide_pairs(order=5, max_size=5), st.sampled_from([1, -1]))
@@ -286,6 +289,7 @@ def test_divide_round_trip_wide_exponents(pair, unit):
     q = n / d
     assert q * d == n
     assert schoolbook_mul(q, d) == n.coeffs
+    assert list(q.coeffs) == sorted(q.coeffs)
 
 
 def test_divide_field_width_rounds_slope_up():
@@ -294,6 +298,23 @@ def test_divide_field_width_rounds_slope_up():
     d = 1 - make_monomial(6, 2, 3, 0)
     assert (one(6) / d).coeffs == {
         (2 * j, 3 * j, 0): 1 for j in range(4)}
+
+
+def test_divide_keeps_sparse_rows_sparse():
+    # 1 / (1 - x z - x z^W) has g + 1 terms at x^g, W apart in z: a row
+    # stored as a list over its m-range would hold about g * W entries
+    wide = 10**6
+    d = 1 - make_monomial(8, 1, 1, 0) - make_monomial(8, 1, wide, 0)
+    tracemalloc.start()
+    try:
+        q = one(8) / d
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.coeffs == {(g, g - j + j * wide, 0): comb(g, j)
+                        for g in range(9) for j in range(g + 1)}
+    assert len(q.coeffs) == 45
+    assert peak < 2**20
 
 
 def test_wide_exponent_fixed_cases():
@@ -323,7 +344,9 @@ def dense_series(order, max_rows):
 @given(dense_series(order=6, max_rows=6), dense_series(order=6, max_rows=6))
 @settings(max_examples=60, deadline=None)
 def test_mul_matches_schoolbook_big_dense(a, b):
-    assert (a * b).coeffs == schoolbook_mul(a, b)
+    s = a * b
+    assert s.coeffs == schoolbook_mul(a, b)
+    assert list(s.coeffs) == sorted(s.coeffs)
 
 
 @given(dense_series(order=5, max_rows=5), dense_series(order=5, max_rows=4),
@@ -331,7 +354,9 @@ def test_mul_matches_schoolbook_big_dense(a, b):
 @settings(max_examples=60, deadline=None)
 def test_divide_round_trip_big_dense(n, tail, unit):
     d = with_unit_constant(tail, unit)
-    assert schoolbook_mul(n / d, d) == n.coeffs
+    q = n / d
+    assert schoolbook_mul(q, d) == n.coeffs
+    assert list(q.coeffs) == sorted(q.coeffs)
 
 
 @pytest.mark.parametrize("c", [3, 255, 2**64 - 1, 2**120 - 1, 2**120],
