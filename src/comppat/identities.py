@@ -258,14 +258,14 @@ def w123_chebyshev(k: int, order: int) -> TruncatedSeries:
                             (1-y)^{floor(j/2)} U_{j-3}(y)).
     """
     unit = one(order)
-    omy = unit - _z(order, 0, 1)
+    omy_pow = powers(unit - _z(order, 0, 1), min(k, order) // 2)
     den = unit - _z(order, 1, 0, k)
     for j in range(3, k + 1):
         if j > order:
             break
         sign = 1 if j % 2 == 0 else -1
         term = _z(order, j, 0, sign * comb(k, j))
-        term = term * omy ** (j // 2)
+        term = term * omy_pow[j // 2]
         term = term * _poly_to_series(u_poly(j - 3), order)
         den = den - term
     return den.reciprocal()

@@ -22,12 +22,11 @@ are read back as balanced digits, in [-2**(W-1), 2**(W-1)): W comes from
 the operands' absolute sums for ``*``, and for ``/``, which solves
 q = num + t q (den = 1 - t) degree by degree in x with q packed
 throughout, from the exact majorant |num|(x,1,1) / (1 - |t|(x,1,1)).
-``/`` keeps each solved row of q as the list of its packed values over
-its m-range lo..hi, so a row product adds into list slots by position,
-with no key lookup or key sum per pair; a row whose list would be
-longer than the products that fill it (a few terms far apart in m)
-stays a {m: P} dict.  Every product of two series and every quotient
-lists its keys in ascending (n, m, r) order.
+``/`` keeps each solved row of q whose m-range lo..hi spans at most the
+order as the list of its packed values, so a row product adds into list
+slots by position, with no key lookup or key sum per pair; a wider row
+(a few terms far apart in m) is a {m: P} dict.  Every product of two
+series and every quotient lists its keys in ascending (n, m, r) order.
 
 Values are immutable once constructed: every operation returns a fresh
 series, so they can be shared freely.
@@ -39,7 +38,7 @@ from collections.abc import Mapping
 
 Triple = tuple[int, int, int]
 # n -> m -> y-polynomial packed in one int; a row is a {m: P} dict, or
-# in a quotient (lo, [P at m = lo, lo + 1, ...])
+# in a quotient (lo, [P at m = lo, lo + 1, ..., hi]) with hi - lo <= order
 Rows = dict[int, dict[int, int] | tuple[int, list[int]]]
 
 
@@ -85,11 +84,10 @@ class OrderRangeError(SeriesError):
 class TruncatedSeries:
     """An immutable, exactly-truncated integer power series.
 
-    Supports ``+``, ``-``, ``*``, ``/`` (series or int operands; the
-    divisor needs a unit constant term) and ``**`` with a non-negative
-    integer exponent.  Construction checks that exponents and coefficients
-    are ints and canonicalizes: zero coefficients and terms beyond the
-    truncation order are dropped.
+    Supports ``+``, ``-``, ``*`` and ``/`` (series or int operands; the
+    divisor needs a unit constant term).  Construction checks that
+    exponents and coefficients are ints and canonicalizes: zero
+    coefficients and terms beyond the truncation order are dropped.
     """
 
     __slots__ = ("order", "coeffs")
@@ -206,19 +204,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series exponent must be a non-negative int")
-        result = one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def __truediv__(self, other) -> "TruncatedSeries":
         """The quotient q with other * q == self in the truncated ring.
 
@@ -227,10 +212,12 @@ class TruncatedSeries:
         quotient is again integer-coefficient.  With the signs of both
         operands flipped if need be, so that the divisor is 1 - t with t
         free of x-degree 0, q = self + t * q is solved degree by degree:
-        q_deg needs only t times the lower degrees of q.  Each solved row
-        is a list over its m-range lo..hi, or a dict where that list would
-        outgrow the products that fill it, so no row costs memory in
-        proportion to its m-range alone.
+        q_deg needs only t times the lower degrees of q.  The m-range
+        lo..hi of a solved row bounds its contributions (num's row and
+        every t_d q_{deg-d}); the row is a list over it when
+        hi - lo <= order, so no list holds more than order + 1 slots, and
+        a {m: P} dict otherwise, which keeps those bounds and not the
+        least and largest m left after cancellation.
         """
         den = self._coerce(other)
         if den is None:
@@ -271,16 +258,13 @@ class TruncatedSeries:
                 continue
             lo = min([*acc, *[low[0] for low in lower]])
             hi = max([*acc, *[low[1] for low in lower]])
-            # a list over m = lo..hi unless it outgrows the products that
-            # fill it; each lower degree gives one, so count past that only
-            if (hi - lo < len(acc) + len(lower) or hi - lo < len(acc) + sum(
-                    [len(t_row) * len(q[2]) for _, _, t_row, q in lower])):
+            # a dict row's span exceeds the order, and so does the span of
+            # every row it feeds: a list row reads list rows only
+            if hi - lo <= order:
                 row = [0] * (hi - lo + 1)
                 for m, p in acc.items():
                     row[m - lo] = p
-                for _, _, t_row, (q_lo, q_hi, q) in lower:
-                    if isinstance(q, dict):  # no longer than row
-                        q = [q.get(m, 0) for m in range(q_lo, q_hi + 1)]
+                for _, _, t_row, (q_lo, _, q) in lower:
                     for m1, p1 in t_row.items():
                         for m, p2 in enumerate(q, m1 + q_lo - lo):
                             row[m] += p1 * p2
@@ -290,9 +274,8 @@ class TruncatedSeries:
                 for _, _, t_row, (q_lo, _, q) in lower:
                     _mul_rows_into(acc, t_row, q if isinstance(q, dict)
                                    else dict(enumerate(q, q_lo)))
-                row = {m: p for m, p in acc.items() if p}
-                if row:
-                    q_rows[deg] = (min(row), max(row), row)
+                if row := {m: p for m, p in acc.items() if p}:
+                    q_rows[deg] = (lo, hi, row)
         return self._unrows({deg: q if isinstance(q, dict) else (lo, q)
                              for deg, (lo, _, q) in q_rows.items()}, width)
 

@@ -15,6 +15,7 @@ from comppat.identities import (d_series, gf_123_recursive,
 from comppat.patterns import (PartSet, PatternId, brute_force_table,
                               count_occurrences, enumerate_compositions)
 from comppat.series import make_monomial, one
+from comppat.words import word_gf
 from series_helpers import (substitute_y0, substitute_y1, substitute_z1,
                             truncate)
 
@@ -283,3 +284,11 @@ def test_check_counts_rejects_negative_coefficient():
     s = one(4) - make_monomial(4, 1, 1, 1, 1)
     with pytest.raises(RuntimeError, match="negative coefficient"):
         _check_counts(s)
+
+
+@pytest.mark.parametrize("p", list(P))
+def test_tables_list_their_keys_in_order(p):
+    # expand and words print a table's keys as stored, without sorting
+    for s in (build_gf(p, NAT, 20), build_gf(p, PartSet.of(1, 3, 4), 20),
+              word_gf(p, 5, 12)):
+        assert list(s.coeffs) == sorted(s.coeffs)

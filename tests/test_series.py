@@ -317,6 +317,32 @@ def test_divide_keeps_sparse_rows_sparse():
     assert peak < 2**20
 
 
+def test_divide_dict_row_keeps_its_bounds():
+    # q_1 = z + z^7 spans the order 6 and is a list row; q_2 is solved
+    # over m = 2..14, wider than the order, so it is a dict row, and its
+    # far terms cancel down to z^2.  The rows q_2 feeds must span at
+    # least 2..14 too, or a list row would read the dict row as a list.
+    d = 1 - make_monomial(6, 1, 1, 0) - make_monomial(6, 1, 7, 0)
+    num = (1 - make_monomial(6, 2, 8, 0, 2) - make_monomial(6, 2, 14, 0))
+    q = num / d
+    assert {k: c for k, c in q.coeffs.items() if k[0] <= 2} == {
+        (0, 0, 0): 1, (1, 1, 0): 1, (1, 7, 0): 1, (2, 2, 0): 1}
+    assert q.coeffs[(3, 3, 0)] == 1
+    assert q * d == num
+    assert schoolbook_mul(q, d) == num.coeffs
+
+
+@pytest.mark.parametrize("w", [7, 8])
+def test_divide_rows_either_side_of_the_order(w):
+    # at order 6, w = 7 makes the degree-1 row span exactly the order (a
+    # list) and every later row a dict; w = 8 makes every row a dict
+    d = 1 - make_monomial(6, 1, 1, 0) - make_monomial(6, 1, w, 0)
+    q = one(6) / d
+    assert q.coeffs == {(g, g - j + w * j, 0): comb(g, j)
+                        for g in range(7) for j in range(g + 1)}
+    assert list(q.coeffs) == sorted(q.coeffs)
+
+
 def test_wide_exponent_fixed_cases():
     big = make_monomial(3, 2, 100, 0)
     d = 1 - make_monomial(3, 1, 499, 500) + make_monomial(3, 2, 0, 7)
