@@ -28,6 +28,10 @@ double.  So every loop ends: each tail bound decays at least
 geometrically in ax <= 0.8 and underflows to 0, below eps, within a few
 thousand terms.  :func:`eval_f` is a one-point block.
 
+:func:`find_rho` takes Newton steps from a bracket scan, and
+:func:`estimate` reads f'(rho), each from one complex step (Squire &
+Trapp, SIAM Review 40, 1998): f(x + ih) = f(x) + ih f'(x) + O(h^2).
+
 :func:`estimate` samples f on the circle once: the rows are the exported
 curve and their phase increments give the winding number.  f has real
 coefficients, so f(conj x) = conj f(x): only the upper half of the circle,
@@ -46,8 +50,11 @@ import sys
 from .patterns import PatternId
 
 EVAL_EPS = 1e-15
-RHO_TOL = 1e-11
-FD_STEP = 1e-6
+# For real x, Re f(x + ih) and Im f(x + ih) / h are f(x) and f'(x) up to
+# O(h^2) with no subtraction to cancel, so unlike a finite difference the
+# error only falls as h shrinks: 1e-20 is exact to rounding, untuned.
+COMPLEX_STEP = 1e-20
+NEWTON_STEPS = 5
 WINDING_SAMPLES = 4096
 WINDING_RADIUS = 0.7
 _MAX_ABS = 0.8
@@ -62,7 +69,7 @@ class DomainError(AsymptoticsError):
 
 
 class RootNotFoundError(AsymptoticsError):
-    """No sign change of f on the bracket scan."""
+    """No sign change of f on the bracket scan, or Newton's method failed."""
 
 
 class UndersamplingError(AsymptoticsError):
@@ -339,36 +346,30 @@ def eval_f(p: PatternId, x, eps: float = EVAL_EPS):
     return values[0], bound
 
 
-def find_rho(p: PatternId, tol: float = RHO_TOL,
-             eps: float = EVAL_EPS) -> float:
-    """Smallest positive root of f, by bracket scan then bisection.
-
-    Evaluates f at x = 0.50, 0.51, ..., 0.65 as one block, then, only if
-    no sign change from positive (every f starts at f(0) = 1) was found,
-    at 0.65, ..., 0.80, and bisects the first such bracket down to width
-    `tol`.  The scan stops at 0.8, the evaluators' domain; all six
-    statistics root below 0.65.
-    """
-    if not tol >= 1e-12:  # also rejects NaN
-        raise ValueError("tol below 1e-12 exceeds double-precision headroom")
-    for ks in (range(50, 66), range(65, 81)):
-        xs = [k / 100 for k in ks]
-        fs = _evaluate(p, xs, eps)[0]
-        brackets = [(lo, hi) for lo, hi, f_lo, f_hi
-                    in zip(xs, xs[1:], fs, fs[1:]) if f_lo > 0 >= f_hi]
-        if brackets:
-            lo, hi = brackets[0]
-            break
-    else:
+def find_rho(p: PatternId, *, eps: float = EVAL_EPS) -> float:
+    """Smallest positive root of f: the first sign change from positive
+    (lo, hi) on the block 0.50, 0.51, ..., 0.65 (all six statistics root
+    in 0.513 .. 0.614), then NEWTON_STEPS complex-step Newton steps from
+    its secant point.  Raises RootNotFoundError if the scan finds no sign
+    change, a slope is 0, or the last step leaves [lo, hi]."""
+    xs = [k / 100 for k in range(50, 66)]
+    fs = _evaluate(p, xs, eps)[0]
+    brackets = [(lo, hi, f_lo, f_hi) for lo, hi, f_lo, f_hi
+                in zip(xs, xs[1:], fs, fs[1:]) if f_lo > 0 >= f_hi]
+    if not brackets:
         raise RootNotFoundError(
-            f"no sign change of f_{p.value} on (0.5, {_MAX_ABS})")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if eval_f(p, mid, eps)[0] > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+            f"no sign change of f_{p.value} on [{xs[0]}, {xs[-1]}]")
+    lo, hi, f_lo, f_hi = brackets[0]
+    x = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+    for _ in range(NEWTON_STEPS):
+        value = eval_f(p, complex(x, COMPLEX_STEP), eps)[0]
+        if value.imag == 0:
+            raise RootNotFoundError(f"f_{p.value} has slope 0 at {x}")
+        x -= value.real * COMPLEX_STEP / value.imag
+    if not lo <= x <= hi:  # also rejects NaN
+        raise RootNotFoundError(
+            f"Newton's method for f_{p.value} left [{lo}, {hi}] at {x}")
+    return x
 
 
 def _circle(radius: float, samples: int) -> list[complex]:
@@ -411,22 +412,13 @@ def winding_number(p: PatternId, radius: float = WINDING_RADIUS,
 
 def estimate(p: PatternId, radius: float = WINDING_RADIUS,
              samples: int = WINDING_SAMPLES) -> AsymptoticEstimate:
-    """Dominant-pole estimate: rho, v = 1/rho, K = -1/(rho f'(rho)), and
-    the winding certificate over |x| = radius.
-
-    f'(rho) comes from central differences at steps h and h/2 combined by
-    one Richardson extrapolation level.  The circle is sampled once, by
-    :func:`emit_curve`, which also certifies that no sample of f is 0;
-    the winding is read off those rows.
-    """
-    rho = find_rho(p, RHO_TOL)
-
-    def df(h: float) -> float:
-        return (eval_f(p, rho + h)[0] - eval_f(p, rho - h)[0]) / (2 * h)
-
-    d1 = df(FD_STEP)
-    d2 = df(FD_STEP / 2)
-    fprime = (4 * d2 - d1) / 3
+    """Dominant-pole estimate: rho, v = 1/rho, K = -1/(rho f'(rho)) with
+    f'(rho) from one complex step, and the winding certificate over
+    |x| = radius.  The circle is sampled once, by :func:`emit_curve`,
+    which also certifies that no sample of f is 0; the winding is read
+    off those rows."""
+    rho = find_rho(p)
+    fprime = eval_f(p, complex(rho, COMPLEX_STEP))[0].imag / COMPLEX_STEP
     k = -1 / (rho * fprime)
     curve = emit_curve(p, radius, samples)
     return AsymptoticEstimate(
@@ -435,8 +427,7 @@ def estimate(p: PatternId, radius: float = WINDING_RADIUS,
         growth_v=1 / rho,
         constant_K=k,
         winding=_winding([complex(rf, if_) for _, _, rf, if_ in curve]),
-        tolerances={"rho_tol": RHO_TOL, "tail_eps": EVAL_EPS,
-                    "fd_step": FD_STEP, "winding_samples": samples,
+        tolerances={"tail_eps": EVAL_EPS, "winding_samples": samples,
                     "winding_radius": radius},
         curve=curve,
     )
@@ -445,9 +436,12 @@ def estimate(p: PatternId, radius: float = WINDING_RADIUS,
 def predict_count(p: PatternId, n: int,
                   est: AsymptoticEstimate | None = None) -> float:
     """K * v^n, the dominant-pole approximation of the number of
-    p-avoiding compositions of n."""
+    p-avoiding compositions of n.  Raises ValueError if `est` is the
+    estimate of another pattern."""
     if est is None:
         est = estimate(p)
+    if est.pattern is not p:
+        raise ValueError(f"estimate of {est.pattern.value}, not of {p.value}")
     return est.constant_K * est.growth_v ** n
 
 

@@ -222,6 +222,8 @@ def cmd_verify(args, argv: list[str]) -> int:
         from . import words
         _require(args.k is not None, "-k: required with --words")
         _require(args.max_m is not None, "--max-m: required with --words")
+        _require(args.set is None, "--set: not allowed with --words")
+        _require(args.max_n is None, "--max-n: not allowed with --words")
         formula = words.word_table(words.word_gf(args.pattern, args.k,
                                                  args.max_m))
         oracle = brute_force_word_table(args.pattern, args.k,
@@ -232,6 +234,8 @@ def cmd_verify(args, argv: list[str]) -> int:
         from . import genfun
         _require(args.set is not None, "--set: required without --words")
         _require(args.max_n is not None, "--max-n: required without --words")
+        _require(args.k is None, "-k: only allowed with --words")
+        _require(args.max_m is None, "--max-m: only allowed with --words")
         part_set = parse_set_spec(args.set)
         formula = genfun.build_gf(args.pattern, part_set, args.max_n).coeffs
         oracle = brute_force_table(args.pattern, part_set, args.max_n).counts

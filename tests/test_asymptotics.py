@@ -8,6 +8,7 @@ import cmath
 import hashlib
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -47,16 +48,10 @@ def test_find_rho_examples():
     assert abs(find_rho(P.VALLEY) - 1 / 1.84092) < 1e-5
 
 
-def test_find_rho_rejects_tiny_tolerance():
-    for tol in (1e-14, float("nan")):
-        with pytest.raises(ValueError):
-            find_rho(P.P111, tol=tol)
-
-
 @pytest.mark.parametrize("p", list(P))
 def test_find_rho_scans_in_one_block(monkeypatch, p):
     # every statistic roots below 0.65, so the bracket scan is the one
-    # block 0.50, 0.51, ..., 0.65; only the bisection evaluates single
+    # block 0.50, 0.51, ..., 0.65; only Newton's method evaluates single
     # points
     evaluate = asymptotics._EVALUATORS[p]
     blocks = []
@@ -70,32 +65,52 @@ def test_find_rho_scans_in_one_block(monkeypatch, p):
     assert len(blocks) > 1 and {n for _, n, _ in blocks[1:]} == {1}
 
 
-@pytest.mark.parametrize("root", [0.6505, 0.655, 0.6599, 0.7777])
-def test_find_rho_scans_the_upper_block_only_without_a_bracket(
-        monkeypatch, root):
-    # a root above 0.65 is found in the second block, 0.65 ... 0.80,
-    # which repeats 0.65 so that the pair (0.65, 0.66) is not skipped
-    blocks = []
-
-    def linear(xs, ax, eps):
-        blocks.append((xs[0], len(xs), ax))
-        return [root - x for x in xs], 0.0
-    monkeypatch.setitem(asymptotics._EVALUATORS, P.P111, linear)
-    assert abs(find_rho(P.P111) - root) < 1e-10
-    assert blocks[:2] == [(0.5, 16, 0.65), (0.65, 16, 0.8)]
-    assert {n for _, n, _ in blocks[2:]} == {1}
-
-
-def test_find_rho_without_a_sign_change_scans_both_blocks(monkeypatch):
+@pytest.mark.parametrize("root", [0.6505, 0.655, 0.6599, 0.7777, None])
+def test_find_rho_without_a_sign_change_scans_one_block(monkeypatch, root):
+    # the scan is the one block 0.50 ... 0.65: a root above 0.65, even one
+    # in (0.65, 0.66), or none at all is not searched for further
     sizes = []
 
-    def positive(xs, ax, eps):
+    def linear(xs, ax, eps):
         sizes.append(len(xs))
-        return [1.0] * len(xs), 0.0
-    monkeypatch.setitem(asymptotics._EVALUATORS, P.P111, positive)
-    with pytest.raises(asymptotics.RootNotFoundError):
+        return [1.0 if root is None else root - x for x in xs], 0.0
+    monkeypatch.setitem(asymptotics._EVALUATORS, P.P111, linear)
+    with pytest.raises(asymptotics.RootNotFoundError,
+                       match=r"no sign change of f_111 on \[0.5, 0.65\]"):
         find_rho(P.P111)
-    assert sizes == [16, 16]
+    assert sizes == [16]
+
+
+def stub_root(x):
+    # real on the real axis, with one root 0.555 and enough curvature that
+    # the secant point of the bracket (0.55, 0.56) misses it
+    return 1 - (x / 0.555) ** 40
+
+
+def wrong_slope(xs, ax, eps):
+    # f(conj x): right on the real axis, but Im f(x + ih) / h is -f'(x)
+    return [stub_root(x.conjugate()) for x in xs], 0.0
+
+
+def flat_slope(xs, ax, eps):
+    # f(Re x): right on the real axis, but Im f(x + ih) is 0
+    return [stub_root(x.real) for x in xs], 0.0
+
+
+@pytest.mark.parametrize("stub, message", [
+    (wrong_slope, r"Newton's method for f_111 left \[0.55, 0.56\]"),
+    (flat_slope, "f_111 has slope 0")])
+def test_find_rho_refuses_a_bad_complex_step_slope(monkeypatch, stub,
+                                                   message):
+    monkeypatch.setitem(asymptotics._EVALUATORS, P.P111, stub)
+    with pytest.raises(asymptotics.RootNotFoundError, match=message):
+        find_rho(P.P111)
+
+
+def test_find_rho_takes_eps_by_keyword_only():
+    # a stale positional tol must not be read as eps
+    with pytest.raises(TypeError):
+        find_rho(P.P111, 1e-11)
 
 
 def test_estimate_equality_and_repr_leave_out_the_curve(default_estimate):
@@ -113,7 +128,7 @@ def test_estimate_equality_and_repr_leave_out_the_curve(default_estimate):
 
 def test_rho_above_half_for_all_patterns():
     for p in P:
-        rho = find_rho(p, tol=1e-9)
+        rho = find_rho(p)
         assert 0.5 < rho < 1
 
 
@@ -192,10 +207,16 @@ def test_powers_match_python_pow(exps):
             [repr(x ** e) for e in exps], x
 
 # SHA-256 over the repr of every eval_f value and bound at the points
-# below, three blocks and find_rho at three (tol, eps) pairs, recorded
-# before 123 and peak/valley evaluated each point in its own scalar loop.
+# below and of three blocks, at three eps values, recorded before 123 and
+# peak/valley evaluated each point in its own scalar loop, and digested
+# again without the find_rho lines (below) before those changed.
 EVALUATOR_FINGERPRINT = \
-    "68c2bd339681930369bf038cc959ba6279aaf1692cd77d1064cd9d85f5df2582"
+    "ba282222d95a0b184f5f65621c906e0cc4a6b259c2ad461c450f4aeab4714af5"
+# SHA-256 over the repr of find_rho at the same three eps values,
+# recorded when Newton's method from the secant point replaced bisection.
+FIND_RHO_FINGERPRINT = \
+    "774c5bba16002d017d498899e4cb5c9c2a9f37ced68289bb59288099db544996"
+FINGERPRINT_EPS = (1e-15, 1e-9, sys.float_info.min)
 
 
 def test_evaluators_match_recorded_fingerprint():
@@ -206,16 +227,20 @@ def test_evaluators_match_recorded_fingerprint():
               [0.2, -0.5j, 0.7 * cmath.exp(2j), 0.8]]
     lines = []
     for p in P:
-        for eps in (1e-15, 1e-9, sys.float_info.min):
+        for eps in FINGERPRINT_EPS:
             lines += [repr((p.value, eps, x, eval_f(p, x, eps)))
                       for x in reals + off_axis]
             lines += [repr((p.value, eps, _evaluate(p, xs, eps)))
                       for xs in blocks]
-        lines += [repr((p.value, tol, eps, find_rho(p, tol, eps)))
-                  for tol, eps in ((1e-11, 1e-15), (1e-9, 1e-9),
-                                   (1e-12, sys.float_info.min))]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == EVALUATOR_FINGERPRINT
+
+
+def test_find_rho_matches_recorded_fingerprint():
+    lines = [repr((p.value, eps, find_rho(p, eps=eps)))
+             for p in P for eps in FINGERPRINT_EPS]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == FIND_RHO_FINGERPRINT
 
 
 def test_tail_bound_honest():
@@ -297,7 +322,8 @@ def test_estimate_111(default_estimate):
     assert abs(est.growth_v - 1.91076) / 1.91076 < 1e-5
     assert abs(est.constant_K - 0.499301) / 0.499301 < 1e-4
     assert est.winding == 1
-    assert est.tolerances["rho_tol"] == 1e-11
+    assert est.tolerances == {"tail_eps": 1e-15, "winding_samples": 4096,
+                              "winding_radius": 0.7}
 
 
 def test_estimate_consistent_with_exact_ratio(default_estimate):
@@ -320,6 +346,20 @@ def test_prediction_matches_exact_count_at_order_cap(default_estimate):
         assert abs(predicted - exact) / exact <= 1e-8, p
 
 
+def test_rho_and_K_match_the_exact_counts(default_estimate):
+    # a_n ~ K v^n, so rho_n = a_n / a_{n+1} and K_n = a_n rho_n^n converge
+    # to rho and K geometrically; at n = 120 they agree with the n = 250
+    # values to 2e-20 and 3e-18 relative (peak is slowest), so the bounds
+    # measure the error of the printed rho and K alone
+    for p in P:
+        a = avoidance_sequence(p, PartSet.naturals(), 121)
+        rho = Fraction(a[120], a[121])
+        k = a[120] * rho ** 120
+        est = default_estimate(p)
+        assert abs(Fraction(est.rho) - rho) <= Fraction(2e-15) * rho, p
+        assert abs(Fraction(est.constant_K) - k) <= Fraction(1e-13) * k, p
+
+
 def test_estimate_samples_the_circle_once():
     est = estimate(P.P221, 0.65, 1024)
     assert est.curve == emit_curve(P.P221, 0.65, 1024)
@@ -332,6 +372,11 @@ def test_predict_count_111(default_estimate):
     est = default_estimate(P.P111)
     predicted = predict_count(P.P111, 25, est)
     assert abs(predicted - 5352275) / 5352275 < 0.01
+
+
+def test_predict_count_refuses_another_pattern_estimate(default_estimate):
+    with pytest.raises(ValueError, match="estimate of 111, not of 112"):
+        predict_count(P.P112, 30, default_estimate(P.P111))
 
 
 # -- curve export ----------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from comppat import asymptotics, cli
 from comppat.patterns import PatternId
 from enumeration import BATTERY
+from test_asymptotics import flat_slope, wrong_slope
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "schemas"
@@ -209,15 +210,31 @@ def test_asymptotics_samples_cap(monkeypatch, capsys):
         "properties"]["winding_samples"]["maximum"] == cli.MAX_SAMPLES
 
 
+def test_asymptotics_schema_names_the_tolerances():
+    tolerances = {"tail_eps": 1e-15, "winding_samples": 4096,
+                  "winding_radius": 0.7}
+    report = {"tool": "comppat", "command": [], "pattern": "111",
+              "rho": 0.52, "v": 1.9, "K": 0.5, "winding": 1,
+              "tolerances": tolerances}
+    check("asymptotics", report)
+    for stale in ({"rho_tol": 1e-11}, {"fd_step": 1e-6}):
+        with pytest.raises(jsonschema.ValidationError):
+            check("asymptotics", dict(report,
+                                      tolerances=tolerances | stale))
+    with pytest.raises(jsonschema.ValidationError):
+        check("asymptotics", dict(report, tolerances={}))
+
+
 def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
     # the report's winding and the curve come from one pass over the upper
     # half of the requested circle, as one block of complex points;
-    # nothing samples the default |x| = 0.7
+    # nothing samples the default |x| = 0.7.  The complex steps x + ih of
+    # find_rho and estimate are one-point blocks, not circle blocks.
     evaluate = asymptotics._EVALUATORS[PatternId.P112]
     blocks = []
 
     def counting(xs, ax, eps):
-        if isinstance(xs[0], complex):
+        if isinstance(xs[0], complex) and len(xs) > 1:
             blocks.append(list(xs))
         return evaluate(xs, ax, eps)
     monkeypatch.setitem(asymptotics._EVALUATORS, PatternId.P112, counting)
@@ -253,22 +270,24 @@ def test_asymptotics_uncertified_circle_exits_3(monkeypatch, capsys):
 
 
 # SHA-256 of the stdout of `asymptotics --pattern P --samples 1024
-# --curve-csv c.csv` and of the CSV's data rows 0 .. 512, recorded when
-# every circle point was evaluated on its own.  The rows past 512 are
-# mirrored conjugates now, which differ from those old rows in the last ulp.
+# --curve-csv c.csv` and of the CSV's data rows 0 .. 512.  The rows were
+# recorded when every circle point was evaluated on its own (the rows past
+# 512 are mirrored conjugates now, which differ from those old rows in the
+# last ulp); stdout was recorded again when rho and K came from
+# complex-step Newton instead of bisection and finite differences.
 ASYMPTOTICS_DIGESTS = {
-    "111": ("8a9a2efee3c46e2e316c11a2adc0f82cf0279bc66e5dac88ced0a9e70aa57f8e",
+    "111": ("11a8a4b561ef8dd68146962d8df3fd378e5c50c2fd73579c6c73edd62940c383",
             "1d69b4ce2c54f3b940c9ef945167c6aa6c02d2c1852f00fdb3f2738f45ff5c6d"),
-    "112": ("4c806f36faeb0ac0e349d0b63dc89d7b6be328fb8ecb5e9af714bc61b97d3ab0",
+    "112": ("2e2b79a2965572a78c06f55dfe6eab7db77da83fcdeacc1532da6390a2177928",
             "ad30244a2aee3e33994d0add1296e7e652ea8894908d6ff56306ab6dcc7a69e3"),
-    "221": ("8ba637f3680ae59ad0b3c053ac33eaccf94b4462e44af164cb74b530b881783f",
+    "221": ("e4deae349cd50b06d34dce2e8bb0ad7088e8b6eef71dc5c11a7d0960dced31c5",
             "ef568327b2d9aaebbb1d9884d9a31f66415b3336c5d573e18133ab9f6881cd6e"),
-    "123": ("4e01fa5b5229ac1305fd3e7db792d6ee95f6ae4d5274b39180242caca6bf1656",
+    "123": ("92a6747b5f36fb7ad6162d15127f7c4891781fca638d8a0b18554923ef650d81",
             "ef67c7797e727846951546bd5736e7ccadf3bac33870269c53841d80af2e5122"),
-    "peak": ("433f3968643cd54804ba7c4f138a6daf99ca9625bf8128555e65c717f437a37e",
+    "peak": ("9b4f97f2f1561e132028af4c2319380419ebcfae32800dd28da8159f034e4ae8",
              "9725e3cf622ab286c137d5e3bccde307efd737e84260aa44c5c3881a7e0be404"),
     "valley": (
-        "657bd34c29a26cdae80d339175852df0ea23e59663413e6048d39636f75c965e",
+        "c30ee42185b1bb7f81d3a8f730e13e58fb4c32e73376074951a029390bc92947",
         "427ce5c1c37d0af2b50b90aadd1b6187576ed440e83dcce3bcaa1906850c2c8a"),
 }
 
@@ -289,26 +308,27 @@ def test_asymptotics_matches_golden_digests(pattern, capsys, monkeypatch,
 
 
 # The same digests on the benchmark's circle, the default 4,096 samples
-# (rows 0 .. 2048 are the evaluated upper half), recorded before the
-# evaluators shared their powers of x.
+# (rows 0 .. 2048 are the evaluated upper half), the rows recorded before
+# the evaluators shared their powers of x and stdout with complex-step
+# Newton.
 ASYMPTOTICS_DEFAULT_DIGESTS = {
     "111": (
-        "e817233bf11171ccfc5d5fbc1efacbd16a9e57d38d8912712043f8a72ecfa20e",
+        "4474fc1c30d1eb1024b2feb647571fac21839f030477137941afb99aa461ed57",
         "621b75cfe761c5c86d4da07c0a11f2145b7cbef7b15674d2b22aaa243d8147c5"),
     "112": (
-        "a67d6c50beb9c09fbcc6ff017134de7e9c3d6b6a0c0283d96a433b780c7d9fda",
+        "a4014208490434aa512d354bde027e17000bda444aefa43a48b58c9e3ebb8488",
         "d8480ef3fddbf4414428db28e8c4d9cb66328efd172562ac51fa17f7c8f27de2"),
     "221": (
-        "9a1d1d93b360024523070f8abae3b4503e620fd013f3c87afe6955837592a4c2",
+        "3b0d1a7030419b4d9e4d7635bfe1e63868d39458f0786d6352edb31e5c6e80f7",
         "02128d18350bb43834d42fa562b9a00d7fe8442eaa73eb476eb15b071c201f03"),
     "123": (
-        "2018230dbffb88e79769048834258a90a764d348d6e5da435552747244567ac4",
+        "5e9016861a6d8d78f36152073224e8a53d2516b08069f0f632ff72cf40811e10",
         "a3b997fabd94829faa1c97ee27d27820e0f4e49f7970472b2f1a732b4f3666c7"),
     "peak": (
-        "bab2ae852958d423e7f443187c9fbcbea42b02bfcdd77e2769c6bc3352596327",
+        "b3c848e89a4739eb25430ee919fcb6206622fadec44a254371761850164f8012",
         "37d365b8e48192d8541e6f77ef4e2f32d256e3f47f8230cd61016fe6dfbe329e"),
     "valley": (
-        "90e85a8f408955b0d0be2d8ebf430f769ce21835d5162944de50c52a806060d8",
+        "f3e0c060b7ace64e9191e45c7c9d366b3ac4f86e077dc2d5a11615eb8ad44b24",
         "3cd3e9ae89c39f61c549cdf0cd31aab4172553e999cbe84e6be29e7a0dfe4643"),
 }
 
@@ -435,6 +455,19 @@ def test_asymptotics_root_not_found_exits_3(monkeypatch, capsys):
         "comppat: numeric failure: no sign change of f_111\n"
 
 
+@pytest.mark.parametrize("stub", [wrong_slope, flat_slope])
+def test_asymptotics_bad_newton_slope_exits_3(stub, monkeypatch, capsys):
+    # a complex-step slope of the wrong sign or 0 is a numeric failure,
+    # never a ZeroDivisionError
+    monkeypatch.setitem(asymptotics._EVALUATORS, PatternId.P111, stub)
+    rc = cli.main(["asymptotics", "--pattern", "111", "--samples", "1024"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("comppat: numeric failure: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_asymptotics_base_numeric_failure_exits_3(monkeypatch, capsys):
     def boom(*args):
         raise asymptotics.AsymptoticsError("numerator nearly vanishes")
@@ -506,6 +539,27 @@ def test_verify_requires_scope_flags():
     res = run_cli("verify", "--pattern", "112", "--words", "-k", "3")
     assert res.returncode == 2
     assert "--max-m" in res.stderr
+
+
+def test_verify_words_refuses_the_composition_flags():
+    for flags in (["--set", "1,2"], ["--max-n", "7"],
+                  ["--set", "1,2", "--max-n", "7"]):
+        res = run_cli("verify", "--pattern", "111", "--words", "-k", "3",
+                      "--max-m", "4", *flags)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == \
+            f"comppat: error: {flags[0]}: not allowed with --words\n"
+
+
+def test_verify_compositions_refuse_the_word_flags():
+    for flags in (["-k", "3"], ["--max-m", "4"], ["-k", "3", "--max-m", "4"]):
+        res = run_cli("verify", "--pattern", "111", "--set", "1,2",
+                      "--max-n", "7", *flags)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == \
+            f"comppat: error: {flags[0]}: only allowed with --words\n"
 
 
 def test_verify_mismatch_exits_4(monkeypatch):
