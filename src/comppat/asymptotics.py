@@ -20,25 +20,33 @@ guaranteed upper bound on the truncation error at every point of the
 block (floating-point rounding aside).  Stopping indices and tail bounds
 grow with |x|, so each evaluator fixes them from ax and eps alone, once
 per block, and then runs one scalar loop per point: a point's value
-depends on ax and eps, not on the other points of its block.  A point's
-powers x^e come from one ladder of squarings (:func:`_powers`), with the
-bits of ``x ** e``.  The one entry, :func:`_evaluate`, owns the input
-bounds: finite points with |x| <= 0.8 and eps >= the smallest normal
-double.  So every loop ends: each tail bound decays at least
-geometrically in ax <= 0.8 and underflows to 0, below eps, within a few
-thousand terms.  :func:`eval_f` is a one-point block.
+depends on ax and eps, not on the other points of its block.  The one
+entry, :func:`_evaluate`, owns the input bounds: finite points with
+|x| <= 0.8 and eps >= the smallest normal double.  So every loop ends:
+each tail bound decays at least geometrically in ax <= 0.8 and
+underflows to 0, below eps, within a few thousand terms.  :func:`eval_f`
+is a one-point block.
 
 :func:`find_rho` takes Newton steps from a bracket scan, and
 :func:`estimate` reads f'(rho), each from one complex step (Squire &
 Trapp, SIAM Review 40, 1998): f(x + ih) = f(x) + ih f'(x) + O(h^2).
 
-:func:`estimate` samples f on the circle once: the rows are the exported
-curve and their phase increments give the winding number.  f has real
-coefficients, so f(conj x) = conj f(x): only the upper half of the circle,
-indices 0 .. samples // 2, is evaluated, as one block, and each row past
-samples // 2 is the exact conjugate of its mirror row, which can differ in
-the last ulp from a direct evaluation at its own point.  The winding
-counts only if every sampled |f| exceeds the truncation bound.
+:func:`estimate` samples f on the circle once, by :func:`emit_curve`: the
+rows are the exported curve and their phase increments give the winding
+number.  f has real coefficients, so f(conj x) = conj f(x): rows
+0 .. S // 2 of the S samples are computed, and the rest are their exact
+conjugates.  The evaluators run only at every (S/P)-th of those rows,
+for h = D, or h = N + iD for peak and valley; one inverse FFT gives h's P
+aliased Taylor coefficients, and at most S/P - 1 twiddled FFTs of size P
+give h at the other points.  P is the least power of two below S that
+divides S with an aliasing term 2 M (r/R)^P / (1 - r/R) <= eps on
+|x| = r, where M >= |h| on |x| = R = 0.8 (Trefethen & Weideman, SIAM
+Review 56, 2014); if there is none, P = S and every row is evaluated.
+The winding counts only if every |f| exceeds the certified bound: the
+aliasing term, sqrt(P) times the samples' truncation bound (Parseval and
+Cauchy-Schwarz), and the rounding of the points and of the transforms
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+section 24.1).
 """
 
 from __future__ import annotations
@@ -162,10 +170,10 @@ def _den_221(xs, ax: float, eps: float):
     prod_tail_sum = ax ** (2 * (L + 1)) / (1 - ax * ax)
     prod_err = math.expm1(prod_tail_sum)
     # the sum's x^i for i <= L and the guards' x^{2j} for j <= L
-    plan = _plan({*range(1, L + 1), *range(4, 2 * L + 1, 2)}, xs)
+    exps = {*range(1, L + 1), *range(4, 2 * L + 1, 2)}
     values = []
     for x in xs:
-        pw = _powers(x, plan)
+        pw = {e: x ** e for e in exps}
         # suffix[i] = prod_{j=i+1..L} (1 - x^{2j})
         suffix = [1 + 0 * x] * (L + 2)
         for i in range(L - 1, 0, -1):
@@ -187,38 +195,6 @@ def _qpoch_lower(ax: float) -> float:
         prod *= 1 - ax ** j
         j += 1
     return prod * (1 - ax ** j / (1 - ax))
-
-
-def _plan(exps, xs) -> tuple:
-    """Plan for :func:`_powers` on the block xs: sorted exps, the ladder
-    steps (e, e - 2^h, h) for each e <= 100 of exps and what is left as its
-    top bit h drops, if xs holds a complex point, and the exps above 100."""
-    exps, steps = sorted(exps), {}
-    for e in exps if any(type(x) is complex for x in xs) else ():
-        while 0 < e <= 100 and e not in steps:
-            h = e.bit_length() - 1
-            steps[e] = (e, e - (1 << h), h)
-            e -= 1 << h
-    return exps, sorted(steps.values()), [e for e in exps if e > 100]
-
-
-def _powers(x, plan):
-    """pw[e] == x ** e bit for bit for the plan's exponents: CPython raises a
-    complex x to an integer e <= 100 by this right-to-left binary ladder,
-    x^e = x^(e - 2^h) * x^(2^h) from x^0 = 1 + 0j (that product can flip a
-    zero's sign).  Float (libm pow) and int x, and e > 100, use ``**``."""
-    exps, steps, high = plan
-    if type(x) is not complex or not steps:
-        return {e: x ** e for e in exps}
-    sq = [x]
-    for _ in range(steps[-1][2]):
-        sq.append(sq[-1] * sq[-1])
-    pw = [1 + 0j] + [None] * exps[-1]
-    for e, rest, h in steps:
-        pw[e] = pw[rest] * sq[h]
-    for e in high:
-        pw[e] = x ** e
-    return pw
 
 
 def _poch(pw, top: int) -> list:
@@ -245,11 +221,11 @@ def _den_123(xs, ax: float, eps: float):
                           math.comb(k - 3, j)) for j in range(k - 2)])
             for k in range(3, p + 1)]
     # x^T(q) for the terms and x^i, i <= 2p - 3, for (x;x)_q
-    plan = _plan({*(t for _, terms in rows for t, _, _ in terms),
-                  *range(1, 2 * p - 2)}, xs)
+    exps = {*(t for _, terms in rows for t, _, _ in terms),
+            *range(1, 2 * p - 2)}
     values = []
     for x in xs:
-        pw = _powers(x, plan)
+        pw = {e: x ** e for e in exps}
         poch = _poch(pw, 2 * p - 3)
         total = x / (1 - x)
         for sign, terms in rows:
@@ -261,11 +237,11 @@ def _den_123(xs, ax: float, eps: float):
     return values, bound_next / (1 - ratio)
 
 
-def _f_alternating(xs, ax: float, eps: float, odd_exp):
-    """f = (N - S)/N for peak or valley, from the numerator
+def _num_den_alternating(xs, ax: float, eps: float, odd_exp):
+    """N and D = N - S for peak or valley, from the numerator
     N = 1 + sum_{j>=1} x^{j(j+2)} / (x;x)_{2j} and the odd sum
-    S = sum_{j>=0} x^{odd_exp(j)} / (x;x)_{2j+1}, each to eps/2.  The
-    bound is the largest of the per-point bounds (nb + sb + |f| nb) / |N|.
+    S = sum_{j>=0} x^{odd_exp(j)} / (x;x)_{2j+1}, each to eps/2, as
+    ([N values, D values], [N bound, D bound]).
 
     Both exponents grow by at least 2 a term and c_min = _qpoch_lower(ax)
     bounds every |(x;x)_q| from below, so the terms after the j-th sum to
@@ -285,12 +261,10 @@ def _f_alternating(xs, ax: float, eps: float, odd_exp):
         tails.append(tail)
     nb, sb = tails
     top = max(terms[-1][1] for _, terms in plans)
-    plan = _plan({*(e for _, terms in plans for e, _ in terms),
-                  *range(1, top + 1)}, xs)
-    values = []
-    bound = 0.0
+    exps = {*(e for _, terms in plans for e, _ in terms), *range(1, top + 1)}
+    nvs, dvs = [], []
     for x in xs:
-        pw = _powers(x, plan)
+        pw = {e: x ** e for e in exps}
         poch = _poch(pw, top)
         sums = []
         for constant, terms in plans:
@@ -299,34 +273,52 @@ def _f_alternating(xs, ax: float, eps: float, odd_exp):
                 total = total + pw[e] / poch[q]
             sums.append(total)
         nv, sv = sums
+        nvs.append(nv)
+        dvs.append(nv - sv)
+    return [nvs, dvs], [nb, nb + sb]
+
+
+def _quotient(xs, parts, bounds):
+    """f = D/N on the block xs from parts = [N values, D values] with
+    error bounds [nb, db], as (values, bound): the bound is the largest of
+    the per-point bounds (db + |f| nb) / |N|.  Raises AsymptoticsError
+    where |N| < 1e-9."""
+    (nvs, dvs), (nb, db) = parts, bounds
+    values, bound = [], 0.0
+    for x, nv, dv in zip(xs, nvs, dvs):
         if abs(nv) < 1e-9:
             raise AsymptoticsError(
                 f"numerator nearly vanishes at {x}; f undefined there")
-        value = (nv - sv) / nv
+        value = dv / nv
         values.append(value)
-        bound = max(bound, (nb + sb + abs(value) * nb) / abs(nv))
+        bound = max(bound, (db + abs(value) * nb) / abs(nv))
     return values, bound
 
 
-# f on a block of points, as (values, one bound for the whole block).  The
-# numerator of the first four series is identically 1; peak and valley
-# differ in the x-exponent of the j-th term of the odd sum S.
+# N and D of peak and valley, whose N is not 1: they differ in the
+# x-exponent of the j-th term of the odd sum S
+_NUM_DEN = {
+    PatternId.PEAK: lambda xs, ax, eps: _num_den_alternating(
+        xs, ax, eps, lambda j: j * j + 3 * j + 1),
+    PatternId.VALLEY: lambda xs, ax, eps: _num_den_alternating(
+        xs, ax, eps, lambda j: (j + 1) * (j + 1)),
+}
+
+# f on a block of points, as (values, one bound for the whole block)
 _EVALUATORS = {
     PatternId.P111: _den_111,
     PatternId.P112: _den_112,
     PatternId.P221: _den_221,
     PatternId.P123: _den_123,
-    PatternId.PEAK: lambda xs, ax, eps: _f_alternating(
-        xs, ax, eps, lambda j: j * j + 3 * j + 1),
-    PatternId.VALLEY: lambda xs, ax, eps: _f_alternating(
-        xs, ax, eps, lambda j: (j + 1) * (j + 1)),
+    PatternId.PEAK: lambda xs, ax, eps: _quotient(
+        xs, *_NUM_DEN[PatternId.PEAK](xs, ax, eps)),
+    PatternId.VALLEY: lambda xs, ax, eps: _quotient(
+        xs, *_NUM_DEN[PatternId.VALLEY](xs, ax, eps)),
 }
 
 
-def _evaluate(p: PatternId, xs, eps: float):
-    """f at every point of the block xs, as (values, bound): the bound
-    holds for each point, because every shared bound grows with |x| and
-    is taken at the largest |x| in the block.  Raises ValueError unless
+def _max_abs(xs, eps: float) -> float:
+    """The largest |x| of the block xs.  Raises ValueError unless
     eps >= sys.float_info.min, and DomainError unless every x is finite
     with |x| <= 0.8."""
     if not eps >= sys.float_info.min:  # also rejects NaN
@@ -336,7 +328,14 @@ def _evaluate(p: PatternId, xs, eps: float):
     if bad:
         raise DomainError(f"x = {bad[0]} is not finite with |x| <= "
                           f"{_MAX_ABS}; tail bounds unavailable")
-    return _EVALUATORS[p](xs, max(mags), eps)
+    return max(mags)
+
+
+def _evaluate(p: PatternId, xs, eps: float):
+    """f at every point of the block xs, as (values, bound): the bound
+    holds for each point, because every shared bound grows with |x| and
+    is taken at the largest |x| in the block.  Raises as _max_abs."""
+    return _EVALUATORS[p](xs, _max_abs(xs, eps), eps)
 
 
 def eval_f(p: PatternId, x, eps: float = EVAL_EPS):
@@ -373,13 +372,131 @@ def find_rho(p: PatternId, *, eps: float = EVAL_EPS) -> float:
 
 
 def _circle(radius: float, samples: int) -> list[complex]:
-    """The points radius * exp(2 pi i idx / samples), idx = 0 .. samples-1."""
+    """The upper half of the circle: radius * exp(2 pi i idx / samples),
+    idx = 0 .. samples // 2."""
     if samples < 1024:
         raise ValueError("need at least 1024 samples")
     if not 0 < radius < _MAX_ABS:  # also rejects NaN
         raise ValueError(f"radius must be in (0, {_MAX_ABS})")
     return [radius * cmath.exp(2j * cmath.pi * idx / samples)
-            for idx in range(samples)]
+            for idx in range(samples // 2 + 1)]
+
+
+def _majorant(p: PatternId) -> float:
+    """M >= |h| on |x| = R = 0.8 for h = D, or h = N + iD for peak and
+    valley (|h| <= 2|N| + |S|), term by term: 111's i-th term is at most
+    t(1 + t)/(1 - t)^2, t = R^i, as |1 + y + y^2| >= (1 - |y|)^2; cap
+    bounds the guard products of 112 and 221; 1/c_min bounds every
+    1/|(x;x)_q|; 123's k-th group is at most 2^(k-3) R^T(k) / c_min, each
+    at most 2R^4 times the last; N's exponents are >= 3 and S's >= 1."""
+    r = _MAX_ABS
+    if p is PatternId.P111:
+        return 1 + r * (1 + r) / (1 - r) ** 3
+    if p in (PatternId.P112, PatternId.P221):
+        return 1 + math.exp(r * r / (1 - r * r)) * r / (1 - r)
+    c_min = _qpoch_lower(r)
+    if p is PatternId.P123:
+        return 1 + r / (1 - r) + r ** 6 / (1 - 2 * r ** 4) / c_min
+    return 2 + (2 * r ** 3 + r) / (1 - r) / c_min
+
+
+def _alias(majorant: float, radius: float, size: int) -> float:
+    """2 M q^size / (1 - q), q = radius / 0.8: how far the interpolant of h
+    from size points is from h on |x| = radius."""
+    q = radius / _MAX_ABS
+    return 2 * majorant * q ** size / (1 - q)
+
+
+def _transform_size(p: PatternId, radius: float, samples: int,
+                    eps: float) -> int:
+    """P: the least power of two below samples that divides it and has an
+    aliasing term of at most eps, or samples if none does."""
+    size = 2
+    while samples % size == 0 and size < samples:
+        if _alias(_majorant(p), radius, size) <= eps:
+            return size
+        size *= 2
+    return samples
+
+
+# |computed exp(2 pi i k / n) - exp(2 pi i k / n)| for 0 <= k < n, and per
+# unit radius for the circle's points: pi's error and two roundings of an
+# angle below 2 pi (1.64e-15), and one ulp in each part of cmath.exp
+_ROOT_ERR = 2e-15
+
+
+def _fft(x: list, roots: list) -> list:
+    """sum_k x_k w^(jk) for j = 0 .. n - 1, where n = len(x) is a power of
+    two and roots[k] = w^k for k < n / 2: Stockham's radix-2 FFT, by
+    decimation in frequency with the output in natural order."""
+    n, m = len(x), 1
+    while m < n:
+        c0, c1 = x[:n // 2], x[n // 2:]
+        w = [wj for wj in roots[::m] for _ in range(m)]
+        sums = [a + b for a, b in zip(c0, c1)]
+        diffs = [wj * (a - b) for wj, a, b in zip(w, c0, c1)]
+        x = [0j] * n
+        for k in range(m):
+            x[k::2 * m], x[k + m::2 * m] = sums[k::m], diffs[k::m]
+        m *= 2
+    return x
+
+
+def _sample_circle(p: PatternId, radius: float, samples: int, eps: float):
+    """f on the upper half of the circle, as (points, values, bound) with
+    the bound holding at every point; see the module docstring."""
+    points = _circle(radius, samples)
+    size = _transform_size(p, radius, samples, eps)
+    if size == samples:
+        return (points, *_evaluate(p, points, eps))
+    stride, root = samples // size, math.sqrt(size)
+    grid, sub_eps = points[::stride], max(eps / root, sys.float_info.min)
+    ax = _max_abs(grid, eps)
+    if p in _NUM_DEN:
+        parts, bounds = _NUM_DEN[p](grid, ax, sub_eps)
+    else:
+        values, bound = _EVALUATORS[p](grid, ax, sub_eps)
+        parts, bounds = [values], [bound]
+    # h on the whole sub-circle, its lower half by conjugate symmetry
+    full = [vs + [v.conjugate() for v in vs[-2:0:-1]] for vs in parts]
+    ys = full[0] if len(full) == 1 else [n + 1j * d for n, d in zip(*full)]
+    roots = [cmath.exp(2j * cmath.pi * k / size) for k in range(size // 2)]
+    coeffs = [c.conjugate() / size
+              for c in _fft([y.conjugate() for y in ys], roots)]
+    # h at the points idx = s mod stride from the coefficients twiddled by
+    # exp(2 pi i s k / samples); D alone has real coefficients, so its
+    # offsets s past stride / 2 mirror those below
+    wide = [0j] * samples
+    wide[::stride] = ys
+    for s in range(1, stride):
+        if len(parts) == 2 or 2 * s <= stride:
+            wide[s::stride] = _fft(
+                [c * cmath.exp(2j * cmath.pi * s * k / samples)
+                 for k, c in enumerate(coeffs)], roots)
+        else:
+            wide[s::stride] = [v.conjugate()
+                               for v in reversed(wide[stride - s::stride])]
+    # |h'| <= M R / (R - r)^2 on |x| = r (Cauchy), times a point's error;
+    # Higham's Theorem 24.2 bounds each transform's relative 2-norm error
+    majorant, half = _majorant(p), samples // 2 + 1
+    slope = majorant * _MAX_ABS / (_MAX_ABS - radius) ** 2 * radius \
+        * _ROOT_ERR
+    u = sys.float_info.epsilon / 2
+    t_eta = (size.bit_length() - 1) * (
+        _ROOT_ERR + 4 * u / (1 - 4 * u) * (math.sqrt(2) + _ROOT_ERR))
+    # the samples' truncation and point errors, the row's point error,
+    # aliasing, and the rounding of the inverse FFT, the twiddles, the
+    # FFTs and the split of N + iD, at most 4 t eta / (1 - t eta) ||ys||
+    error = root * (sum(bounds) + slope) + slope \
+        + _alias(majorant, radius, size) \
+        + 4 * t_eta / (1 - t_eta) * math.sqrt(sum(abs(y) ** 2 for y in ys))
+    if len(parts) == 1:
+        return points, wide[:half], error
+    mirror = [wide[-idx].conjugate() for idx in range(half)]
+    nvs = [(h + g) / 2 for h, g in zip(wide, mirror)]
+    dvs = [(h - g) / 2j for h, g in zip(wide, mirror)]
+    nvs[::stride], dvs[::stride] = parts
+    return (points, *_quotient(points, [nvs, dvs], [error, error]))
 
 
 def _winding(values: list[complex]) -> int:
@@ -452,18 +569,20 @@ def emit_curve(p: PatternId, radius: float = WINDING_RADIUS,
     (re x, im x, re f, im f) starting at angle 0.
 
     f has real coefficients, so f(conj x) = conj f(x): only the upper
-    half, indices 0 .. samples // 2, is evaluated as one block, and row
-    samples - k is the exact conjugate of row k.  Raises AsymptoticsError
-    unless every sampled |f| exceeds the block's truncation bound, which
+    half, indices 0 .. samples // 2, is computed, and row samples - k is
+    the exact conjugate of row k.  Rows idx = 0, S/P, 2 S/P, ... are the
+    values the evaluators give at eps / sqrt(P), and the rest are
+    interpolated from them (every row is evaluated at eps when P =
+    samples); see the module docstring.  Raises AsymptoticsError unless
+    every |f| exceeds the bound, aliasing and rounding included, which
     certifies that f vanishes at no sample.
     """
-    points = _circle(radius, samples)[:samples // 2 + 1]
-    values, bound = _evaluate(p, points, eps)
+    points, values, bound = _sample_circle(p, radius, samples, eps)
     low = min(map(abs, values))
     if not low > bound:
         raise AsymptoticsError(
             f"min |f| = {low:.3g} on |x| = {radius} does not exceed the "
-            f"truncation bound {bound:.3g}; the winding is not certified")
+            f"error bound {bound:.3g}; the winding is not certified")
     rows = [(x.real, x.imag, value.real, value.imag)
             for x, value in zip(points, values)]
     rows += [(rx, -ix, rf, -if_)

@@ -44,8 +44,9 @@ MAX_VERIFY_K = 100
 # through the coefficient sizes (about m * log2(k) bits for length m); at
 # the cap, order 60 takes under a second.
 MAX_WORDS_K = 10**6
-# Input bound for `asymptotics --samples`: each sample is one evaluation
-# of f on the circle.
+# Input bound for `asymptotics --samples`: each sample is one row of the
+# curve, and f is evaluated at most at samples // 2 + 1 of them (at 257
+# of the default 4,096, the rest interpolated by FFT).
 MAX_SAMPLES = 2**16
 
 PATTERN_CHOICES = tuple(p.value for p in PatternId)

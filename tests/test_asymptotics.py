@@ -13,14 +13,16 @@ from fractions import Fraction
 import pytest
 
 from comppat import asymptotics
-from comppat.asymptotics import (DomainError, UndersamplingError, _circle,
-                                 _den_111, _den_112, _den_123, _den_221,
-                                 _evaluate, _plan, _powers, _winding,
+from comppat.asymptotics import (EVAL_EPS, DomainError, UndersamplingError,
+                                 _circle, _den_111, _den_112, _den_123,
+                                 _den_221, _evaluate, _winding,
                                  emit_curve, estimate,
                                  eval_f, find_rho, predict_count,
                                  winding_number)
+from comppat import genfun
 from comppat.genfun import avoidance_sequence
 from comppat.patterns import PartSet, PatternId
+from comppat.series import zero
 
 P = PatternId
 
@@ -185,27 +187,6 @@ def test_a_point_value_does_not_depend_on_its_block(p):
 
 
 
-# complex points on and off the circle, signed zeros, the domain edge
-# +-0.8j, and float and int points, which keep ``**`` (libm pow)
-POWER_POINTS = [0.7 * cmath.exp(2j * math.pi * k / 4096)
-                for k in (0, 1, 700, 1024, 2047, 2048)] + [
-    0.3 + 0.4j, -0.79 + 0.01j, 0.05 - 0.6j, complex(0.3, -0.0),
-    complex(-0.0, 0.0), complex(-0.0, -0.0), 0j, 0.8j, -0.8j,
-    complex(-0.8, 0.0), 0.7, -0.55, 0.0, -0.0, 0, 1, -1, 3]
-
-
-@pytest.mark.parametrize("exps", [
-    range(1, 101), range(90, 131), [1], [64], [100, 101], [3, 37, 99, 130],
-    {*range(1, 105), *range(4, 209, 2)}, [q * (q + 1) // 2
-                                          for q in range(1, 18)]],
-    ids=["1-100", "90-130", "1", "64", "100-101", "sparse", "221", "123"])
-def test_powers_match_python_pow(exps):
-    # the ladder gives the bits of ``x ** e`` on both sides of e = 100
-    for x in POWER_POINTS:
-        pw = _powers(x, _plan(exps, [0j, x]))
-        assert [repr(pw[e]) for e in exps] == \
-            [repr(x ** e) for e in exps], x
-
 # SHA-256 over the repr of every eval_f value and bound at the points
 # below and of three blocks, at three eps values, recorded before 123 and
 # peak/valley evaluated each point in its own scalar loop, and digested
@@ -272,7 +253,9 @@ def test_conjugate_symmetry_on_circle():
 
 def winding_of(fn, radius, samples):
     # winding number of fn's image of the circle |x| = radius around 0
-    return _winding([complex(fn(x)) for x in _circle(radius, samples)])
+    points = _circle(radius, samples)
+    points += [x.conjugate() for x in reversed(points[1:(samples + 1) // 2])]
+    return _winding([complex(fn(x)) for x in points])
 
 
 def test_winding_constant_stub():
@@ -403,20 +386,82 @@ def test_curve_conjugate_symmetry():
 
 @pytest.mark.parametrize("samples", [1024, 1025])
 def test_curve_upper_half_is_eval_f_and_lower_half_its_conjugate(samples):
-    # blocks share their tail bounds, yet each evaluated row is exactly the
-    # single-point value; the rest mirror it, since f(conj x) = conj f(x)
+    # 1,024 samples interpolate from the 512-point sub-circle: its rows,
+    # the even ones, are exactly the single-point value at the sub-circle's
+    # eps, and the odd ones are within the curve's bound of it.  1,025 has
+    # no power-of-two factor, so every row is the single-point value.  The
+    # rest mirror the upper half, since f(conj x) = conj f(x)
     half = samples // 2
+    stride = 2 if samples == 1024 else 1
+    eps = EVAL_EPS / math.sqrt(512) if stride == 2 else EVAL_EPS
     points = _circle(0.7, samples)
     for p in P:
+        assert asymptotics._transform_size(p, 0.7, samples, EVAL_EPS) == \
+            samples // stride
+        bound = asymptotics._sample_circle(p, 0.7, samples, EVAL_EPS)[2]
         rows = emit_curve(p, 0.7, samples)
         assert len(rows) == samples
         for k in range(half + 1):
-            value = complex(eval_f(p, points[k])[0])
-            assert rows[k] == (points[k].real, points[k].imag,
-                               value.real, value.imag), (p, k)
+            value, direct = eval_f(p, points[k], eps)
+            value = complex(value)
+            if k % stride == 0:
+                assert rows[k] == (points[k].real, points[k].imag,
+                                   value.real, value.imag), (p, k)
+            else:
+                assert rows[k][:2] == (points[k].real, points[k].imag)
+                assert abs(complex(*rows[k][2:]) - value) <= \
+                    bound + direct, (p, k)
         for k in range(1, samples - half):
             rx, ix, rf, if_ = rows[k]
             assert rows[samples - k] == (rx, -ix, rf, -if_), (p, k)
+
+
+def interpolation_is_honest(p, radius, samples):
+    # every row of the curve within its bound plus the direct evaluation's
+    # own bound of f at that row's point, evaluated as one block
+    points, values, bound = asymptotics._sample_circle(p, radius, samples,
+                                                       EVAL_EPS)
+    direct, direct_bound = _evaluate(p, points, EVAL_EPS)
+    return all(abs(v - d) <= bound + direct_bound
+               for v, d in zip(values, direct))
+
+
+@pytest.mark.parametrize("radius, samples, size", [
+    (0.7, 1024, 512), (0.7, 4096, 512), (0.75, 4096, 1024)])
+def test_interpolated_curve_is_within_its_bound(radius, samples, size):
+    for p in P:
+        assert asymptotics._transform_size(p, radius, samples,
+                                           EVAL_EPS) == size
+        assert interpolation_is_honest(p, radius, samples), p
+
+
+@pytest.mark.parametrize("alias", [True, False])
+def test_a_coarse_sub_circle_needs_the_aliasing_term(monkeypatch, alias):
+    # on a forced 64-point sub-circle the aliasing error dwarfs every
+    # other term: the bound holds with it, and fails without it
+    monkeypatch.setattr(asymptotics, "_transform_size", lambda *args: 64)
+    if not alias:
+        monkeypatch.setattr(asymptotics, "_alias", lambda *args: 0.0)
+    for p in P:
+        assert interpolation_is_honest(p, 0.7, 1024) is alias, p
+
+
+@pytest.mark.parametrize("p", list(P))
+def test_majorant_bounds_the_taylor_coefficients(p):
+    # Cauchy's estimate |c_n| R^n <= max |h| on |x| = R = 4/5, checked in
+    # integers on the coefficients of the builders' (N, D) pair at y = 0,
+    # z = 1 over nat, with h = D, or h = N + iD for peak and valley
+    order = 250
+    num, den = genfun._NUM_DEN[p](
+        genfun._weights(PartSet.naturals(), order, z_exp=0), zero(order))
+    two = p in asymptotics._NUM_DEN
+    assert two or all(num.coefficient(n, 0, 0) == (n == 0)
+                      for n in range(order + 1))
+    square = Fraction(asymptotics._majorant(p)) ** 2
+    for n in range(order + 1):
+        c = den.coefficient(n, 0, 0) ** 2 \
+            + two * num.coefficient(n, 0, 0) ** 2
+        assert c * 16 ** n <= square * 25 ** n, (p, n)
 
 
 def test_curve_phase_matches_winding():

@@ -227,9 +227,11 @@ def test_asymptotics_schema_names_the_tolerances():
 
 def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
     # the report's winding and the curve come from one pass over the upper
-    # half of the requested circle, as one block of complex points;
-    # nothing samples the default |x| = 0.7.  The complex steps x + ih of
-    # find_rho and estimate are one-point blocks, not circle blocks.
+    # half of the requested circle's 256-point sub-circle (the least power
+    # of two whose aliasing term at |x| = 0.6 is below 1e-15), as one
+    # block of 129 complex points; nothing samples the default |x| = 0.7.
+    # The complex steps x + ih of find_rho and estimate are one-point
+    # blocks, not circle blocks.
     evaluate = asymptotics._EVALUATORS[PatternId.P112]
     blocks = []
 
@@ -244,7 +246,8 @@ def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
     assert rc == 0
     assert len(blocks) == 1
     circle = blocks[0]
-    assert len(circle) == 2048 // 2 + 1
+    assert len(circle) == 256 // 2 + 1
+    assert circle == asymptotics._circle(0.6, 2048)[::8]
     assert all(type(x) is complex and x.imag >= 0 for x in circle)
     assert all(abs(abs(x) - 0.7) > 1e-3 for x in circle)
     assert len(curve.read_text().splitlines()) == 2049
@@ -270,25 +273,24 @@ def test_asymptotics_uncertified_circle_exits_3(monkeypatch, capsys):
 
 
 # SHA-256 of the stdout of `asymptotics --pattern P --samples 1024
-# --curve-csv c.csv` and of the CSV's data rows 0 .. 512.  The rows were
-# recorded when every circle point was evaluated on its own (the rows past
-# 512 are mirrored conjugates now, which differ from those old rows in the
-# last ulp); stdout was recorded again when rho and K came from
-# complex-step Newton instead of bisection and finite differences.
+# --curve-csv c.csv` and of the CSV's data rows 0 .. 512.  stdout was
+# recorded when rho and K came from complex-step Newton instead of
+# bisection and finite differences; the rows again when the odd ones were
+# interpolated by FFT from the 512-point sub-circle.
 ASYMPTOTICS_DIGESTS = {
     "111": ("11a8a4b561ef8dd68146962d8df3fd378e5c50c2fd73579c6c73edd62940c383",
-            "1d69b4ce2c54f3b940c9ef945167c6aa6c02d2c1852f00fdb3f2738f45ff5c6d"),
+            "62c932cc3e050148e9e339b0e71164b49898ce2d53c0220c8b7bf6f91ea3fa6f"),
     "112": ("2e2b79a2965572a78c06f55dfe6eab7db77da83fcdeacc1532da6390a2177928",
-            "ad30244a2aee3e33994d0add1296e7e652ea8894908d6ff56306ab6dcc7a69e3"),
+            "6d0e4cebf2971595bc0187e87ebc2d500cb8e9d4d6887a756efb3bed1a5fab59"),
     "221": ("e4deae349cd50b06d34dce2e8bb0ad7088e8b6eef71dc5c11a7d0960dced31c5",
-            "ef568327b2d9aaebbb1d9884d9a31f66415b3336c5d573e18133ab9f6881cd6e"),
+            "ed4cbe5f0a8252bf977a71ad1b3f41e6704a213ff574e1a879df374be6ea0d14"),
     "123": ("92a6747b5f36fb7ad6162d15127f7c4891781fca638d8a0b18554923ef650d81",
-            "ef67c7797e727846951546bd5736e7ccadf3bac33870269c53841d80af2e5122"),
+            "17cea0b0d43e06ec9df7ca2ce9c86c24012395b0fcf28b81929ab2fcd3ef9d8f"),
     "peak": ("9b4f97f2f1561e132028af4c2319380419ebcfae32800dd28da8159f034e4ae8",
-             "9725e3cf622ab286c137d5e3bccde307efd737e84260aa44c5c3881a7e0be404"),
+             "61ac6b21cf20fcda9bcbcc73e3258b05a822aca126243761ea99554ce12aca74"),
     "valley": (
         "c30ee42185b1bb7f81d3a8f730e13e58fb4c32e73376074951a029390bc92947",
-        "427ce5c1c37d0af2b50b90aadd1b6187576ed440e83dcce3bcaa1906850c2c8a"),
+        "55cd3404522a036efa7b5282aec62d6d030190ba4792fab481c3bd51af3ec495"),
 }
 
 
@@ -308,28 +310,27 @@ def test_asymptotics_matches_golden_digests(pattern, capsys, monkeypatch,
 
 
 # The same digests on the benchmark's circle, the default 4,096 samples
-# (rows 0 .. 2048 are the evaluated upper half), the rows recorded before
-# the evaluators shared their powers of x and stdout with complex-step
-# Newton.
+# (rows 0 .. 2048 are the upper half), stdout recorded with complex-step
+# Newton and the rows when all but every eighth were interpolated by FFT.
 ASYMPTOTICS_DEFAULT_DIGESTS = {
     "111": (
         "4474fc1c30d1eb1024b2feb647571fac21839f030477137941afb99aa461ed57",
-        "621b75cfe761c5c86d4da07c0a11f2145b7cbef7b15674d2b22aaa243d8147c5"),
+        "5187c03da4185acc523bc11bba130ff4212009250ea5568d3848ce8279c136f8"),
     "112": (
         "a4014208490434aa512d354bde027e17000bda444aefa43a48b58c9e3ebb8488",
-        "d8480ef3fddbf4414428db28e8c4d9cb66328efd172562ac51fa17f7c8f27de2"),
+        "cf568cabc63dd09b6def08cf6b06435f8a2d07e2c1af2c1d5d791b50d5a58db8"),
     "221": (
         "3b0d1a7030419b4d9e4d7635bfe1e63868d39458f0786d6352edb31e5c6e80f7",
-        "02128d18350bb43834d42fa562b9a00d7fe8442eaa73eb476eb15b071c201f03"),
+        "39980979b68424b5f7c195cb504a3f06eee43df54b1cd1503aeac93ea9a8e87f"),
     "123": (
         "5e9016861a6d8d78f36152073224e8a53d2516b08069f0f632ff72cf40811e10",
-        "a3b997fabd94829faa1c97ee27d27820e0f4e49f7970472b2f1a732b4f3666c7"),
+        "ae563f77f16dd2a4bddab833c9a3a8688b03df51125092622b4de03ab1e152e5"),
     "peak": (
         "b3c848e89a4739eb25430ee919fcb6206622fadec44a254371761850164f8012",
-        "37d365b8e48192d8541e6f77ef4e2f32d256e3f47f8230cd61016fe6dfbe329e"),
+        "092f3803ed107c3c507021b45e00e96572c8f095bcc0921f4835d0f1b6afcf38"),
     "valley": (
         "f3e0c060b7ace64e9191e45c7c9d366b3ac4f86e077dc2d5a11615eb8ad44b24",
-        "3cd3e9ae89c39f61c549cdf0cd31aab4172553e999cbe84e6be29e7a0dfe4643"),
+        "62e213f5714d73609cbbd994102adb00939cf4c552eedc6f0aee7a9a5232d64c"),
 }
 
 
@@ -349,21 +350,23 @@ def test_asymptotics_default_circle_matches_golden_digests(
 # SHA-256 of the whole curve CSV of `asymptotics --pattern P --samples N
 # --curve-csv c.csv`, header and mirrored rows included, recorded when
 # every line was formatted from its own floats.  At the odd N = 1025 the
-# mirror starts at row 513, not past the middle row.
+# mirror starts at row 513, not past the middle row, and every upper row
+# is evaluated; N = 1024 and 4096 were recorded again when the rows off
+# the 512-point sub-circle were interpolated by FFT.
 CURVE_FILE_DIGESTS = {
     1024: {
         "111": (
-            "1ec93fe5e114b0076fd54ba8ce364f2123fa602c9c87cd0ccc73ce2734f8649b"),
+            "e92f4eae5a29371091f47996bb5d98ee75d3c291ac030954301f9af40317276d"),
         "112": (
-            "9dd4226618587415d478362da473e87ed4ecea4571d233ffa026def41b9926eb"),
+            "25d154246341cf98a8d4f8d74199505bb1d84cb862e59689fd2e6c627fb2a1ad"),
         "221": (
-            "c77e49697120a5b48fa55831feb75cd8afcfe98482e9a1139c9d870215ee02bb"),
+            "73d498a0817e50098b63694d64037612a6a47691bc697d18e52bc98d6449f001"),
         "123": (
-            "62a10c2c7bba2c598e28fb361f7982260abbde2078d8c896de71e15413939d84"),
+            "4bfb2240db3cc4b77edb5eabd40007b42fc1d2002698c53bc84b9d84c9f02f3a"),
         "peak": (
-            "ce81c6a10fbccef56206b906eee8b777e5bbcc5f96a99123773632b59b7136da"),
+            "b3eaf8d2e308a99961b24eee8be4d3e7cab2662a8664a508cb274e340c2b9d68"),
         "valley": (
-            "8ddea3abbb105a727f480f3f67105cb3ebd73828f48c97419cea45372addde45"),
+            "bf181ffee774a453e7c95697502d78d460497e2ddbe06ea555994c07d075dcf7"),
     },
     1025: {
         "111": (
@@ -381,17 +384,17 @@ CURVE_FILE_DIGESTS = {
     },
     4096: {
         "111": (
-            "8025d6f09cc34b85c4dccf9923986c648d1fb309f95e964f3bdad175add906ad"),
+            "9784430ac782bc936645be726b1b8291b6c7f9cae74a2d45895d7958aa8d43ff"),
         "112": (
-            "08bb6ac2fec4a2af2a56ded4805eddc0041eefa37b4bacd4c36a8e7123e1ee1c"),
+            "d5f5650be6f17c6eb353e388722cccf2ec6ead1c78f272d2e37b591448b776d5"),
         "221": (
-            "90497fb0347bef6bdd2d1f13d9dd81781b7117fc832e497575c2b3124fb30fe2"),
+            "be6e27a2281ffb1a91774a30ea9ddfa07ac1fd6772539eb4f44e00b77d008ff7"),
         "123": (
-            "dabd8eae30218e053e554f1383d29bf8e0fb1fce002fcea981615ab8f2c83bcf"),
+            "b13601aceb0cbce947edebeeab6d5ce93a5467b5cfcb900c91e353bbe85d5dc5"),
         "peak": (
-            "ded621759114cf62f187697df58ac8ca2022059535c0cab1907ccdf523fd4e1a"),
+            "ea66c59fc1e5244880effeeddf6f4cbc24c7f30ddd79f64abe32d35dde71c3a8"),
         "valley": (
-            "8f43dc25a28443600f174c4a0300a111b4c709e20fa27750d132d8af45e363cb"),
+            "2c72024c11da3335b122806da4081d9a28586c0aa7481380aa7c277157a618a1"),
     },
 }
 
