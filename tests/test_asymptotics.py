@@ -12,14 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from comppat import asymptotics
+from comppat import asymptotics, genfun
 from comppat.asymptotics import (EVAL_EPS, DomainError, UndersamplingError,
                                  _circle, _den_111, _den_112, _den_123,
                                  _den_221, _evaluate, _winding,
                                  emit_curve, estimate,
                                  eval_f, find_rho, predict_count,
                                  winding_number)
-from comppat import genfun
 from comppat.genfun import avoidance_sequence
 from comppat.patterns import PartSet, PatternId
 from comppat.series import zero
