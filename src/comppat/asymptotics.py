@@ -14,18 +14,20 @@ the only (simple) zero inside it.  Four of the six statistics have N = 1,
 so f is their denominator evaluator; peak and valley share a nontrivial
 numerator N, and f = (N - S)/N with an odd-index sum S.
 
-The evaluators take a block of points xs, its largest modulus ax and a
-tolerance eps, and return ``(values, bound)`` where bound is a
-guaranteed upper bound on the truncation error at every point of the
-block (floating-point rounding aside).  Stopping indices and tail bounds
-grow with |x|, so each evaluator fixes them from ax and eps alone, once
-per block, and then runs one scalar loop per point: a point's value
-depends on ax and eps, not on the other points of its block.  The one
-entry, :func:`_evaluate`, owns the input bounds: finite points with
-|x| <= 0.8 and eps >= the smallest normal double.  So every loop ends:
-each tail bound decays at least geometrically in ax <= 0.8 and
-underflows to 0, below eps, within a few thousand terms.  :func:`eval_f`
-is a one-point block.
+The evaluators, one table ``_PARTS``, take a block of points xs, its
+largest modulus ax and a tolerance eps, and return f's parts ``(parts,
+bounds)``: parts is [D] where N = 1 and [N, D] for peak and valley, a
+list of values per part, and each bound is a guaranteed upper bound on
+that part's truncation error at every point of the block (floating-point
+rounding aside).  Stopping indices and tail bounds grow with |x|, so each
+evaluator fixes them from ax and eps alone, once per block, and then runs
+one scalar loop per point: a point's value depends on ax and eps, not on
+the other points of its block.  The one entry, :func:`_parts`, owns the
+input bounds: finite points with |x| <= 0.8 and eps >= the smallest
+normal double.  So every loop ends: each tail bound decays at least
+geometrically in ax <= 0.8 and underflows to 0, below eps, within a few
+thousand terms.  :func:`_evaluate` forms f from the parts, and
+:func:`eval_f` is a one-point block.
 
 :func:`find_rho` takes Newton steps from a bracket scan, and
 :func:`estimate` reads f'(rho), each from one complex step (Squire &
@@ -35,15 +37,16 @@ Trapp, SIAM Review 40, 1998): f(x + ih) = f(x) + ih f'(x) + O(h^2).
 rows are the exported curve and their phase increments give the winding
 number.  f has real coefficients, so f(conj x) = conj f(x): rows
 0 .. S // 2 of the S samples are computed, and the rest are their exact
-conjugates.  The evaluators run only at every (S/P)-th of those rows,
-for h = D, or h = N + iD for peak and valley; one inverse FFT gives h's P
-aliased Taylor coefficients, and at most S/P - 1 twiddled FFTs of size P
-give h at the other points.  P is the least power of two below S that
-divides S with an aliasing term 2 M (r/R)^P / (1 - r/R) <= eps on
-|x| = r, where M >= |h| on |x| = R = 0.8 (Trefethen & Weideman, SIAM
-Review 56, 2014); if there is none, P = S and every row is evaluated.
-The winding counts only if every |f| exceeds the certified bound: the
-aliasing term, sqrt(P) times the samples' truncation bound (Parseval and
+conjugates.  The evaluators run only at every (S/P)-th of those rows.
+Each part h has real coefficients: one inverse FFT gives its P aliased
+Taylor coefficients, S/(2P) twiddled FFTs of size P give h at the other
+points up to half the stride, and the rest are their conjugate mirrors.
+P is the least power of two below S that divides S with an aliasing term
+2 M (r/R)^P / (1 - r/R) <= EVAL_EPS on |x| = r, where M >= |h| on
+|x| = R = 0.8 (Trefethen & Weideman, SIAM Review 56, 2014); if there is
+none, P = S and every row is evaluated.  The winding counts only if
+every |f| exceeds the certified bound: per part, the aliasing term,
+sqrt(P) times the samples' truncation bound (Parseval and
 Cauchy-Schwarz), and the rounding of the points and of the transforms
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 section 24.1).
@@ -133,7 +136,7 @@ def _den_111(xs, ax: float, eps: float):
             u = xi * (1 + xi)
             total = total + u / (1 + u)
         values.append(1 - total)
-    return values, tail
+    return [values], [tail]
 
 
 def _den_112(xs, ax: float, eps: float):
@@ -152,7 +155,7 @@ def _den_112(xs, ax: float, eps: float):
             total = total + xj * prod
             prod = prod * (1 - xj * xj)
         values.append(1 - total)
-    return values, tail
+    return [values], [tail]
 
 
 def _den_221(xs, ax: float, eps: float):
@@ -184,7 +187,7 @@ def _den_221(xs, ax: float, eps: float):
         values.append(1 - total)
     outer_tail = cap * ax ** (L + 1) / (1 - ax)
     inner_tail = prod_err * cap * ax / (1 - ax)
-    return values, outer_tail + inner_tail
+    return [values], [outer_tail + inner_tail]
 
 
 def _qpoch_lower(ax: float) -> float:
@@ -234,7 +237,7 @@ def _den_123(xs, ax: float, eps: float):
                 inner = inner + c * pw[t] / poch[q]
             total = total + sign * inner
         values.append(1 - total)
-    return values, bound_next / (1 - ratio)
+    return [values], [bound_next / (1 - ratio)]
 
 
 def _num_den_alternating(xs, ax: float, eps: float, odd_exp):
@@ -279,10 +282,12 @@ def _num_den_alternating(xs, ax: float, eps: float, odd_exp):
 
 
 def _quotient(xs, parts, bounds):
-    """f = D/N on the block xs from parts = [N values, D values] with
-    error bounds [nb, db], as (values, bound): the bound is the largest of
-    the per-point bounds (db + |f| nb) / |N|.  Raises AsymptoticsError
-    where |N| < 1e-9."""
+    """f on the block xs from its parts, as (values, bound): D itself, or
+    D/N from parts = [N values, D values] with error bounds [nb, db], whose
+    bound is the largest of the per-point bounds (db + |f| nb) / |N|.
+    Raises AsymptoticsError where |N| < 1e-9."""
+    if len(parts) == 1:
+        return parts[0], bounds[0]
     (nvs, dvs), (nb, db) = parts, bounds
     values, bound = [], 0.0
     for x, nv, dv in zip(xs, nvs, dvs):
@@ -295,25 +300,18 @@ def _quotient(xs, parts, bounds):
     return values, bound
 
 
-# N and D of peak and valley, whose N is not 1: they differ in the
-# x-exponent of the j-th term of the odd sum S
-_NUM_DEN = {
-    PatternId.PEAK: lambda xs, ax, eps: _num_den_alternating(
-        xs, ax, eps, lambda j: j * j + 3 * j + 1),
-    PatternId.VALLEY: lambda xs, ax, eps: _num_den_alternating(
-        xs, ax, eps, lambda j: (j + 1) * (j + 1)),
-}
-
-# f on a block of points, as (values, one bound for the whole block)
-_EVALUATORS = {
+# f's parts on a block of points, [D] or [N, D], as (parts, one bound per
+# part for the whole block); peak and valley differ in the x-exponent of
+# the j-th term of the odd sum S
+_PARTS = {
     PatternId.P111: _den_111,
     PatternId.P112: _den_112,
     PatternId.P221: _den_221,
     PatternId.P123: _den_123,
-    PatternId.PEAK: lambda xs, ax, eps: _quotient(
-        xs, *_NUM_DEN[PatternId.PEAK](xs, ax, eps)),
-    PatternId.VALLEY: lambda xs, ax, eps: _quotient(
-        xs, *_NUM_DEN[PatternId.VALLEY](xs, ax, eps)),
+    PatternId.PEAK: lambda xs, ax, eps: _num_den_alternating(
+        xs, ax, eps, lambda j: j * j + 3 * j + 1),
+    PatternId.VALLEY: lambda xs, ax, eps: _num_den_alternating(
+        xs, ax, eps, lambda j: (j + 1) * (j + 1)),
 }
 
 
@@ -331,11 +329,17 @@ def _max_abs(xs, eps: float) -> float:
     return max(mags)
 
 
+def _parts(p: PatternId, xs, eps: float):
+    """f's parts at every point of the block xs, as (parts, bounds): each
+    bound holds for each point, because every shared bound grows with |x|
+    and is taken at the largest |x| in the block.  Raises as _max_abs."""
+    return _PARTS[p](xs, _max_abs(xs, eps), eps)
+
+
 def _evaluate(p: PatternId, xs, eps: float):
-    """f at every point of the block xs, as (values, bound): the bound
-    holds for each point, because every shared bound grows with |x| and
-    is taken at the largest |x| in the block.  Raises as _max_abs."""
-    return _EVALUATORS[p](xs, _max_abs(xs, eps), eps)
+    """f at every point of the block xs, as (values, bound).  Raises as
+    _parts and _quotient."""
+    return _quotient(xs, *_parts(p, xs, eps))
 
 
 def eval_f(p: PatternId, x, eps: float = EVAL_EPS):
@@ -345,14 +349,14 @@ def eval_f(p: PatternId, x, eps: float = EVAL_EPS):
     return values[0], bound
 
 
-def find_rho(p: PatternId, *, eps: float = EVAL_EPS) -> float:
+def find_rho(p: PatternId) -> float:
     """Smallest positive root of f: the first sign change from positive
     (lo, hi) on the block 0.50, 0.51, ..., 0.65 (all six statistics root
     in 0.513 .. 0.614), then NEWTON_STEPS complex-step Newton steps from
     its secant point.  Raises RootNotFoundError if the scan finds no sign
     change, a slope is 0, or the last step leaves [lo, hi]."""
     xs = [k / 100 for k in range(50, 66)]
-    fs = _evaluate(p, xs, eps)[0]
+    fs = _evaluate(p, xs, EVAL_EPS)[0]
     brackets = [(lo, hi, f_lo, f_hi) for lo, hi, f_lo, f_hi
                 in zip(xs, xs[1:], fs, fs[1:]) if f_lo > 0 >= f_hi]
     if not brackets:
@@ -361,7 +365,7 @@ def find_rho(p: PatternId, *, eps: float = EVAL_EPS) -> float:
     lo, hi, f_lo, f_hi = brackets[0]
     x = lo + f_lo * (hi - lo) / (f_lo - f_hi)
     for _ in range(NEWTON_STEPS):
-        value = eval_f(p, complex(x, COMPLEX_STEP), eps)[0]
+        value = eval_f(p, complex(x, COMPLEX_STEP))[0]
         if value.imag == 0:
             raise RootNotFoundError(f"f_{p.value} has slope 0 at {x}")
         x -= value.real * COMPLEX_STEP / value.imag
@@ -371,24 +375,14 @@ def find_rho(p: PatternId, *, eps: float = EVAL_EPS) -> float:
     return x
 
 
-def _circle(radius: float, samples: int) -> list[complex]:
-    """The upper half of the circle: radius * exp(2 pi i idx / samples),
-    idx = 0 .. samples // 2."""
-    if samples < 1024:
-        raise ValueError("need at least 1024 samples")
-    if not 0 < radius < _MAX_ABS:  # also rejects NaN
-        raise ValueError(f"radius must be in (0, {_MAX_ABS})")
-    return [radius * cmath.exp(2j * cmath.pi * idx / samples)
-            for idx in range(samples // 2 + 1)]
-
-
 def _majorant(p: PatternId) -> float:
-    """M >= |h| on |x| = R = 0.8 for h = D, or h = N + iD for peak and
-    valley (|h| <= 2|N| + |S|), term by term: 111's i-th term is at most
-    t(1 + t)/(1 - t)^2, t = R^i, as |1 + y + y^2| >= (1 - |y|)^2; cap
-    bounds the guard products of 112 and 221; 1/c_min bounds every
-    1/|(x;x)_q|; 123's k-th group is at most 2^(k-3) R^T(k) / c_min, each
-    at most 2R^4 times the last; N's exponents are >= 3 and S's >= 1."""
+    """M >= |N| + |D| >= |h| on |x| = R = 0.8 for each part h (N = 1 for
+    the four simple patterns; |N| + |D| <= 2|N| + |S| for peak and
+    valley), term by term: 111's i-th term is at most t(1 + t)/(1 - t)^2,
+    t = R^i, as |1 + y + y^2| >= (1 - |y|)^2; cap bounds the guard
+    products of 112 and 221; 1/c_min bounds every 1/|(x;x)_q|; 123's k-th
+    group is at most 2^(k-3) R^T(k) / c_min, each at most 2R^4 times the
+    last; N's exponents are >= 3 and S's >= 1."""
     r = _MAX_ABS
     if p is PatternId.P111:
         return 1 + r * (1 + r) / (1 - r) ** 3
@@ -407,13 +401,12 @@ def _alias(majorant: float, radius: float, size: int) -> float:
     return 2 * majorant * q ** size / (1 - q)
 
 
-def _transform_size(p: PatternId, radius: float, samples: int,
-                    eps: float) -> int:
+def _transform_size(majorant: float, radius: float, samples: int) -> int:
     """P: the least power of two below samples that divides it and has an
-    aliasing term of at most eps, or samples if none does."""
+    aliasing term of at most EVAL_EPS, or samples if none does."""
     size = 2
     while samples % size == 0 and size < samples:
-        if _alias(_majorant(p), radius, size) <= eps:
+        if _alias(majorant, radius, size) <= EVAL_EPS:
             return size
         size *= 2
     return samples
@@ -442,61 +435,59 @@ def _fft(x: list, roots: list) -> list:
     return x
 
 
-def _sample_circle(p: PatternId, radius: float, samples: int, eps: float):
-    """f on the upper half of the circle, as (points, values, bound) with
+def _sample_circle(p: PatternId, radius: float, samples: int):
+    """f on the upper half of the circle, radius * exp(2 pi i idx /
+    samples) for idx = 0 .. samples // 2, as (points, values, bound) with
     the bound holding at every point; see the module docstring."""
-    points = _circle(radius, samples)
-    size = _transform_size(p, radius, samples, eps)
+    if samples < 1024:
+        raise ValueError("need at least 1024 samples")
+    if not 0 < radius < _MAX_ABS:  # also rejects NaN
+        raise ValueError(f"radius must be in (0, {_MAX_ABS})")
+    # exp(2 pi i k / samples): the points, the size-P roots and the twiddles
+    unit = [cmath.exp(2j * cmath.pi * k / samples)
+            for k in range(samples // 2 + 1)]
+    points = [radius * w for w in unit]
+    majorant = _majorant(p)
+    size = _transform_size(majorant, radius, samples)
     if size == samples:
-        return (points, *_evaluate(p, points, eps))
+        return (points, *_evaluate(p, points, EVAL_EPS))
     stride, root = samples // size, math.sqrt(size)
-    grid, sub_eps = points[::stride], max(eps / root, sys.float_info.min)
-    ax = _max_abs(grid, eps)
-    if p in _NUM_DEN:
-        parts, bounds = _NUM_DEN[p](grid, ax, sub_eps)
-    else:
-        values, bound = _EVALUATORS[p](grid, ax, sub_eps)
-        parts, bounds = [values], [bound]
-    # h on the whole sub-circle, its lower half by conjugate symmetry
-    full = [vs + [v.conjugate() for v in vs[-2:0:-1]] for vs in parts]
-    ys = full[0] if len(full) == 1 else [n + 1j * d for n, d in zip(*full)]
-    roots = [cmath.exp(2j * cmath.pi * k / size) for k in range(size // 2)]
-    coeffs = [c.conjugate() / size
-              for c in _fft([y.conjugate() for y in ys], roots)]
-    # h at the points idx = s mod stride from the coefficients twiddled by
-    # exp(2 pi i s k / samples); D alone has real coefficients, so its
-    # offsets s past stride / 2 mirror those below
-    wide = [0j] * samples
-    wide[::stride] = ys
-    for s in range(1, stride):
-        if len(parts) == 2 or 2 * s <= stride:
-            wide[s::stride] = _fft(
-                [c * cmath.exp(2j * cmath.pi * s * k / samples)
-                 for k, c in enumerate(coeffs)], roots)
-        else:
-            wide[s::stride] = [v.conjugate()
-                               for v in reversed(wide[stride - s::stride])]
+    parts, bounds = _parts(p, points[::stride], EVAL_EPS / root)
+    roots = unit[:samples // 2:stride]
     # |h'| <= M R / (R - r)^2 on |x| = r (Cauchy), times a point's error;
     # Higham's Theorem 24.2 bounds each transform's relative 2-norm error
-    majorant, half = _majorant(p), samples // 2 + 1
     slope = majorant * _MAX_ABS / (_MAX_ABS - radius) ** 2 * radius \
         * _ROOT_ERR
     u = sys.float_info.epsilon / 2
     t_eta = (size.bit_length() - 1) * (
         _ROOT_ERR + 4 * u / (1 - 4 * u) * (math.sqrt(2) + _ROOT_ERR))
-    # the samples' truncation and point errors, the row's point error,
-    # aliasing, and the rounding of the inverse FFT, the twiddles, the
-    # FFTs and the split of N + iD, at most 4 t eta / (1 - t eta) ||ys||
-    error = root * (sum(bounds) + slope) + slope \
-        + _alias(majorant, radius, size) \
-        + 4 * t_eta / (1 - t_eta) * math.sqrt(sum(abs(y) ** 2 for y in ys))
-    if len(parts) == 1:
-        return points, wide[:half], error
-    mirror = [wide[-idx].conjugate() for idx in range(half)]
-    nvs = [(h + g) / 2 for h, g in zip(wide, mirror)]
-    dvs = [(h - g) / 2j for h, g in zip(wide, mirror)]
-    nvs[::stride], dvs[::stride] = parts
-    return (points, *_quotient(points, [nvs, dvs], [error, error]))
+    rows, errors = [], []
+    for vs, bound in zip(parts, bounds):
+        # h on the whole sub-circle, its lower half by conjugate symmetry
+        ys = vs + [v.conjugate() for v in vs[-2:0:-1]]
+        coeffs = [c.conjugate() / size
+                  for c in _fft([y.conjugate() for y in ys], roots)]
+        # h at the points idx = s mod stride from the coefficients twiddled
+        # by exp(2 pi i s k / samples); h has real coefficients, so the
+        # offsets s past stride / 2 mirror those below
+        wide = [0j] * samples
+        wide[::stride] = ys
+        for s in range(1, stride):
+            if 2 * s <= stride:
+                wide[s::stride] = _fft(
+                    [c * unit[s * k] for k, c in enumerate(coeffs)], roots)
+            else:
+                wide[s::stride] = [v.conjugate() for v in
+                                   reversed(wide[stride - s::stride])]
+        rows.append(wide[:len(points)])
+        # the samples' truncation and point errors, the row's point error,
+        # aliasing, and the rounding of the inverse FFT, the twiddles and
+        # the FFTs, at most 3 t eta / (1 - t eta) ||ys||
+        errors.append(
+            root * (bound + slope) + slope + _alias(majorant, radius, size)
+            + 3 * t_eta / (1 - t_eta)
+            * math.sqrt(sum(abs(y) ** 2 for y in ys)))
+    return (points, *_quotient(points, rows, errors))
 
 
 def _winding(values: list[complex]) -> int:
@@ -519,12 +510,11 @@ def _winding(values: list[complex]) -> int:
 
 
 def winding_number(p: PatternId, radius: float = WINDING_RADIUS,
-                   samples: int = WINDING_SAMPLES,
-                   eps: float = EVAL_EPS) -> int:
+                   samples: int = WINDING_SAMPLES) -> int:
     """Winding number of f over |x| = radius: the count of zeros of f
     inside (zeros of the denominator minus zeros of the numerator)."""
     return _winding([complex(rf, if_)
-                     for _, _, rf, if_ in emit_curve(p, radius, samples, eps)])
+                     for _, _, rf, if_ in emit_curve(p, radius, samples)])
 
 
 def estimate(p: PatternId, radius: float = WINDING_RADIUS,
@@ -563,21 +553,21 @@ def predict_count(p: PatternId, n: int,
 
 
 def emit_curve(p: PatternId, radius: float = WINDING_RADIUS,
-               samples: int = WINDING_SAMPLES, eps: float = EVAL_EPS,
+               samples: int = WINDING_SAMPLES,
                ) -> list[tuple[float, float, float, float]]:
     """Sampled image of the circle |x| = radius under f, as rows
     (re x, im x, re f, im f) starting at angle 0.
 
     f has real coefficients, so f(conj x) = conj f(x): only the upper
     half, indices 0 .. samples // 2, is computed, and row samples - k is
-    the exact conjugate of row k.  Rows idx = 0, S/P, 2 S/P, ... are the
-    values the evaluators give at eps / sqrt(P), and the rest are
-    interpolated from them (every row is evaluated at eps when P =
-    samples); see the module docstring.  Raises AsymptoticsError unless
+    the exact conjugate of row k.  Rows idx = 0, S/P, 2 S/P, ... are f
+    from the evaluators' parts at EVAL_EPS / sqrt(P), and the rest are f
+    from parts interpolated from them (P = samples evaluates every row at
+    EVAL_EPS); see the module docstring.  Raises AsymptoticsError unless
     every |f| exceeds the bound, aliasing and rounding included, which
     certifies that f vanishes at no sample.
     """
-    points, values, bound = _sample_circle(p, radius, samples, eps)
+    points, values, bound = _sample_circle(p, radius, samples)
     low = min(map(abs, values))
     if not low > bound:
         raise AsymptoticsError(

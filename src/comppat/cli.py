@@ -175,7 +175,8 @@ def cmd_avoiders(args, argv: list[str]) -> int:
 
 def cmd_asymptotics(args, argv: list[str]) -> int:
     from . import asymptotics
-    _require(0 < args.radius < 0.8, "--radius: must lie in (0, 0.8)")
+    _require(0 < args.radius < asymptotics._MAX_ABS,
+             "--radius: must lie in (0, 0.8)")
     # Opened before the estimate runs, so a bad path fails at once.
     curve = contextlib.nullcontext()
     if args.curve_csv is not None:

@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 
 from comppat import asymptotics, genfun
-from comppat.asymptotics import (EVAL_EPS, DomainError, UndersamplingError,
-                                 _circle, _den_111, _den_112, _den_123,
-                                 _den_221, _evaluate, _winding,
+from comppat.asymptotics import (EVAL_EPS, AsymptoticsError, DomainError,
+                                 UndersamplingError, _den_111, _den_112,
+                                 _den_123, _den_221, _evaluate, _winding,
                                  emit_curve, estimate,
                                  eval_f, find_rho, predict_count,
                                  winding_number)
@@ -24,6 +24,12 @@ from comppat.patterns import PartSet, PatternId
 from comppat.series import zero
 
 P = PatternId
+
+
+def circle(radius, samples):
+    # the upper half of the circle, as emit_curve samples it
+    return [radius * cmath.exp(2j * cmath.pi * idx / samples)
+            for idx in range(samples // 2 + 1)]
 
 
 def test_f_at_zero_is_one():
@@ -54,13 +60,13 @@ def test_find_rho_scans_in_one_block(monkeypatch, p):
     # every statistic roots below 0.65, so the bracket scan is the one
     # block 0.50, 0.51, ..., 0.65; only Newton's method evaluates single
     # points
-    evaluate = asymptotics._EVALUATORS[p]
+    evaluate = asymptotics._PARTS[p]
     blocks = []
 
     def counting(xs, ax, eps):
         blocks.append((xs[0], len(xs), ax))
         return evaluate(xs, ax, eps)
-    monkeypatch.setitem(asymptotics._EVALUATORS, p, counting)
+    monkeypatch.setitem(asymptotics._PARTS, p, counting)
     find_rho(p)
     assert blocks[0] == (0.5, 16, 0.65)
     assert len(blocks) > 1 and {n for _, n, _ in blocks[1:]} == {1}
@@ -74,8 +80,8 @@ def test_find_rho_without_a_sign_change_scans_one_block(monkeypatch, root):
 
     def linear(xs, ax, eps):
         sizes.append(len(xs))
-        return [1.0 if root is None else root - x for x in xs], 0.0
-    monkeypatch.setitem(asymptotics._EVALUATORS, P.P111, linear)
+        return [[1.0 if root is None else root - x for x in xs]], [0.0]
+    monkeypatch.setitem(asymptotics._PARTS, P.P111, linear)
     with pytest.raises(asymptotics.RootNotFoundError,
                        match=r"no sign change of f_111 on \[0.5, 0.65\]"):
         find_rho(P.P111)
@@ -90,12 +96,12 @@ def stub_root(x):
 
 def wrong_slope(xs, ax, eps):
     # f(conj x): right on the real axis, but Im f(x + ih) / h is -f'(x)
-    return [stub_root(x.conjugate()) for x in xs], 0.0
+    return [[stub_root(x.conjugate()) for x in xs]], [0.0]
 
 
 def flat_slope(xs, ax, eps):
     # f(Re x): right on the real axis, but Im f(x + ih) is 0
-    return [stub_root(x.real) for x in xs], 0.0
+    return [[stub_root(x.real) for x in xs]], [0.0]
 
 
 @pytest.mark.parametrize("stub, message", [
@@ -103,15 +109,31 @@ def flat_slope(xs, ax, eps):
     (flat_slope, "f_111 has slope 0")])
 def test_find_rho_refuses_a_bad_complex_step_slope(monkeypatch, stub,
                                                    message):
-    monkeypatch.setitem(asymptotics._EVALUATORS, P.P111, stub)
+    monkeypatch.setitem(asymptotics._PARTS, P.P111, stub)
     with pytest.raises(asymptotics.RootNotFoundError, match=message):
         find_rho(P.P111)
 
 
-def test_find_rho_takes_eps_by_keyword_only():
-    # a stale positional tol must not be read as eps
-    with pytest.raises(TypeError):
-        find_rho(P.P111, 1e-11)
+def vanishing_numerator(monkeypatch, at):
+    # peak's parts with N replaced by 0 at the point `at`
+    parts = asymptotics._PARTS[P.PEAK]
+
+    def stub(xs, ax, eps):
+        (nvs, dvs), bounds = parts(xs, ax, eps)
+        return [[0 * nv if x == at else nv for x, nv in zip(xs, nvs)],
+                dvs], bounds
+    monkeypatch.setitem(asymptotics._PARTS, P.PEAK, stub)
+
+
+def test_f_is_refused_where_the_numerator_vanishes(monkeypatch):
+    # f = D/N is undefined where N = 0, at a point and on the circle
+    vanishing_numerator(monkeypatch, 0.5)
+    with pytest.raises(AsymptoticsError, match="numerator nearly vanishes"):
+        eval_f(P.PEAK, 0.5)
+    assert eval_f(P.PEAK, 0.55)[0] > 0
+    vanishing_numerator(monkeypatch, 0.7)
+    with pytest.raises(AsymptoticsError, match="numerator nearly vanishes"):
+        emit_curve(P.PEAK, 0.7, 1024)
 
 
 def test_estimate_equality_and_repr_leave_out_the_curve(default_estimate):
@@ -168,7 +190,7 @@ def test_f_is_the_denominator_for_simple_patterns():
             P.P123: _den_123}
     for p, den in dens.items():
         for x in (0.6, 0.7 * cmath.exp(0.73j)):
-            values, bound = den([x], abs(x), 1e-12)
+            (values,), (bound,) = den([x], abs(x), 1e-12)
             assert eval_f(p, x, 1e-12) == (values[0], bound), (p, x)
 
 
@@ -176,13 +198,14 @@ def test_f_is_the_denominator_for_simple_patterns():
 def test_a_point_value_does_not_depend_on_its_block(p):
     # stopping indices come from ax and eps alone, so each point of a block
     # sees the operations it would see alone at the same ax
-    evaluate = asymptotics._EVALUATORS[p]
+    evaluate = asymptotics._PARTS[p]
     xs = [0.0, 0.3, -0.6, 0.5j, 0.7 * cmath.exp(0.73j), 0.75 * cmath.exp(3j)]
     for eps in (1e-15, 1e-9):
-        values, bound = evaluate(xs, 0.75, eps)
+        parts, bounds = evaluate(xs, 0.75, eps)
         alone = [evaluate([x], 0.75, eps) for x in xs]
-        assert values == [value for (value,), _ in alone]
-        assert bound == max(b for _, b in alone)
+        assert parts == [[one[j][0] for one, _ in alone]
+                         for j in range(len(parts))]
+        assert all(one == bounds for _, one in alone)
 
 
 
@@ -192,10 +215,11 @@ def test_a_point_value_does_not_depend_on_its_block(p):
 # again without the find_rho lines (below) before those changed.
 EVALUATOR_FINGERPRINT = \
     "ba282222d95a0b184f5f65621c906e0cc4a6b259c2ad461c450f4aeab4714af5"
-# SHA-256 over the repr of find_rho at the same three eps values,
-# recorded when Newton's method from the secant point replaced bisection.
+# SHA-256 over the repr of find_rho, which evaluates at EVAL_EPS,
+# recorded when Newton's method from the secant point replaced bisection
+# and digested again over its EVAL_EPS lines alone when find_rho lost eps.
 FIND_RHO_FINGERPRINT = \
-    "774c5bba16002d017d498899e4cb5c9c2a9f37ced68289bb59288099db544996"
+    "ce59808595657377b4256884d6f02b45dd4ebdf67f55054aefcd8357339455b2"
 FINGERPRINT_EPS = (1e-15, 1e-9, sys.float_info.min)
 
 
@@ -203,7 +227,7 @@ def test_evaluators_match_recorded_fingerprint():
     reals = [k / 20 for k in range(-16, 17)]
     off_axis = [r * cmath.exp(1j * t) for r in (0.3, 0.7, 0.79)
                 for t in (0.4, 1.3, 2.2, 3.1)] + [0.8j, -0.8j, 0j]
-    blocks = [[k / 100 for k in range(50, 66)], _circle(0.75, 1024)[:40],
+    blocks = [[k / 100 for k in range(50, 66)], circle(0.75, 1024)[:40],
               [0.2, -0.5j, 0.7 * cmath.exp(2j), 0.8]]
     lines = []
     for p in P:
@@ -217,8 +241,7 @@ def test_evaluators_match_recorded_fingerprint():
 
 
 def test_find_rho_matches_recorded_fingerprint():
-    lines = [repr((p.value, eps, find_rho(p, eps=eps)))
-             for p in P for eps in FINGERPRINT_EPS]
+    lines = [repr((p.value, EVAL_EPS, find_rho(p))) for p in P]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == FIND_RHO_FINGERPRINT
 
@@ -233,13 +256,6 @@ def test_tail_bound_honest():
             assert abs(loose - tight) <= bound + 1e-12, (p, x)
 
 
-def test_rho_stable_under_stricter_tails():
-    for p in (P.P111, P.PEAK):
-        r1 = find_rho(p, eps=1e-12)
-        r2 = find_rho(p, eps=1e-13)
-        assert abs(r1 - r2) < 1e-9
-
-
 def test_conjugate_symmetry_on_circle():
     for p in P:
         x = 0.7 * cmath.exp(0.73j)
@@ -252,7 +268,7 @@ def test_conjugate_symmetry_on_circle():
 
 def winding_of(fn, radius, samples):
     # winding number of fn's image of the circle |x| = radius around 0
-    points = _circle(radius, samples)
+    points = circle(radius, samples)
     points += [x.conjugate() for x in reversed(points[1:(samples + 1) // 2])]
     return _winding([complex(fn(x)) for x in points])
 
@@ -278,8 +294,8 @@ def test_circle_radius_must_lie_in_the_domain():
 
 
 def test_winding_requires_enough_samples():
-    with pytest.raises(ValueError):
-        winding_of(lambda x: x, 0.7, 512)
+    with pytest.raises(ValueError, match="1024 samples"):
+        winding_number(P.P112, 0.7, 512)
 
 
 def test_winding_each_pattern_standard_circle():
@@ -393,11 +409,12 @@ def test_curve_upper_half_is_eval_f_and_lower_half_its_conjugate(samples):
     half = samples // 2
     stride = 2 if samples == 1024 else 1
     eps = EVAL_EPS / math.sqrt(512) if stride == 2 else EVAL_EPS
-    points = _circle(0.7, samples)
+    points = circle(0.7, samples)
     for p in P:
-        assert asymptotics._transform_size(p, 0.7, samples, EVAL_EPS) == \
+        majorant = asymptotics._majorant(p)
+        assert asymptotics._transform_size(majorant, 0.7, samples) == \
             samples // stride
-        bound = asymptotics._sample_circle(p, 0.7, samples, EVAL_EPS)[2]
+        bound = asymptotics._sample_circle(p, 0.7, samples)[2]
         rows = emit_curve(p, 0.7, samples)
         assert len(rows) == samples
         for k in range(half + 1):
@@ -418,8 +435,7 @@ def test_curve_upper_half_is_eval_f_and_lower_half_its_conjugate(samples):
 def interpolation_is_honest(p, radius, samples):
     # every row of the curve within its bound plus the direct evaluation's
     # own bound of f at that row's point, evaluated as one block
-    points, values, bound = asymptotics._sample_circle(p, radius, samples,
-                                                       EVAL_EPS)
+    points, values, bound = asymptotics._sample_circle(p, radius, samples)
     direct, direct_bound = _evaluate(p, points, EVAL_EPS)
     return all(abs(v - d) <= bound + direct_bound
                for v, d in zip(values, direct))
@@ -429,8 +445,8 @@ def interpolation_is_honest(p, radius, samples):
     (0.7, 1024, 512), (0.7, 4096, 512), (0.75, 4096, 1024)])
 def test_interpolated_curve_is_within_its_bound(radius, samples, size):
     for p in P:
-        assert asymptotics._transform_size(p, radius, samples,
-                                           EVAL_EPS) == size
+        majorant = asymptotics._majorant(p)
+        assert asymptotics._transform_size(majorant, radius, samples) == size
         assert interpolation_is_honest(p, radius, samples), p
 
 
@@ -449,11 +465,12 @@ def test_a_coarse_sub_circle_needs_the_aliasing_term(monkeypatch, alias):
 def test_majorant_bounds_the_taylor_coefficients(p):
     # Cauchy's estimate |c_n| R^n <= max |h| on |x| = R = 4/5, checked in
     # integers on the coefficients of the builders' (N, D) pair at y = 0,
-    # z = 1 over nat, with h = D, or h = N + iD for peak and valley
+    # z = 1 over nat, with h = D, or h = N + iD for peak and valley, whose
+    # coefficients bound those of N and of D
     order = 250
     num, den = genfun._NUM_DEN[p](
         genfun._weights(PartSet.naturals(), order, z_exp=0), zero(order))
-    two = p in asymptotics._NUM_DEN
+    two = len(asymptotics._parts(p, [0.5], EVAL_EPS)[0]) == 2
     assert two or all(num.coefficient(n, 0, 0) == (n == 0)
                       for n in range(order + 1))
     square = Fraction(asymptotics._majorant(p)) ** 2

@@ -14,7 +14,8 @@ import pytest
 from comppat import asymptotics, cli
 from comppat.patterns import PatternId
 from enumeration import BATTERY
-from test_asymptotics import flat_slope, wrong_slope
+from test_asymptotics import (circle, flat_slope, vanishing_numerator,
+                              wrong_slope)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "schemas"
@@ -232,24 +233,23 @@ def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
     # block of 129 complex points; nothing samples the default |x| = 0.7.
     # The complex steps x + ih of find_rho and estimate are one-point
     # blocks, not circle blocks.
-    evaluate = asymptotics._EVALUATORS[PatternId.P112]
+    evaluate = asymptotics._PARTS[PatternId.P112]
     blocks = []
 
     def counting(xs, ax, eps):
         if isinstance(xs[0], complex) and len(xs) > 1:
             blocks.append(list(xs))
         return evaluate(xs, ax, eps)
-    monkeypatch.setitem(asymptotics._EVALUATORS, PatternId.P112, counting)
+    monkeypatch.setitem(asymptotics._PARTS, PatternId.P112, counting)
     curve = tmp_path / "curve.csv"
     rc = cli.main(["asymptotics", "--pattern", "112", "--radius", "0.6",
                    "--samples", "2048", "--curve-csv", str(curve)])
     assert rc == 0
     assert len(blocks) == 1
-    circle = blocks[0]
-    assert len(circle) == 256 // 2 + 1
-    assert circle == asymptotics._circle(0.6, 2048)[::8]
-    assert all(type(x) is complex and x.imag >= 0 for x in circle)
-    assert all(abs(abs(x) - 0.7) > 1e-3 for x in circle)
+    assert len(blocks[0]) == 256 // 2 + 1
+    assert blocks[0] == circle(0.6, 2048)[::8]
+    assert all(type(x) is complex and x.imag >= 0 for x in blocks[0])
+    assert all(abs(abs(x) - 0.7) > 1e-3 for x in blocks[0])
     assert len(curve.read_text().splitlines()) == 2049
     monkeypatch.undo()
     report = json.loads(capsys.readouterr().out)
@@ -260,11 +260,11 @@ def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
 def test_asymptotics_uncertified_circle_exits_3(monkeypatch, capsys):
     # a truncation bound above min |f| on the circle leaves the winding
     # uncertified: a numeric failure, with nothing on stdout
-    evaluate = asymptotics._EVALUATORS[PatternId.P112]
+    evaluate = asymptotics._PARTS[PatternId.P112]
 
     def loose(xs, ax, eps):
-        return evaluate(xs, ax, eps)[0], 1e6
-    monkeypatch.setitem(asymptotics._EVALUATORS, PatternId.P112, loose)
+        return evaluate(xs, ax, eps)[0], [1e6]
+    monkeypatch.setitem(asymptotics._PARTS, PatternId.P112, loose)
     rc = cli.main(["asymptotics", "--pattern", "112", "--samples", "1024"])
     assert rc == 3
     captured = capsys.readouterr()
@@ -276,7 +276,8 @@ def test_asymptotics_uncertified_circle_exits_3(monkeypatch, capsys):
 # --curve-csv c.csv` and of the CSV's data rows 0 .. 512.  stdout was
 # recorded when rho and K came from complex-step Newton instead of
 # bisection and finite differences; the rows again when the odd ones were
-# interpolated by FFT from the 512-point sub-circle.
+# interpolated by FFT from the 512-point sub-circle, and peak's and
+# valley's once more when their N and D were interpolated apart.
 ASYMPTOTICS_DIGESTS = {
     "111": ("11a8a4b561ef8dd68146962d8df3fd378e5c50c2fd73579c6c73edd62940c383",
             "62c932cc3e050148e9e339b0e71164b49898ce2d53c0220c8b7bf6f91ea3fa6f"),
@@ -287,10 +288,10 @@ ASYMPTOTICS_DIGESTS = {
     "123": ("92a6747b5f36fb7ad6162d15127f7c4891781fca638d8a0b18554923ef650d81",
             "17cea0b0d43e06ec9df7ca2ce9c86c24012395b0fcf28b81929ab2fcd3ef9d8f"),
     "peak": ("9b4f97f2f1561e132028af4c2319380419ebcfae32800dd28da8159f034e4ae8",
-             "61ac6b21cf20fcda9bcbcc73e3258b05a822aca126243761ea99554ce12aca74"),
+             "37b84d730bae8a0e4440ec5e057121de96c63a68bff1e40a21501dd25006c8ca"),
     "valley": (
         "c30ee42185b1bb7f81d3a8f730e13e58fb4c32e73376074951a029390bc92947",
-        "55cd3404522a036efa7b5282aec62d6d030190ba4792fab481c3bd51af3ec495"),
+        "8d4e6211617dd693d6713ce6b22c05d90f49102a0b45ed94f1ba9f50b1d2bba9"),
 }
 
 
@@ -311,7 +312,8 @@ def test_asymptotics_matches_golden_digests(pattern, capsys, monkeypatch,
 
 # The same digests on the benchmark's circle, the default 4,096 samples
 # (rows 0 .. 2048 are the upper half), stdout recorded with complex-step
-# Newton and the rows when all but every eighth were interpolated by FFT.
+# Newton and the rows when all but every eighth were interpolated by FFT
+# (peak and valley again when their N and D were interpolated apart).
 ASYMPTOTICS_DEFAULT_DIGESTS = {
     "111": (
         "4474fc1c30d1eb1024b2feb647571fac21839f030477137941afb99aa461ed57",
@@ -327,10 +329,10 @@ ASYMPTOTICS_DEFAULT_DIGESTS = {
         "ae563f77f16dd2a4bddab833c9a3a8688b03df51125092622b4de03ab1e152e5"),
     "peak": (
         "b3c848e89a4739eb25430ee919fcb6206622fadec44a254371761850164f8012",
-        "092f3803ed107c3c507021b45e00e96572c8f095bcc0921f4835d0f1b6afcf38"),
+        "dc10cdd7d8da4d22505ea5580a97979d7f3c5cc9837f7d689971b7a0a25b0e92"),
     "valley": (
         "f3e0c060b7ace64e9191e45c7c9d366b3ac4f86e077dc2d5a11615eb8ad44b24",
-        "62e213f5714d73609cbbd994102adb00939cf4c552eedc6f0aee7a9a5232d64c"),
+        "f452731b5cb9a138f8c72d96d3ccc227a55d6f65cfef1b6513b0b0bc90f10944"),
 }
 
 
@@ -352,7 +354,8 @@ def test_asymptotics_default_circle_matches_golden_digests(
 # every line was formatted from its own floats.  At the odd N = 1025 the
 # mirror starts at row 513, not past the middle row, and every upper row
 # is evaluated; N = 1024 and 4096 were recorded again when the rows off
-# the 512-point sub-circle were interpolated by FFT.
+# the 512-point sub-circle were interpolated by FFT, and peak and valley
+# at those N once more when their N and D were interpolated apart.
 CURVE_FILE_DIGESTS = {
     1024: {
         "111": (
@@ -364,9 +367,9 @@ CURVE_FILE_DIGESTS = {
         "123": (
             "4bfb2240db3cc4b77edb5eabd40007b42fc1d2002698c53bc84b9d84c9f02f3a"),
         "peak": (
-            "b3eaf8d2e308a99961b24eee8be4d3e7cab2662a8664a508cb274e340c2b9d68"),
+            "0318f557c0c3c1a1861be2b5f3998701a2e9a087927f53df8ccb0e88e2d62eb7"),
         "valley": (
-            "bf181ffee774a453e7c95697502d78d460497e2ddbe06ea555994c07d075dcf7"),
+            "8b6d75c037d1ad2c815751072ff5a75c95a925d669a2d1b48dba3b452b6e3b42"),
     },
     1025: {
         "111": (
@@ -392,9 +395,9 @@ CURVE_FILE_DIGESTS = {
         "123": (
             "b13601aceb0cbce947edebeeab6d5ce93a5467b5cfcb900c91e353bbe85d5dc5"),
         "peak": (
-            "ea66c59fc1e5244880effeeddf6f4cbc24c7f30ddd79f64abe32d35dde71c3a8"),
+            "7488c7d26d7c61ae757472912442387b6f1fe3be3c0b778273c56f93aa7c4522"),
         "valley": (
-            "2c72024c11da3335b122806da4081d9a28586c0aa7481380aa7c277157a618a1"),
+            "135b673acc88949eb2452e99dba7bd70ff796398631550e526c534172bb39d28"),
     },
 }
 
@@ -462,12 +465,25 @@ def test_asymptotics_root_not_found_exits_3(monkeypatch, capsys):
 def test_asymptotics_bad_newton_slope_exits_3(stub, monkeypatch, capsys):
     # a complex-step slope of the wrong sign or 0 is a numeric failure,
     # never a ZeroDivisionError
-    monkeypatch.setitem(asymptotics._EVALUATORS, PatternId.P111, stub)
+    monkeypatch.setitem(asymptotics._PARTS, PatternId.P111, stub)
     rc = cli.main(["asymptotics", "--pattern", "111", "--samples", "1024"])
     assert rc == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("comppat: numeric failure: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_asymptotics_vanishing_numerator_exits_3(monkeypatch, capsys):
+    # N = 0 at the circle's first point, |x| = 0.7 on the real axis: a
+    # numeric failure from the quotient itself, with nothing on stdout
+    vanishing_numerator(monkeypatch, 0.7)
+    rc = cli.main(["asymptotics", "--pattern", "peak"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "comppat: numeric failure: numerator nearly vanishes at ")
     assert captured.err.count("\n") == 1
 
 

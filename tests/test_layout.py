@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,22 @@ def test_every_export_is_the_object_its_module_defines():
     namespace = {}
     exec("from comppat import *", namespace)
     assert set(comppat.__all__) <= set(namespace)
+
+
+def test_every_traced_callable_exists():
+    # the benchmark's tracer wraps these (owner, attribute) pairs by name,
+    # so renaming or removing one must fail here too; the tracer's source
+    # is compiled from its text, which writes nothing next to it
+    path = SRC.parent / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("perfbench_tracing")
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    traced = tracing.traced_callables()
+    assert {name for _, _, name, _ in traced} >= {
+        "asymptotics.eval_f", "asymptotics.find_rho",
+        "asymptotics.winding_number", "asymptotics.emit_curve",
+        "asymptotics.estimate"}
+    for owner, attribute, name, _ in traced:
+        assert callable(getattr(owner, attribute, None)), name
 
 
 def test_dir_lists_the_exports_and_unknown_names_raise():

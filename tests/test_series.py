@@ -448,3 +448,29 @@ def test_one_term_times_one_term():
 def test_one_is_the_identity(s):
     assert one(6) * s == s
     assert s * one(6) == s
+
+
+# -- repr --------------------------------------------------------------------
+
+def test_repr_of_zero_and_constants():
+    assert repr(zero(3)) == "TruncatedSeries(order=3, 0)"
+    assert repr(one(3)) == "TruncatedSeries(order=3, 1)"
+    assert repr(mono(0, 0, 0, -7, order=5)) == "TruncatedSeries(order=5, -7)"
+
+
+def test_repr_writes_unit_coefficients_and_first_powers_bare():
+    # coefficient 1 and -1 drop the digit, others are written with "*";
+    # an exponent of 1 drops "^1"; terms come in (n, m, r) order
+    s = (mono(3, 2, 0, 5, order=6) + mono(0, 0, 0, 2, order=6)
+         + mono(1, 1, 0, -1, order=6) + mono(1, 0, 0, order=6)
+         + mono(2, 1, 1, -3, order=6) + mono(4, 0, 2, -1, order=6))
+    assert repr(s) == ("TruncatedSeries(order=6, 2 + x + -x*z + "
+                       "-3*x^2*z*y + 5*x^3*z^2 + -x^4*y^2)")
+
+
+def test_repr_shows_eight_terms_then_the_count():
+    geometric = [(1 - mono(1, 0, 0, order=n)).reciprocal() for n in (7, 12)]
+    powers = " + ".join(["1", "x"] + [f"x^{e}" for e in range(2, 8)])
+    assert repr(geometric[0]) == f"TruncatedSeries(order=7, {powers})"
+    assert repr(geometric[1]) == \
+        f"TruncatedSeries(order=12, {powers} + ... (13 terms))"

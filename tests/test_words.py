@@ -44,6 +44,13 @@ def test_one_letter_alphabet():
                         **{(m, m, m - 2): 1 for m in range(2, 10)}}
 
 
+@pytest.mark.parametrize("p", list(P))
+def test_word_gf_refuses_an_empty_alphabet(p):
+    # the CLI's -k range refuses 0 first, so only the library reaches this
+    with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+        word_gf(p, 0, 5)
+
+
 def test_word_table_rejects_x_exponent():
     # keys must be (m, m, r): an x-exponent other than the length is not
     # a word, whichever way it differs
