@@ -45,8 +45,8 @@ MAX_VERIFY_K = 100
 # the cap, order 60 takes under a second.
 MAX_WORDS_K = 10**6
 # Input bound for `asymptotics --samples`: each sample is one row of the
-# curve, and f is evaluated at most at samples // 2 + 1 of them (at 257
-# of the default 4,096, the rest interpolated by FFT).
+# curve, and f is computed at samples // 2 + 1 of them (by five 512-point
+# FFTs per part of f for the default 4,096).
 MAX_SAMPLES = 2**16
 
 PATTERN_CHOICES = tuple(p.value for p in PatternId)
@@ -175,8 +175,8 @@ def cmd_avoiders(args, argv: list[str]) -> int:
 
 def cmd_asymptotics(args, argv: list[str]) -> int:
     from . import asymptotics
-    _require(0 < args.radius < asymptotics._MAX_ABS,
-             "--radius: must lie in (0, 0.8)")
+    _require(0 < args.radius <= asymptotics._MAX_ABS,
+             "--radius: must lie in (0, 0.79]")
     # Opened before the estimate runs, so a bad path fails at once.
     curve = contextlib.nullcontext()
     if args.curve_csv is not None:
@@ -287,7 +287,8 @@ COMMANDS = {
         _PATTERN, _SET, _ORDER,
         ("--bfile", bool, False, None, "'n a(n)' lines instead of JSON")]),
     "asymptotics": (cmd_asymptotics, "growth estimate and winding", [
-        _PATTERN, ("--radius", float, 0.7, None, "circle radius, in (0, 0.8)"),
+        _PATTERN,
+        ("--radius", float, 0.7, None, "circle radius, in (0, 0.79]"),
         ("--samples", int, 4096, range(1024, MAX_SAMPLES + 1),
          "points on the circle"),
         ("--curve-csv", str, None, None, "also write the image curve here")]),

@@ -53,9 +53,11 @@ ALL_PATTERNS = tuple(PatternId)
 
 def check_parts(parts: Iterable[int]) -> tuple[int, ...]:
     """The parts as a tuple, after checking that they are positive
-    integers in strictly increasing order.  An empty tuple passes."""
+    integers in strictly increasing order.  An empty tuple passes; a bool
+    is refused, though it is an int."""
     parts = tuple(parts)
-    if any(not isinstance(a, int) or a < 1 for a in parts):
+    if any(type(a) is bool or not isinstance(a, int) or a < 1
+           for a in parts):
         raise ValueError("parts must be positive integers")
     if any(a >= b for a, b in zip(parts, parts[1:])):
         raise ValueError("parts must be strictly increasing")

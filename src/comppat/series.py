@@ -341,20 +341,20 @@ class TruncatedSeries:
         return bool(self.coeffs)
 
     def __repr__(self) -> str:
-        parts = []
+        shown = ""
         for (n, m, r), c in sorted(self.coeffs.items())[:8]:
             body = "*".join(
                 f"{v}^{e}" if e > 1 else v
                 for v, e in (("x", n), ("z", m), ("y", r)) if e)
-            if body:
-                parts.append(f"{c}*{body}" if abs(c) != 1 else
-                             (body if c == 1 else f"-{body}"))
-            else:
-                parts.append(str(c))
-        shown = " + ".join(parts) if parts else "0"
+            if shown:
+                shown += " - " if c < 0 else " + "
+            elif c < 0:
+                shown = "-"
+            shown += (f"{abs(c)}*{body}" if abs(c) != 1 else body) if body \
+                else str(abs(c))
         if len(self.coeffs) > 8:
             shown += f" + ... ({len(self.coeffs)} terms)"
-        return f"TruncatedSeries(order={self.order}, {shown})"
+        return f"TruncatedSeries(order={self.order}, {shown or '0'})"
 
 
 def make_monomial(order: int, n: int, m: int, r: int,

@@ -7,18 +7,15 @@ test_acceptance.py; here the focus is the numeric plumbing.
 import cmath
 import hashlib
 import math
-import sys
 from fractions import Fraction
 
 import pytest
 
 from comppat import asymptotics, genfun
 from comppat.asymptotics import (EVAL_EPS, AsymptoticsError, DomainError,
-                                 UndersamplingError, _den_111, _den_112,
-                                 _den_123, _den_221, _evaluate, _winding,
-                                 emit_curve, estimate,
-                                 eval_f, find_rho, predict_count,
-                                 winding_number)
+                                 UndersamplingError, _evaluate, _parts,
+                                 _winding, emit_curve, estimate, eval_f,
+                                 find_rho, predict_count, winding_number)
 from comppat.genfun import avoidance_sequence
 from comppat.patterns import PartSet, PatternId
 from comppat.series import zero
@@ -60,13 +57,13 @@ def test_find_rho_scans_in_one_block(monkeypatch, p):
     # every statistic roots below 0.65, so the bracket scan is the one
     # block 0.50, 0.51, ..., 0.65; only Newton's method evaluates single
     # points
-    evaluate = asymptotics._PARTS[p]
+    quotient = asymptotics._quotient
     blocks = []
 
-    def counting(xs, ax, eps):
-        blocks.append((xs[0], len(xs), ax))
-        return evaluate(xs, ax, eps)
-    monkeypatch.setitem(asymptotics._PARTS, p, counting)
+    def counting(xs, parts, bounds):
+        blocks.append((xs[0], len(xs), max(map(abs, xs))))
+        return quotient(xs, parts, bounds)
+    monkeypatch.setattr(asymptotics, "_quotient", counting)
     find_rho(p)
     assert blocks[0] == (0.5, 16, 0.65)
     assert len(blocks) > 1 and {n for _, n, _ in blocks[1:]} == {1}
@@ -78,10 +75,10 @@ def test_find_rho_without_a_sign_change_scans_one_block(monkeypatch, root):
     # in (0.65, 0.66), or none at all is not searched for further
     sizes = []
 
-    def linear(xs, ax, eps):
+    def linear(xs, parts, bounds):
         sizes.append(len(xs))
-        return [[1.0 if root is None else root - x for x in xs]], [0.0]
-    monkeypatch.setitem(asymptotics._PARTS, P.P111, linear)
+        return [1.0 if root is None else root - x for x in xs], 0.0
+    monkeypatch.setattr(asymptotics, "_quotient", linear)
     with pytest.raises(asymptotics.RootNotFoundError,
                        match=r"no sign change of f_111 on \[0.5, 0.65\]"):
         find_rho(P.P111)
@@ -94,14 +91,14 @@ def stub_root(x):
     return 1 - (x / 0.555) ** 40
 
 
-def wrong_slope(xs, ax, eps):
+def wrong_slope(xs, parts, bounds):
     # f(conj x): right on the real axis, but Im f(x + ih) / h is -f'(x)
-    return [[stub_root(x.conjugate()) for x in xs]], [0.0]
+    return [stub_root(x.conjugate()) for x in xs], 0.0
 
 
-def flat_slope(xs, ax, eps):
+def flat_slope(xs, parts, bounds):
     # f(Re x): right on the real axis, but Im f(x + ih) is 0
-    return [[stub_root(x.real) for x in xs]], [0.0]
+    return [stub_root(x.real) for x in xs], 0.0
 
 
 @pytest.mark.parametrize("stub, message", [
@@ -109,20 +106,21 @@ def flat_slope(xs, ax, eps):
     (flat_slope, "f_111 has slope 0")])
 def test_find_rho_refuses_a_bad_complex_step_slope(monkeypatch, stub,
                                                    message):
-    monkeypatch.setitem(asymptotics._PARTS, P.P111, stub)
+    monkeypatch.setattr(asymptotics, "_quotient", stub)
     with pytest.raises(asymptotics.RootNotFoundError, match=message):
         find_rho(P.P111)
 
 
 def vanishing_numerator(monkeypatch, at):
-    # peak's parts with N replaced by 0 at the point `at`
-    parts = asymptotics._PARTS[P.PEAK]
+    # peak's parts with N replaced by 0 at the point `at`, on every path
+    # from the parts to f
+    quotient = asymptotics._quotient
 
-    def stub(xs, ax, eps):
-        (nvs, dvs), bounds = parts(xs, ax, eps)
-        return [[0 * nv if x == at else nv for x, nv in zip(xs, nvs)],
-                dvs], bounds
-    monkeypatch.setitem(asymptotics._PARTS, P.PEAK, stub)
+    def stub(xs, parts, bounds):
+        nvs, dvs = parts
+        return quotient(xs, [[0 * nv if x == at else nv
+                              for x, nv in zip(xs, nvs)], dvs], bounds)
+    monkeypatch.setattr(asymptotics, "_quotient", stub)
 
 
 def test_f_is_refused_where_the_numerator_vanishes(monkeypatch):
@@ -157,85 +155,90 @@ def test_rho_above_half_for_all_patterns():
 
 def test_eval_domain_guard():
     nan = float("nan")
-    for x in (0.93, nan, complex(nan, 0), complex(0.1, nan), float("inf")):
+    for x in (0.93, 0.795, complex(0.79, 1e-7), nan, complex(nan, 0),
+              complex(0.1, nan), float("inf")):
         with pytest.raises(DomainError):
             eval_f(P.P112, x)
         # the bad point need not be the first of its block
         for p in P:
             with pytest.raises(DomainError):
-                _evaluate(p, [0.5, x], 1e-12)
+                _evaluate(p, [0.5, x])
 
 
 @pytest.mark.parametrize("p", list(P))
 def test_eval_terminates_at_the_input_bounds(p):
-    # the evaluators have no iteration caps: at the largest |x| and the
-    # smallest eps that _evaluate accepts, every tail bound still drops
-    # below eps after finitely many terms
-    values, bound = _evaluate(p, [0.8, 0.8 * cmath.exp(1j), -0.8, 0.0],
-                              sys.float_info.min)
+    # at the largest |x| that _evaluate accepts, the order rule still
+    # stops, near 3,700, and the bound is finite
+    values, bound = _evaluate(p, [0.79, 0.79 * cmath.exp(1j), -0.79, 0.0])
     assert all(cmath.isfinite(v) for v in values)
     assert math.isfinite(bound)
 
 
-@pytest.mark.parametrize("p", list(P))
-def test_eval_rejects_nan_and_nonpositive_eps(p):
-    for eps in (float("nan"), 0.0, -1e-12, 5e-324, 1e-320):
-        with pytest.raises(ValueError, match="eps"):
-            eval_f(p, 0.5, eps)
-
-
 def test_f_is_the_denominator_for_simple_patterns():
-    # the numerator of these four series is identically 1
-    dens = {P.P111: _den_111, P.P112: _den_112, P.P221: _den_221,
-            P.P123: _den_123}
-    for p, den in dens.items():
+    # the numerator of these four series is identically 1, so f is D,
+    # their one part
+    for p in (P.P111, P.P112, P.P221, P.P123):
         for x in (0.6, 0.7 * cmath.exp(0.73j)):
-            (values,), (bound,) = den([x], abs(x), 1e-12)
-            assert eval_f(p, x, 1e-12) == (values[0], bound), (p, x)
+            (values,), (bound,) = _parts(p, [x], abs(x))
+            assert eval_f(p, x) == (values[0], bound), (p, x)
 
 
 @pytest.mark.parametrize("p", list(P))
 def test_a_point_value_does_not_depend_on_its_block(p):
-    # stopping indices come from ax and eps alone, so each point of a block
-    # sees the operations it would see alone at the same ax
-    evaluate = asymptotics._PARTS[p]
+    # the order comes from the block's largest |x| alone, so each point of
+    # a block sees the operations it would see alone at that |x|
     xs = [0.0, 0.3, -0.6, 0.5j, 0.7 * cmath.exp(0.73j), 0.75 * cmath.exp(3j)]
-    for eps in (1e-15, 1e-9):
-        parts, bounds = evaluate(xs, 0.75, eps)
-        alone = [evaluate([x], 0.75, eps) for x in xs]
-        assert parts == [[one[j][0] for one, _ in alone]
-                         for j in range(len(parts))]
-        assert all(one == bounds for _, one in alone)
+    ax = max(map(abs, xs))
+    parts, bounds = _parts(p, xs, ax)
+    alone = [_parts(p, [x], ax) for x in xs]
+    assert parts == [[one[j][0] for one, _ in alone]
+                     for j in range(len(parts))]
+    assert all(one == bounds for _, one in alone)
+
+
+def builders_pair(p, order):
+    # the genfun builders' (N, D) at y = 0, z = 1 over nat, as int lists
+    num, den = genfun._NUM_DEN[p](
+        genfun._weights(PartSet.naturals(), order, z_exp=0), zero(order))
+    return [[h.coefficient(n, 0, 0) for n in range(order + 1)]
+            for h in (num, den)]
+
+
+@pytest.mark.parametrize("p", list(P))
+def test_generators_equal_the_builders_pair(p):
+    # two derivations of f's parts that share no code: the q-series
+    # expanded in ints, and the series ring's builders; N = 1 where the
+    # generator gives D alone
+    num, den = builders_pair(p, 120)
+    parts = asymptotics._GENERATORS[p](120)
+    assert parts == ([den] if num == [1] + [0] * 120 else [num, den])
+    # a shorter expansion is a prefix of a longer one
+    assert [h[:41] for h in parts] == asymptotics._GENERATORS[p](40)
 
 
 
 # SHA-256 over the repr of every eval_f value and bound at the points
-# below and of three blocks, at three eps values, recorded before 123 and
-# peak/valley evaluated each point in its own scalar loop, and digested
-# again without the find_rho lines (below) before those changed.
+# below and of three blocks, recorded when f's parts came from their exact
+# Taylor coefficients by Horner's rule.
 EVALUATOR_FINGERPRINT = \
-    "ba282222d95a0b184f5f65621c906e0cc4a6b259c2ad461c450f4aeab4714af5"
-# SHA-256 over the repr of find_rho, which evaluates at EVAL_EPS,
-# recorded when Newton's method from the secant point replaced bisection
-# and digested again over its EVAL_EPS lines alone when find_rho lost eps.
+    "70281678439e516bbec4be523f4c576c822688ee8320475d7bc8b6dc57e04ab7"
+# SHA-256 over the repr of find_rho, recorded when Newton's method from
+# the secant point replaced bisection and again when f's parts came from
+# their exact Taylor coefficients.
 FIND_RHO_FINGERPRINT = \
-    "ce59808595657377b4256884d6f02b45dd4ebdf67f55054aefcd8357339455b2"
-FINGERPRINT_EPS = (1e-15, 1e-9, sys.float_info.min)
+    "e857b4b8dab146c95b0fc5947bb80a3709e37d95d69102725aa6726e52f58d5a"
 
 
 def test_evaluators_match_recorded_fingerprint():
-    reals = [k / 20 for k in range(-16, 17)]
+    reals = [k / 20 for k in range(-15, 16)] + [-0.79, 0.79]
     off_axis = [r * cmath.exp(1j * t) for r in (0.3, 0.7, 0.79)
-                for t in (0.4, 1.3, 2.2, 3.1)] + [0.8j, -0.8j, 0j]
+                for t in (0.4, 1.3, 2.2, 3.1)] + [0.79j, -0.79j, 0j]
     blocks = [[k / 100 for k in range(50, 66)], circle(0.75, 1024)[:40],
-              [0.2, -0.5j, 0.7 * cmath.exp(2j), 0.8]]
+              [0.2, -0.5j, 0.7 * cmath.exp(2j), 0.79]]
     lines = []
     for p in P:
-        for eps in FINGERPRINT_EPS:
-            lines += [repr((p.value, eps, x, eval_f(p, x, eps)))
-                      for x in reals + off_axis]
-            lines += [repr((p.value, eps, _evaluate(p, xs, eps)))
-                      for xs in blocks]
+        lines += [repr((p.value, x, eval_f(p, x))) for x in reals + off_axis]
+        lines += [repr((p.value, _evaluate(p, xs))) for xs in blocks]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == EVALUATOR_FINGERPRINT
 
@@ -246,14 +249,29 @@ def test_find_rho_matches_recorded_fingerprint():
     assert digest == FIND_RHO_FINGERPRINT
 
 
-def test_tail_bound_honest():
-    # the loose-eps value differs from the tight-eps value by no more
-    # than the reported tail bound
-    for p in P:
-        for x in (0.3, 0.55, 0.7):
-            loose, bound = eval_f(p, x, eps=1e-6)
-            tight, _ = eval_f(p, x, eps=1e-15)
-            assert abs(loose - tight) <= bound + 1e-12, (p, x)
+def exact_parts(p, x, order=400):
+    # each part at the real float x, exactly, from its coefficients to
+    # `order`; on |x| <= 0.7 the terms past 400 add below 2e-19 (Cauchy)
+    return [exact_at(h, x)[0] for h in asymptotics._GENERATORS[p](order)]
+
+
+def test_tail_bound_honest(monkeypatch):
+    # each part is within its bound of its exact value; at a loose
+    # EVAL_EPS the truncation error outgrows the rounding term, so the
+    # bound needs its tail
+    xs = (0.3, 0.55, -0.62, 0.7)
+    for eps in (EVAL_EPS, 0.1):
+        monkeypatch.setattr(asymptotics, "EVAL_EPS", eps)
+        for p in P:
+            parts, bounds = _parts(p, xs, 0.7)
+            tail = asymptotics._order(p, 0.7)[1]
+            beyond = []
+            for k, x in enumerate(xs):
+                for vs, bound, exact in zip(parts, bounds, exact_parts(p, x)):
+                    error = abs(Fraction(vs[k]) - exact)
+                    assert error <= Fraction(bound) + Fraction(2e-19), (p, x)
+                    beyond.append(error > bound - tail)
+            assert eps == EVAL_EPS or any(beyond), p
 
 
 def test_conjugate_symmetry_on_circle():
@@ -401,26 +419,20 @@ def test_curve_conjugate_symmetry():
 
 @pytest.mark.parametrize("samples", [1024, 1025])
 def test_curve_upper_half_is_eval_f_and_lower_half_its_conjugate(samples):
-    # 1,024 samples interpolate from the 512-point sub-circle: its rows,
-    # the even ones, are exactly the single-point value at the sub-circle's
-    # eps, and the odd ones are within the curve's bound of it.  1,025 has
-    # no power-of-two factor, so every row is the single-point value.  The
-    # rest mirror the upper half, since f(conj x) = conj f(x)
+    # 1,024 samples come from FFTs of the parts' coefficients, each row
+    # within the curve's bound plus eval_f's own of the single-point value.
+    # 1,025 has no power-of-two factor, so every row is the single-point
+    # value.  The rest mirror the upper half, since f(conj x) = conj f(x)
     half = samples // 2
-    stride = 2 if samples == 1024 else 1
-    eps = EVAL_EPS / math.sqrt(512) if stride == 2 else EVAL_EPS
     points = circle(0.7, samples)
     for p in P:
-        majorant = asymptotics._majorant(p)
-        assert asymptotics._transform_size(majorant, 0.7, samples) == \
-            samples // stride
         bound = asymptotics._sample_circle(p, 0.7, samples)[2]
         rows = emit_curve(p, 0.7, samples)
         assert len(rows) == samples
         for k in range(half + 1):
-            value, direct = eval_f(p, points[k], eps)
+            value, direct = eval_f(p, points[k])
             value = complex(value)
-            if k % stride == 0:
+            if samples % 2:
                 assert rows[k] == (points[k].real, points[k].imag,
                                    value.real, value.imag), (p, k)
             else:
@@ -434,9 +446,11 @@ def test_curve_upper_half_is_eval_f_and_lower_half_its_conjugate(samples):
 
 def interpolation_is_honest(p, radius, samples):
     # every row of the curve within its bound plus the direct evaluation's
-    # own bound of f at that row's point, evaluated as one block
+    # own bound of f at that row's point, evaluated as one block (a point
+    # may pass |x| = 0.79 by an ulp, so it skips eval_f's domain check)
     points, values, bound = asymptotics._sample_circle(p, radius, samples)
-    direct, direct_bound = _evaluate(p, points, EVAL_EPS)
+    direct, direct_bound = asymptotics._quotient(
+        points, *_parts(p, points, max(map(abs, points))))
     return all(abs(v - d) <= bound + direct_bound
                for v, d in zip(values, direct))
 
@@ -444,40 +458,88 @@ def interpolation_is_honest(p, radius, samples):
 @pytest.mark.parametrize("radius, samples, size", [
     (0.7, 1024, 512), (0.7, 4096, 512), (0.75, 4096, 1024)])
 def test_interpolated_curve_is_within_its_bound(radius, samples, size):
+    # the FFTs have P = size points, the least power of two above the order
     for p in P:
-        majorant = asymptotics._majorant(p)
-        assert asymptotics._transform_size(majorant, radius, samples) == size
+        assert size // 2 <= asymptotics._order(p, radius)[0] < size
         assert interpolation_is_honest(p, radius, samples), p
 
 
-@pytest.mark.parametrize("alias", [True, False])
-def test_a_coarse_sub_circle_needs_the_aliasing_term(monkeypatch, alias):
-    # on a forced 64-point sub-circle the aliasing error dwarfs every
-    # other term: the bound holds with it, and fails without it
-    monkeypatch.setattr(asymptotics, "_transform_size", lambda *args: 64)
-    if not alias:
-        monkeypatch.setattr(asymptotics, "_alias", lambda *args: 0.0)
+def test_folded_transforms_are_within_their_bound():
+    # near |x| = 0.79 the order, 3,348 to 3,722, passes the 1,024 samples,
+    # so each FFT's inputs fold several coefficients into one slot
     for p in P:
-        assert interpolation_is_honest(p, 0.7, 1024) is alias, p
+        assert asymptotics._order(p, 0.79)[0] > 1024
+        assert interpolation_is_honest(p, 0.79, 1024), p
+
+
+# the order rule's n at |x| = 0.7, the default circle
+ORDERS_AT_DEFAULT_RADIUS = {P.P111: 313, P.P112: 298, P.P221: 298,
+                            P.P123: 319, P.PEAK: 333, P.VALLEY: 333}
+
+
+@pytest.mark.parametrize("p", list(P))
+def test_the_order_is_the_least_with_its_tail_below_eps(p):
+    # one order fewer leaves a tail above EVAL_EPS; M = _majorant(p), so a
+    # smaller M, such as half of it, gives other orders
+    majorant = asymptotics._majorant(p)
+    for ax in (0.0, 0.3, 0.65, 0.7, 0.78, 0.79):
+        n, tail = asymptotics._order(p, ax)
+        q = ax / 0.8
+        assert tail == majorant * q ** (n + 1) / (1 - q) <= EVAL_EPS
+        assert n == 0 or majorant * q ** n / (1 - q) > EVAL_EPS
+    assert asymptotics._order(p, 0.7)[0] == ORDERS_AT_DEFAULT_RADIUS[p]
 
 
 @pytest.mark.parametrize("p", list(P))
 def test_majorant_bounds_the_taylor_coefficients(p):
     # Cauchy's estimate |c_n| R^n <= max |h| on |x| = R = 4/5, checked in
-    # integers on the coefficients of the builders' (N, D) pair at y = 0,
-    # z = 1 over nat, with h = D, or h = N + iD for peak and valley, whose
-    # coefficients bound those of N and of D
-    order = 250
-    num, den = genfun._NUM_DEN[p](
-        genfun._weights(PartSet.naturals(), order, z_exp=0), zero(order))
-    two = len(asymptotics._parts(p, [0.5], EVAL_EPS)[0]) == 2
-    assert two or all(num.coefficient(n, 0, 0) == (n == 0)
-                      for n in range(order + 1))
+    # integers on the generated coefficients to order 400, with h = D, or
+    # h = N + iD for peak and valley, whose coefficients bound those of N
+    # and of D
     square = Fraction(asymptotics._majorant(p)) ** 2
-    for n in range(order + 1):
-        c = den.coefficient(n, 0, 0) ** 2 \
-            + two * num.coefficient(n, 0, 0) ** 2
-        assert c * 16 ** n <= square * 25 ** n, (p, n)
+    parts = asymptotics._GENERATORS[p](400)
+    for n, cs in enumerate(zip(*parts)):
+        assert sum(c * c for c in cs) * 16 ** n <= square * 25 ** n, (p, n)
+
+
+def exact_at(cs, x):
+    # sum c_i x^i exactly, as (re, im) Fractions: x is a complex of
+    # floats, so with d a power of two, d x = a + bi in integers, and
+    # Horner's rule runs in Gaussian integers scaled by d^(len(cs) - 1)
+    x = complex(x)
+    xr, xi = Fraction(x.real), Fraction(x.imag)
+    d = max(xr.denominator, xi.denominator)
+    a, b = int(xr * d), int(xi * d)
+    vr = vi = 0
+    scale = 1
+    for c in reversed(cs):
+        vr, vi = vr * a - vi * b + c * scale, vr * b + vi * a
+        scale *= d
+    scale //= d
+    return Fraction(vr, scale), Fraction(vi, scale)
+
+
+def test_horner_bound_needs_its_rounding_term(monkeypatch):
+    # finite polynomials have no tail, so the bound is the rounding term
+    # alone: it holds against the exact complex value, which the computed
+    # one misses.  123's D to order 300 has coefficients of 25 bits, and
+    # peak's N to order 600 some beyond the 53 bits of a float
+    for p, order in ((P.P123, 300), (P.PEAK, 600)):
+        exact = asymptotics._GENERATORS[p](order)[0]
+        monkeypatch.setattr(asymptotics, "_coefficients", lambda p, n: [
+            [float(c) for c in exact]])
+        monkeypatch.setattr(asymptotics, "_order",
+                            lambda p, ax: (order, 0.0))
+        xs = [0.7 * cmath.exp(1j * t) for t in (0.3, 1.9, 2.8)] + [-0.7]
+        (values,), (bound,) = _parts(P.P111, xs, 0.7)
+        errors = []
+        for x, value in zip(xs, values):
+            er, ei = exact_at(exact, x)
+            value = complex(value)
+            errors.append((Fraction(value.real) - er) ** 2
+                          + (Fraction(value.imag) - ei) ** 2)
+        assert all(e <= Fraction(bound) ** 2 for e in errors), p
+        assert any(errors), p
 
 
 def test_curve_phase_matches_winding():

@@ -197,6 +197,10 @@ def test_asymptotics_rejects_bad_radius():
     res = run_cli("asymptotics", "--pattern", "111", "--radius", "0.85")
     assert res.returncode == 2
     assert "--radius" in res.stderr
+    # the order rule diverges at |x| = 0.8, so the domain stops at 0.79
+    res = run_cli("asymptotics", "--pattern", "111", "--radius", "0.795")
+    assert (res.returncode, res.stdout, res.stderr) == (
+        2, "", "comppat: error: --radius: must lie in (0, 0.79]\n")
 
 
 def test_asymptotics_samples_cap(monkeypatch, capsys):
@@ -228,26 +232,25 @@ def test_asymptotics_schema_names_the_tolerances():
 
 def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
     # the report's winding and the curve come from one pass over the upper
-    # half of the requested circle's 256-point sub-circle (the least power
-    # of two whose aliasing term at |x| = 0.6 is below 1e-15), as one
-    # block of 129 complex points; nothing samples the default |x| = 0.7.
-    # The complex steps x + ih of find_rho and estimate are one-point
-    # blocks, not circle blocks.
-    evaluate = asymptotics._PARTS[PatternId.P112]
+    # half of the requested circle, whose 1,025 complex points reach f as
+    # one block; nothing samples the default |x| = 0.7.  The complex steps
+    # x + ih of find_rho and estimate are one-point blocks, not circle
+    # blocks.
+    quotient = asymptotics._quotient
     blocks = []
 
-    def counting(xs, ax, eps):
+    def counting(xs, parts, bounds):
         if isinstance(xs[0], complex) and len(xs) > 1:
             blocks.append(list(xs))
-        return evaluate(xs, ax, eps)
-    monkeypatch.setitem(asymptotics._PARTS, PatternId.P112, counting)
+        return quotient(xs, parts, bounds)
+    monkeypatch.setattr(asymptotics, "_quotient", counting)
     curve = tmp_path / "curve.csv"
     rc = cli.main(["asymptotics", "--pattern", "112", "--radius", "0.6",
                    "--samples", "2048", "--curve-csv", str(curve)])
     assert rc == 0
     assert len(blocks) == 1
-    assert len(blocks[0]) == 256 // 2 + 1
-    assert blocks[0] == circle(0.6, 2048)[::8]
+    assert len(blocks[0]) == 2048 // 2 + 1
+    assert blocks[0] == circle(0.6, 2048)
     assert all(type(x) is complex and x.imag >= 0 for x in blocks[0])
     assert all(abs(abs(x) - 0.7) > 1e-3 for x in blocks[0])
     assert len(curve.read_text().splitlines()) == 2049
@@ -260,11 +263,11 @@ def test_asymptotics_samples_the_circle_once(monkeypatch, capsys, tmp_path):
 def test_asymptotics_uncertified_circle_exits_3(monkeypatch, capsys):
     # a truncation bound above min |f| on the circle leaves the winding
     # uncertified: a numeric failure, with nothing on stdout
-    evaluate = asymptotics._PARTS[PatternId.P112]
+    quotient = asymptotics._quotient
 
-    def loose(xs, ax, eps):
-        return evaluate(xs, ax, eps)[0], [1e6]
-    monkeypatch.setitem(asymptotics._PARTS, PatternId.P112, loose)
+    def loose(xs, parts, bounds):
+        return quotient(xs, parts, [1e6])
+    monkeypatch.setattr(asymptotics, "_quotient", loose)
     rc = cli.main(["asymptotics", "--pattern", "112", "--samples", "1024"])
     assert rc == 3
     captured = capsys.readouterr()
@@ -273,25 +276,28 @@ def test_asymptotics_uncertified_circle_exits_3(monkeypatch, capsys):
 
 
 # SHA-256 of the stdout of `asymptotics --pattern P --samples 1024
-# --curve-csv c.csv` and of the CSV's data rows 0 .. 512.  stdout was
-# recorded when rho and K came from complex-step Newton instead of
-# bisection and finite differences; the rows again when the odd ones were
-# interpolated by FFT from the 512-point sub-circle, and peak's and
-# valley's once more when their N and D were interpolated apart.
+# --curve-csv c.csv` and of the CSV's data rows 0 .. 512, recorded when
+# f's parts came from their exact Taylor coefficients (Horner's rule for
+# rho and K, FFTs for the rows).
 ASYMPTOTICS_DIGESTS = {
-    "111": ("11a8a4b561ef8dd68146962d8df3fd378e5c50c2fd73579c6c73edd62940c383",
-            "62c932cc3e050148e9e339b0e71164b49898ce2d53c0220c8b7bf6f91ea3fa6f"),
-    "112": ("2e2b79a2965572a78c06f55dfe6eab7db77da83fcdeacc1532da6390a2177928",
-            "6d0e4cebf2971595bc0187e87ebc2d500cb8e9d4d6887a756efb3bed1a5fab59"),
-    "221": ("e4deae349cd50b06d34dce2e8bb0ad7088e8b6eef71dc5c11a7d0960dced31c5",
-            "ed4cbe5f0a8252bf977a71ad1b3f41e6704a213ff574e1a879df374be6ea0d14"),
-    "123": ("92a6747b5f36fb7ad6162d15127f7c4891781fca638d8a0b18554923ef650d81",
-            "17cea0b0d43e06ec9df7ca2ce9c86c24012395b0fcf28b81929ab2fcd3ef9d8f"),
-    "peak": ("9b4f97f2f1561e132028af4c2319380419ebcfae32800dd28da8159f034e4ae8",
-             "37b84d730bae8a0e4440ec5e057121de96c63a68bff1e40a21501dd25006c8ca"),
+    "111": (
+        "2c7171f29eee94034dfa99d8e8ff2d6c59104738c8ab91229235eaccdb3d14c5",
+        "3b4cf00e8a06c343d526b07610e1a5d1b0014b5b542c0480831c4c7d2e6ce7b7"),
+    "112": (
+        "843f25bfc52bf2a1db8850b6b78cc731bc8acfb5cb69abf9d4dacd67a83d6310",
+        "7c0f14614007b76b6e1f835dcb2f87895e4dc87d53b154cca9032d8871fe9c65"),
+    "221": (
+        "9320f52cc85d41cb15cd11c8226259b666acca3f0a0457687f686380200cd527",
+        "8ce4ce16d7f3afa4bcd68a5fa944793f49bd2648b96dbc49a9341aac2b2dee41"),
+    "123": (
+        "dbaa6d725dd1c1b8886303003220fbc732473a03aa00795da7d01964112e7c26",
+        "3fbcfb83141cb212e2d46ac8c389dea009108829ba089db0682db616e27d3d47"),
+    "peak": (
+        "5fa1cab54f8047e3d70fc76c4686bd574c5ce1529fd83ad001b588d86891dfe2",
+        "ca99ab480ceac1df8a6ceac11030b253aa52107e1221e7c44cc75f12c23dc026"),
     "valley": (
-        "c30ee42185b1bb7f81d3a8f730e13e58fb4c32e73376074951a029390bc92947",
-        "8d4e6211617dd693d6713ce6b22c05d90f49102a0b45ed94f1ba9f50b1d2bba9"),
+        "ca69d99d72e0c932bcd6c98d314ae02e0a97f72b52f37b081b090cdbec9be52d",
+        "2808829a77a8625d783da97b44628802e066be26de9dd4893070db994cdcbe25"),
 }
 
 
@@ -311,28 +317,26 @@ def test_asymptotics_matches_golden_digests(pattern, capsys, monkeypatch,
 
 
 # The same digests on the benchmark's circle, the default 4,096 samples
-# (rows 0 .. 2048 are the upper half), stdout recorded with complex-step
-# Newton and the rows when all but every eighth were interpolated by FFT
-# (peak and valley again when their N and D were interpolated apart).
+# (rows 0 .. 2048 are the upper half), recorded at the same commit.
 ASYMPTOTICS_DEFAULT_DIGESTS = {
     "111": (
-        "4474fc1c30d1eb1024b2feb647571fac21839f030477137941afb99aa461ed57",
-        "5187c03da4185acc523bc11bba130ff4212009250ea5568d3848ce8279c136f8"),
+        "0956e6fe36ede149a9fcbcf716fabab6456dba59213bb6f7b8adf63a2fff1825",
+        "ee1e5fd1e4c3203197f407dbdc5826aecd8f966660fe35ce2e4913d82975a9f1"),
     "112": (
-        "a4014208490434aa512d354bde027e17000bda444aefa43a48b58c9e3ebb8488",
-        "cf568cabc63dd09b6def08cf6b06435f8a2d07e2c1af2c1d5d791b50d5a58db8"),
+        "328c312fe0f6e1a5f318ec1b1fdc85ce0bf28c2fdecce3ada436b99b5acf5279",
+        "c990f7974cf52ed797ed629f7fc9b91c27dffdbbeea33874a9954adb23779e77"),
     "221": (
-        "3b0d1a7030419b4d9e4d7635bfe1e63868d39458f0786d6352edb31e5c6e80f7",
-        "39980979b68424b5f7c195cb504a3f06eee43df54b1cd1503aeac93ea9a8e87f"),
+        "76fad5adc3787c4feecbc401916cda91af954950bc8a804763beb60153083169",
+        "e28c7488f4a0feaa4cc9893005d13927939c5924633c788fc91b9c6ab3c6b68e"),
     "123": (
-        "5e9016861a6d8d78f36152073224e8a53d2516b08069f0f632ff72cf40811e10",
-        "ae563f77f16dd2a4bddab833c9a3a8688b03df51125092622b4de03ab1e152e5"),
+        "bfcedee6626f67a19baffd97e7002c7ce82a4ef030efafda353fb7a6c0ef4236",
+        "3e26a3d5251f154c4195cda0e025876276c60f26ae51835696f956ceb8039fbd"),
     "peak": (
-        "b3c848e89a4739eb25430ee919fcb6206622fadec44a254371761850164f8012",
-        "dc10cdd7d8da4d22505ea5580a97979d7f3c5cc9837f7d689971b7a0a25b0e92"),
+        "9a250ca2bdc79ba72f2b8b3b833aa35e47f931ee81d35fc3049efa1762a72e66",
+        "111f639952afa21e0b2d5bfb19996462b6cc39ae5ca82952f07a3d0eb788c35d"),
     "valley": (
-        "f3e0c060b7ace64e9191e45c7c9d366b3ac4f86e077dc2d5a11615eb8ad44b24",
-        "f452731b5cb9a138f8c72d96d3ccc227a55d6f65cfef1b6513b0b0bc90f10944"),
+        "f18d71b48cbfbe18e8e26628688da5e950a8590ad9a880f25c93eba8ee8d01d3",
+        "b7b6d6f541fea7d71523a951433e0aaafcdad2aa1344aa8f4b8d85f40b97a00e"),
 }
 
 
@@ -351,53 +355,51 @@ def test_asymptotics_default_circle_matches_golden_digests(
 
 # SHA-256 of the whole curve CSV of `asymptotics --pattern P --samples N
 # --curve-csv c.csv`, header and mirrored rows included, recorded when
-# every line was formatted from its own floats.  At the odd N = 1025 the
-# mirror starts at row 513, not past the middle row, and every upper row
-# is evaluated; N = 1024 and 4096 were recorded again when the rows off
-# the 512-point sub-circle were interpolated by FFT, and peak and valley
-# at those N once more when their N and D were interpolated apart.
+# f's parts came from their exact Taylor coefficients.  At the odd N =
+# 1025 the mirror starts at row 513, not past the middle row, and Horner's
+# rule evaluates every upper row; N = 1024 and 4096 come from FFTs.
 CURVE_FILE_DIGESTS = {
     1024: {
         "111": (
-            "e92f4eae5a29371091f47996bb5d98ee75d3c291ac030954301f9af40317276d"),
+            "ac838e313c048a01bae9dda14684e0b454cc729a638975ac1c5aa424b9e051c0"),
         "112": (
-            "25d154246341cf98a8d4f8d74199505bb1d84cb862e59689fd2e6c627fb2a1ad"),
+            "b02f62a9e4745be32cb4a84298554032bcc35abcc846e61f06aaaeb5f03cbaa2"),
         "221": (
-            "73d498a0817e50098b63694d64037612a6a47691bc697d18e52bc98d6449f001"),
+            "2361b363a0a36f86683be73814510b3681ec73fb768fbac83d7baa672a208584"),
         "123": (
-            "4bfb2240db3cc4b77edb5eabd40007b42fc1d2002698c53bc84b9d84c9f02f3a"),
+            "ec234f0797f25c6577b2c4281867a83a4746870acd2d53c47d67f4da7c6b1a76"),
         "peak": (
-            "0318f557c0c3c1a1861be2b5f3998701a2e9a087927f53df8ccb0e88e2d62eb7"),
+            "cca6634282219caaed8625d4389b9f64315fee0d3751fd1453c583180fda7348"),
         "valley": (
-            "8b6d75c037d1ad2c815751072ff5a75c95a925d669a2d1b48dba3b452b6e3b42"),
+            "6e8f1cd4866c7bc0f3477920740151e23b43c1c695779058db556b253a68d3bf"),
     },
     1025: {
         "111": (
-            "ef797e68193989c8b53fd87551bcd8bc8dee99d3cbb6ca175a69b13ac5eb0050"),
+            "9c9b7cfa3986be8791df36d9f9b9e71e35c86f2757c36e8964a6e792acb92f79"),
         "112": (
-            "65afd8ed28cd9ceffe536baa21bbe38da6672aefda097b0a5920b4d273ddbce7"),
+            "a63bd20f2ba4fb56d0afa5e80acfd575d7e40aec205f0e34ea5ad28c3c3c1101"),
         "221": (
-            "3f9aee3979634ccfbf0fab89fac8b0d4b1bd10d502baba70c7fe055a4a1e7a98"),
+            "7e2441a74537c86a34b3719bf89dd07a3b2db08b33b63da36a500459f5f4986b"),
         "123": (
-            "c04a974a7044bf72d4936512c93097fce29c5bf41f9a841d5ed638b2023ccab5"),
+            "0747755c3da888b175d4dbc953bf52e2028afac20d46a4d7f57b0760ac12ec86"),
         "peak": (
-            "890ccaab6b06b47a2d4710a1e24e3c13590e14711d570adce609df566d5c0292"),
+            "bc59cb6aac6deddd63c9343575b4838a18b475031893e23fdbc6e871c88eb384"),
         "valley": (
-            "2868583342b19c0dab75a1678a558f369d9b550c18644c66390666c2663b7a35"),
+            "4dfb2d601f28baed0ca4529be4ddbe80ac0fb35d67d5cb060e5a076744fa40ac"),
     },
     4096: {
         "111": (
-            "9784430ac782bc936645be726b1b8291b6c7f9cae74a2d45895d7958aa8d43ff"),
+            "13c1c66998e9d22e921d4df186b5ffaf6422d9740187674e851bb7af6c25244e"),
         "112": (
-            "d5f5650be6f17c6eb353e388722cccf2ec6ead1c78f272d2e37b591448b776d5"),
+            "145a80d1877a9861669643959901dca49041229b7a86b65d9bb844c452ea90c9"),
         "221": (
-            "be6e27a2281ffb1a91774a30ea9ddfa07ac1fd6772539eb4f44e00b77d008ff7"),
+            "2006c8f33e7242e11f26ae610663df5901e760a55bccbd1c4fb06119ac3919f7"),
         "123": (
-            "b13601aceb0cbce947edebeeab6d5ce93a5467b5cfcb900c91e353bbe85d5dc5"),
+            "5d5b70efa2f9fb452ad3f48af90dc2921dead4c5938d6676f3f7da95b3f06086"),
         "peak": (
-            "7488c7d26d7c61ae757472912442387b6f1fe3be3c0b778273c56f93aa7c4522"),
+            "d24d35d57c8c58191cb9bcf547d9d72eb9e83db7b05eb9645fb75388875e4ffa"),
         "valley": (
-            "135b673acc88949eb2452e99dba7bd70ff796398631550e526c534172bb39d28"),
+            "04c78fb0a6b6e3ba98b0755aec75cdfc09f3ee377d0eb673a4202c05377179d3"),
     },
 }
 
@@ -465,7 +467,7 @@ def test_asymptotics_root_not_found_exits_3(monkeypatch, capsys):
 def test_asymptotics_bad_newton_slope_exits_3(stub, monkeypatch, capsys):
     # a complex-step slope of the wrong sign or 0 is a numeric failure,
     # never a ZeroDivisionError
-    monkeypatch.setitem(asymptotics._PARTS, PatternId.P111, stub)
+    monkeypatch.setattr(asymptotics, "_quotient", stub)
     rc = cli.main(["asymptotics", "--pattern", "111", "--samples", "1024"])
     assert rc == 3
     captured = capsys.readouterr()

@@ -249,6 +249,8 @@ def test_raw_parts_validated_like_part_sets():
         build_gf(P.P111, (0, 1), 5)
     with pytest.raises(ValueError, match="strictly increasing"):
         build_gf(P.P111, (2, 2), 5)
+    with pytest.raises(ValueError, match="positive integers"):
+        build_gf(P.P111, (True, 3), 5)
     assert build_gf(P.P111, (), 5) == one(5)
 
 

@@ -39,6 +39,14 @@ def test_part_set_validation():
         PartSet(parts=(1,), is_nat=True)
 
 
+def test_part_set_refuses_bool_parts():
+    # True == 1 and isinstance(True, int), but a report's set field must
+    # never read "True,3"
+    for parts in ((True, 3), (1, True), (False,)):
+        with pytest.raises(ValueError, match="positive integers"):
+            PartSet.of(*parts)
+
+
 def test_part_set_stores_its_checked_parts_as_a_tuple():
     # a list would leave the set unhashable, and a generator would be
     # consumed by the check and leave the set empty

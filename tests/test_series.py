@@ -464,8 +464,11 @@ def test_repr_writes_unit_coefficients_and_first_powers_bare():
     s = (mono(3, 2, 0, 5, order=6) + mono(0, 0, 0, 2, order=6)
          + mono(1, 1, 0, -1, order=6) + mono(1, 0, 0, order=6)
          + mono(2, 1, 1, -3, order=6) + mono(4, 0, 2, -1, order=6))
-    assert repr(s) == ("TruncatedSeries(order=6, 2 + x + -x*z + "
-                       "-3*x^2*z*y + 5*x^3*z^2 + -x^4*y^2)")
+    assert repr(s) == ("TruncatedSeries(order=6, 2 + x - x*z - "
+                       "3*x^2*z*y + 5*x^3*z^2 - x^4*y^2)")
+    # a leading negative term keeps its sign attached
+    assert repr(mono(1, 1, 0, -1, order=6) + mono(2, 0, 0, -4, order=6)) \
+        == "TruncatedSeries(order=6, -x*z - 4*x^2)"
 
 
 def test_repr_shows_eight_terms_then_the_count():
