@@ -2,21 +2,18 @@
 
 :func:`build_gf` returns the trivariate series whose coefficient of
 x^n z^m y^r counts compositions of n with m parts in A and exactly r
-occurrences of the statistic, truncated at a given x-order; each
-statistic's series comes from one builder in ``_GF``.  For 111 it is
-:func:`_gf_111`, whose run recurrence (:func:`series.run_reciprocal`) sums
-the one run term over the parts before it multiplies; every other
-statistic's series is the quotient of a numerator/denominator pair from
-``_NUM_DEN``.
+occurrences of the statistic, truncated at a given x-order.  In the paper
+each statistic's series is N / D with D = 1 - sum_s z^s P_s(y) A_s(x):
+the sums over part selections A_s hold no y, and at each selection size s
+the occurrences enter through one fixed y-polynomial P_s.  Each builder in
+``_GRADES`` returns these pieces as grades (``series.Grade``), N's and
+those of 1 - D, built as plain int lists, and
+:func:`series.graded_quotient` solves the quotient.
 
-The builders see the parts only through their weights, the ordered list
-of monomials b_i, one per part, and the statistic only through the ring
-element y they are given.  :func:`build_gf` passes the weights x^a z and
-the monomial y.  :func:`avoidance_sequence` builds in the image of
-y := 0, z := 1: it passes the weights x^a and y = 0, so every series is
-in effect in Z[[x]].  Word series (:mod:`comppat.words`) run the same
-formulas with every letter weighing x z, so x and z both mark the length
-and the keys are (m, m, r).
+The builders see the parts only as a list of sizes in increasing order
+(word series may pass one part of size 1 per letter).
+:func:`avoidance_sequence` collapses each side's grades into one at
+y := 0, z := 1 (:func:`series.image_grade`) and solves that quotient.
 
 The naturals are handled by materializing A = {1..order}: parts larger than
 the truncation order cannot appear in any composition that survives the
@@ -27,224 +24,212 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import comb
-from operator import truediv
 
 from .patterns import PartSet, PatternId, check_parts
-from .series import (TruncatedSeries, make_monomial, one, run_reciprocal,
-                     zero)
+from .series import Grade, TruncatedSeries, graded_quotient, image_grade
 
-# One unit monomial x^a z^e per part, in part order, all with the same e:
-# 111's run recurrence takes the weights by their exponents and rejects
-# any other.
-Weights = Sequence[TruncatedSeries]
+Parts = Sequence[int]
+# the numerator 1 as a list of grades
+_ONE: list[Grade] = [(0, [1], [1], 0)]
 
 
-def _weights(A, order: int, z_exp: int = 1) -> list[TruncatedSeries]:
-    """The weights x^a z^z_exp (z_exp = 0 in the z := 1 image) of the parts
-    relevant at this x-truncation, in increasing order of a.
-
-    Accepts a PartSet or any iterable of parts (possibly empty, for the
-    degenerate bases of the recursions).  Parts beyond the order are
-    dropped: every appearance of a part a carries weight x^a, so such
-    parts contribute nothing below the truncation.
-    """
+def _parts(A, order: int) -> tuple[int, ...]:
+    """The parts of A (a PartSet or any iterable of parts, possibly empty)
+    up to the order, in increasing order: a part a weighs x^a, so larger
+    parts contribute nothing below the truncation."""
     if isinstance(A, PartSet):
-        parts = A.materialize(order)
-    else:
-        parts = tuple(a for a in check_parts(A) if a <= order)
-    return [make_monomial(order, a, z_exp, 0) for a in parts]
-
-
-def powers(base: TruncatedSeries, top: int) -> list[TruncatedSeries]:
-    """[base^0, ..., base^top]."""
-    out = [one(base.order)]
-    for _ in range(top):
-        out.append(out[-1] * base)
-    return out
+        return A.materialize(order)
+    return tuple(a for a in check_parts(A) if a <= order)
 
 
 # ---------------------------------------------------------------------------
-# builders
-#
-# Each builder takes the weights and the ring element that stands for y,
-# and reads the truncation order from y.  111's solves its series directly;
-# the others give a pair num/den, with den of constant term 1, that the
-# series ring divides.
+# int-list pieces: a y-polynomial or an x-series is the list of its
+# coefficients, lowest degree first; an x-series has length order + 1
 # ---------------------------------------------------------------------------
 
-def _gf_111(weights: Weights, y: TruncatedSeries) -> TruncatedSeries:
-    """111 (level + level): 1 / (1 - sum over the weights b of T(b)),
-    with one run term for every part,
-
-        T(b) = b (1 + (1-y) b) / (1 + b (1+b) (1-y)) = sum_k T_k b^k
-
-    (the run substitution; Flajolet & Sedgewick, Analytic Combinatorics,
-    Ex. III.24).  The y-polynomials T_k do not depend on the part: they come
-    from one division at b = x z, and :func:`series.run_reciprocal` sums
-    them over the weights before it multiplies.
-    """
-    numer, denom = _term_111(make_monomial(y.order, 1, 1, 0), y)
-    return run_reciprocal(numer / denom, weights)
+def _add_shifted(dst: list[int], src: list[int], a: int) -> None:
+    """dst += x^a src, truncated to dst's length."""
+    for d, c in enumerate(src[:max(len(dst) - a, 0)], a):
+        if c:
+            dst[d] += c
 
 
-def _term_111(b: TruncatedSeries, y: TruncatedSeries):
-    """Numerator and denominator of one part's term in the 111 sum,
-    b (1 + (1-y) b) / (1 + b (1+b) (1-y)), for the part weight b."""
-    unit = one(y.order)
-    omy = unit - y
-    return b * (unit + omy * b), unit + b * (unit + b) * omy
+def _omy_pow(j: int) -> list[int]:
+    """(1 - y)^j."""
+    return [(-1) ** r * comb(j, r) for r in range(j + 1)]
 
 
-def _num_den_level(weights: Weights, y: TruncatedSeries, mirrored: bool):
-    """112 (level + rise):
-
-    1 / (1 - sum_j x^{a_j} z * prod_{i<j} (1 - (1-y) x^{2 a_i} z^2)),
-
-    221 (level + drop), ``mirrored``, is its mirror with the guard product
-    over the parts larger than a_j.  Both sums run from the largest part,
-    where the truncation keeps the running series short: 112's by Horner's
-    rule, total <- b + (1 - (1-y) b^2) total, and 221's with the running
-    product of the guards passed.  (Horner's rule for 221 would start from
-    the smallest part and carry a dense series: 4.7 -> 22 ms over nat at
-    order 60.)
-    """
-    unit = one(y.order)
-    omy = unit - y
-    total = zero(y.order)
-    prod = unit
-    for b in reversed(weights):
-        if mirrored:
-            total = total + b * prod
-            prod = prod * (unit - omy * b * b)
-        else:
-            total = b + total - (omy * b * b) * total
-    return unit, unit - total
+def _ym1_pow(j: int) -> list[int]:
+    """(y - 1)^j."""
+    return [(-1) ** (j - r) * comb(j, r) for r in range(j + 1)]
 
 
-def _t_polys(weights: Weights, order: int) -> list[TruncatedSeries]:
-    """t^p for p = 0, 1, ...: sums of z^p x^{a_{i_1}+...+a_{i_p}} over
+def _t_lists(parts: Parts, order: int) -> list[list[int]]:
+    """t^p for p = 0, 1, ...: sums of x^{a_{i_1}+...+a_{i_p}} over
     strictly increasing index tuples, via the suffix recursion
-    t^p(A_k) = t^p(A_{k+1}) + x^{a_{k+1}} z t^{p-1}(A_{k+1}).
+    t^p(A_k) = t^p(A_{k+1}) + x^{a_{k+1}} t^{p-1}(A_{k+1}).
 
     Trailing zero entries are pruned, so len(result) - 1 is the largest p
     with a nonzero selection below the truncation.
     """
-    t = [one(order)]
-    for b in reversed(weights):
-        t.append(zero(order))
+    t = [[1] + [0] * order]
+    for a in reversed(parts):
+        t.append([0] * (order + 1))
         for p in range(len(t) - 1, 0, -1):
-            t[p] = t[p] + b * t[p - 1]
-        while len(t) > 1 and not t[-1]:
+            _add_shifted(t[p], t[p - 1], a)
+        while len(t) > 1 and not any(t[-1]):
             t.pop()
     return t
 
 
-def _den_123(t: list[TruncatedSeries], y: TruncatedSeries):
-    top = len(t) - 1
-    den = one(y.order)
-    if top >= 1:
-        den = den - t[1]
-    ym1 = powers(y - 1, max(top - 2, 0))
-    for p in range(3, top + 1):
-        # the terms of one p share (y-1)^(p-2): sum them, then multiply once
-        group = t[p]
-        for j in range(1, min(p - 2, top - p + 1)):
-            group = group + comb(p - 3, j) * t[p + j]
-        den = den - group * ym1[p - 2]
-    return den
-
-
-def _num_den_123(weights: Weights, y: TruncatedSeries):
-    """123 (rise + rise):
-
-    1 / (1 - t^1(A) - sum_{p>=3} sum_{j=0}^{p-3} C(p-3, j) t^{p+j}(A)
-                         (y-1)^{p-2}).
-    """
-    return one(y.order), _den_123(_t_polys(weights, y.order), y)
-
-
-def _mn_polys(weights: Weights, order: int,
-              ) -> tuple[list[TruncatedSeries], list[TruncatedSeries]]:
+def _mn_lists(parts: Parts, order: int,
+             ) -> tuple[list[list[int]], list[list[int]]]:
     """M^s and N^s for s = 0, 1, ... by the joint suffix recursion.
 
-    M^s sums prod_j x^{a_{i_j}} z over index tuples with the alternating
+    M^s sums prod_j x^{a_{i_j}} over index tuples with the alternating
     constraints i1 < i2 <= i3 < i4 <= ... ; N^s over i1 <= i2 < i3 <= ...
-    Growing the set by a new smallest part a (with weight b = x^a z):
+    Growing the set by a new smallest part a:
 
-        M^s <- b * N^{s-1}_old + M^s_old     (split on whether the tuple
-        N^s <- b * M^{s-1}_new + N^s_old      starts at the new part)
+        M^s <- x^a N^{s-1}_old + M^s_old     (split on whether the tuple
+        N^s <- x^a M^{s-1}_new + N^s_old      starts at the new part)
     """
-    unit = one(order)
-    zero_s = zero(order)
-    m = [unit]
-    n = [unit]
-    for b in reversed(weights):
+    m = [[1] + [0] * order]
+    n = [[1] + [0] * order]
+    for a in reversed(parts):
         # indices may repeat across weak constraints, so each new part can
-        # lengthen the longest nonzero tuple by two (e.g. N^2({a}) = b^2)
-        m.extend((zero_s, zero_s))
-        n.extend((zero_s, zero_s))
-        new_m = [unit]
+        # lengthen the longest nonzero tuple by two (e.g. N^2({a}) = x^2a)
+        for sums in (m, n):
+            sums.extend(([0] * (order + 1), [0] * (order + 1)))
         for s in range(1, len(m)):
-            new_m.append(b * n[s - 1] + m[s])
-        new_n = [unit]
+            _add_shifted(m[s], n[s - 1], a)
         for s in range(1, len(n)):
-            new_n.append(b * new_m[s - 1] + n[s])
-        m, n = new_m, new_n
-        while len(m) > 1 and not m[-1] and not n[-1]:
+            _add_shifted(n[s], m[s - 1], a)
+        while len(m) > 1 and not any(m[-1]) and not any(n[-1]):
             m.pop()
             n.pop()
     return m, n
 
 
-def _num_den_peak_valley(weights: Weights, y: TruncatedSeries,
-                         valley: bool):
-    """peak (rise + drop):
+# ---------------------------------------------------------------------------
+# builders
+#
+# Each builder takes the parts and the order and returns the grades of
+# N and of 1 - D; a grade z^s P(y) A(x) / (1 - x^p) is (s, P, A, p).
+# ---------------------------------------------------------------------------
+
+def _run_terms(order: int) -> list[list[int]]:
+    """T_0, ..., T_order: one part's run term in 111's sum,
+
+        T(b) = b (1 + (1-y) b) / (1 + b (1+b) (1-y)) = sum_k T_k b^k,
+
+    by T_k = [k = 1] - (1-y) (T_{k-1} + T_{k-2} - [k = 2])."""
+    terms = [[0], [1]]
+    for k in range(2, order + 1):
+        acc = terms[k - 1] + [0]
+        for r, c in enumerate(terms[k - 2]):
+            acc[r] += c
+        if k == 2:
+            acc[0] -= 1
+        terms.append([b - a for a, b in zip(acc, [0] + acc)])  # -(1-y) acc
+    return terms[:order + 1]
+
+
+def _grades_111(parts: Parts, order: int):
+    """111 (level + level): 1 / (1 - sum over the parts a of T(x^a z)),
+    with one run term for every part (the run substitution; Flajolet &
+    Sedgewick, Analytic Combinatorics, Ex. III.24).
+
+    T_k does not depend on the part, so grade k is z^k T_k(y) sum_a x^{ak}.
+    That sum is given by the ends of each run of consecutive parts,
+    sum_a (c_a - c_{a-1}) x^{ak} / (1 - x^k) with c_a the count of part a,
+    so over {1..N} it is x^k / (1 - x^k).
+    """
+    ends: dict[int, int] = {}  # a -> c_a - c_{a-1}
+    for a in parts:
+        ends[a] = ends.get(a, 0) + 1
+        ends[a + 1] = ends.get(a + 1, 0) - 1
+    grades = []
+    for k, poly in enumerate(_run_terms(order)[1:], 1):
+        xs = [0] * (order + 1)
+        for a, dc in ends.items():
+            if a * k <= order:
+                xs[a * k] += dc
+        grades.append((k, poly, xs, k))
+    return _ONE, grades
+
+
+def _grades_level(parts: Parts, order: int, mirrored: bool):
+    """112 (level + rise):
+
+    1 / (1 - sum_j x^{a_j} z * prod_{i<j} (1 - (1-y) x^{2 a_i} z^2)),
+
+    221 (level + drop), ``mirrored``, is its mirror with the guard product
+    over the parts larger than a_j.  Expanding the product, grade 1 + 2g
+    is (y-1)^g sum_j x^{a_j} e_g, where e_g sums the products of g guard
+    terms x^{2 a_i} over the parts passed.
+    """
+    guards = [[1] + [0] * order]  # e_0, e_1, ... of the parts passed
+    sums: list[list[int]] = []
+    for a in (reversed(parts) if mirrored else parts):
+        for g, e in enumerate(guards):
+            if g == len(sums):
+                sums.append([0] * (order + 1))
+            _add_shifted(sums[g], e, a)
+        guards.append([0] * (order + 1))
+        for g in range(len(guards) - 1, 0, -1):
+            _add_shifted(guards[g], guards[g - 1], 2 * a)
+        if not any(guards[-1]):
+            guards.pop()
+    return _ONE, [(1 + 2 * g, _ym1_pow(g), xs, 0) for g, xs in enumerate(sums)]
+
+
+def _grades_123(t: list[list[int]]):
+    """123 (rise + rise) from the selection sums t^s:
+
+    1 / (1 - t^1(A) - sum_{p>=3} sum_{j=0}^{p-3} C(p-3, j) t^{p+j}(A)
+                         (y-1)^{p-2}),
+
+    so grade s >= 3 is P_s t^s with P_s = sum_p C(p-3, s-p) (y-1)^{p-2}.
+    """
+    grades = [(1, [1], t[1], 0)] if len(t) > 1 else []
+    for s in range(3, len(t)):
+        poly = [0] * (s - 1)
+        for p in range((s + 4) // 2, s + 1):
+            for r, c in enumerate(_ym1_pow(p - 2)):
+                poly[r] += comb(p - 3, s - p) * c
+        grades.append((s, poly, t[s], 0))
+    return _ONE, grades
+
+
+def _grades_alternating(m: list[list[int]], n: list[list[int]],
+                        valley: bool = False):
+    """peak (rise + drop) from the tuple sums M^s (m) and N^s (n):
 
         (1 + sum_{j>=1} M^{2j} (1-y)^j)
-        / (1 + sum_{j>=1} M^{2j} (1-y)^j - sum_{j>=0} M^{2j+1} (1-y)^j).
+        / (1 + sum_{j>=1} M^{2j} (1-y)^j - sum_{j>=0} M^{2j+1} (1-y)^j);
 
-    valley (drop + rise), ``valley``, has the same numerator with N^{2j+1}
-    replacing M^{2j+1} in the denominator.
+    valley (drop + rise), ``valley``, has N^{2j+1} replacing M^{2j+1}.
+    len(m) - 1 is the longest tuple length that enters.
     """
-    m, n = _mn_polys(weights, y.order)
-    return _num_den_alternating(m, n if valley else m, y)
-
-
-def _num_den_alternating(m: list[TruncatedSeries],
-                         odd: list[TruncatedSeries], y: TruncatedSeries):
-    """The peak/valley pair from the tuple sums: M^{2j} from m for the
-    numerator, and the odd-length sums (M for peak, N for valley) from
-    odd; len(m) - 1 is the longest tuple length that enters."""
     top = len(m) - 1
-    omy_pow = powers(1 - y, top // 2)
-    num = one(y.order)
-    for j in range(1, top // 2 + 1):
-        num = num + m[2 * j] * omy_pow[j]
-    sub = zero(y.order)
-    for j in range((top + 1) // 2):
-        sub = sub + odd[2 * j + 1] * omy_pow[j]
-    return num, num - sub
+    odd = n if valley else m
+    evens = [(2 * j, _omy_pow(j), m[2 * j], 0) for j in range(top // 2 + 1)]
+    return evens, (
+        [(s, [-c for c in poly], xs, 0) for s, poly, xs, _ in evens[1:]]
+        + [(2 * j + 1, _omy_pow(j), odd[2 * j + 1], 0)
+           for j in range((top + 1) // 2)])
 
 
-_NUM_DEN = {
-    PatternId.P112: lambda weights, y: _num_den_level(weights, y, False),
-    PatternId.P221: lambda weights, y: _num_den_level(weights, y, True),
-    PatternId.P123: _num_den_123,
-    PatternId.PEAK: lambda weights, y: _num_den_peak_valley(weights, y,
-                                                            False),
-    PatternId.VALLEY: lambda weights, y: _num_den_peak_valley(weights, y,
-                                                              True),
+_GRADES = {
+    PatternId.P111: _grades_111,
+    PatternId.P112: lambda parts, order: _grades_level(parts, order, False),
+    PatternId.P221: lambda parts, order: _grades_level(parts, order, True),
+    PatternId.P123: lambda parts, order: _grades_123(_t_lists(parts, order)),
+    PatternId.PEAK: lambda parts, order: _grades_alternating(
+        *_mn_lists(parts, order)),
+    PatternId.VALLEY: lambda parts, order: _grades_alternating(
+        *_mn_lists(parts, order), valley=True),
 }
-
-
-def _quotient(num_den):
-    """The builder that divides the pair num_den gives."""
-    return lambda weights, y: truediv(*num_den(weights, y))
-
-
-# The one builder table: each statistic's series from the weights and y.
-_GF = {PatternId.P111: _gf_111,
-       **{p: _quotient(num_den) for p, num_den in _NUM_DEN.items()}}
 
 
 def _check_counts(series: TruncatedSeries) -> TruncatedSeries:
@@ -257,18 +242,19 @@ def _check_counts(series: TruncatedSeries) -> TruncatedSeries:
 
 def build_gf(p: PatternId, A, order: int) -> TruncatedSeries:
     """The closed-form counting series for statistic p over A."""
-    return _check_counts(_GF[p](_weights(A, order),
-                                make_monomial(order, 0, 0, 1)))
+    num, t = _GRADES[p](_parts(A, order), order)
+    return _check_counts(graded_quotient(num, t, order))
 
 
 def avoidance_sequence(p: PatternId, A, order: int) -> list[int]:
     """Counts of p-avoiding compositions of n = 0..order with parts in A.
 
-    Runs the builder in the image of y := 0, z := 1, with the weights x^a
-    and y = 0.  Both substitutions are ring homomorphisms of the
+    Collapses each side's grades at y := 0, z := 1 into one and solves
+    that quotient.  Both substitutions are ring homomorphisms of the
     x-truncated ring, so this gives the same values as substituting on
-    the full trivariate series (the test suite checks this), while every
-    product and the single inversion stay univariate.
+    the full trivariate series (the test suite checks this).
     """
-    series = _GF[p](_weights(A, order, z_exp=0), zero(order))
+    num, t = _GRADES[p](_parts(A, order), order)
+    series = graded_quotient([image_grade(num, order)],
+                             [image_grade(t, order)], order)
     return [series.coefficient(n, 0, 0) for n in range(order + 1)]

@@ -5,18 +5,19 @@ words demo) do.  Each form here is an independent route to a quantity the
 production code computes, or exposes one of its intermediate series:
 
 * :func:`t_poly`, :func:`m_poly`, :func:`n_poly` -- the selection
-  polynomials inside ``genfun.build_gf`` for 123 and peak/valley, exposed
-  one at a time so they can be compared with the closed forms below.
+  sums inside ``genfun.build_gf`` for 123 and peak/valley (int lists
+  there), exposed one at a time as z-marked series so they can be
+  compared with the closed forms below.
 * :func:`m_poly_prefix` -- M^s by the prefix recursion; checks the suffix
-  recursion (``genfun._mn_polys``) behind the peak/valley builders.
+  recursion (``genfun._mn_lists``) behind the peak/valley builders.
 * :func:`d_series` -- the prefix-extension series for 123, over the same
-  denominator as ``build_gf(PatternId.P123, ...)``; checked against a
-  sentinel enumeration.
+  denominator as ``build_gf(PatternId.P123, ...)`` (a product with that
+  series); checked against a sentinel enumeration.
 * :func:`gf_123_recursive`, :func:`gf_peak_recursive` -- the 123 and peak
   series grown one part at a time; check ``build_gf`` for those patterns.
 * :func:`num_den_111` -- the 111 pair with one division per part; checks
-  the run recurrence (``series.run_reciprocal``, from ``genfun._gf_111``)
-  that every 111 series runs.
+  the run grades (``genfun._grades_111``, solved with their period by
+  ``series.graded_quotient``) that every 111 series runs.
 * :func:`qpochhammer_inverse`, :func:`nat_closed_forms` -- q-Pochhammer
   closed forms over the naturals; check t^p, M^s and N^s over nat.
 * :func:`word_gf_builders` -- the composition builders over {1..k} with
@@ -33,11 +34,34 @@ from __future__ import annotations
 
 from math import comb
 
-from .genfun import (_GF, _check_counts, _den_123, _mn_polys, _t_polys,
-                     _term_111, _weights, powers)
+from .genfun import (_GRADES, _check_counts, _mn_lists, _parts, _t_lists,
+                     build_gf)
 from .patterns import PatternId
-from .series import TruncatedSeries, make_monomial, one, zero
-from .words import _z
+from .series import TruncatedSeries, graded_quotient, make_monomial, one, zero
+
+
+def _z(order: int, m: int = 1, r: int = 0, c: int = 1) -> TruncatedSeries:
+    """c (x z)^m y^r: m letters, each weighing x z."""
+    return make_monomial(order, m, m, r, c)
+
+
+def _weights(A, order: int) -> list[TruncatedSeries]:
+    """The weights x^a z of the parts of A up to the order, in order of a."""
+    return [make_monomial(order, a, 1, 0) for a in _parts(A, order)]
+
+
+def powers(base: TruncatedSeries, top: int) -> list[TruncatedSeries]:
+    """[base^0, ..., base^top]."""
+    out = [one(base.order)]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
+
+
+def _selection(sums: list[list[int]], s: int, order: int) -> TruncatedSeries:
+    """The x-series sums[s] as a series marked z^s (zero past the list)."""
+    xs = sums[s] if s < len(sums) else ()
+    return TruncatedSeries(order, {(n, s, 0): c for n, c in enumerate(xs)})
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +71,7 @@ from .words import _z
 def t_poly(A, p: int, order: int) -> TruncatedSeries:
     """Generating function of p-element strictly increasing part
     selections from A (partitions with p distinct parts), z-marked."""
-    t = _t_polys(_weights(A, order), order)
-    return t[p] if p < len(t) else zero(order)
+    return _selection(_t_lists(_parts(A, order), order), p, order)
 
 
 def d_series(A, order: int) -> TruncatedSeries:
@@ -57,10 +80,11 @@ def d_series(A, order: int) -> TruncatedSeries:
     part a smaller than min(A).
 
     (1 + sum_{p>=2} sum_{j=0}^{p-2} C(p-2, j) t^{p+j}(A) (y-1)^{p-1})
-    over the same denominator as the 123 builder.
+    over the same denominator as the 123 builder: times its series.
     """
-    t = _t_polys(_weights(A, order), order)
-    top = len(t) - 1
+    sums = _t_lists(_parts(A, order), order)
+    top = len(sums) - 1
+    t = [_selection(sums, p, order) for p in range(top + 1)]
     num = one(order)
     y = make_monomial(order, 0, 0, 1)
     ym1 = powers(y - 1, max(top - 1, 0))
@@ -69,7 +93,7 @@ def d_series(A, order: int) -> TruncatedSeries:
             if p + j > top:
                 break
             num = num + comb(p - 2, j) * t[p + j] * ym1[p - 1]
-    return num / _den_123(t, y)
+    return num * build_gf(PatternId.P123, A, order)
 
 
 def gf_123_recursive(A, order: int) -> TruncatedSeries:
@@ -94,29 +118,28 @@ def gf_123_recursive(A, order: int) -> TruncatedSeries:
 
 def num_den_111(weights, y: TruncatedSeries):
     """Cross-check route for the 111 builder: the pair of one run term per
-    part, each its own division, for weights and y as ``genfun`` takes them:
+    part, each its own division, for weights x^a z^e and y (a monomial,
+    or zero in the y = 0 image):
 
     1 / (1 - sum over a in A of x^a z (1 + (1-y) x^a z)
                                 / (1 + x^a z (1 + x^a z)(1-y))).
     """
     unit = one(y.order)
+    omy = unit - y
     total = zero(y.order)
     for b in weights:
-        numer, denom = _term_111(b, y)
-        total = total + numer / denom
+        total = total + b * (unit + omy * b) / (unit + b * (unit + b) * omy)
     return unit, unit - total
 
 
 def m_poly(A, s: int, order: int) -> TruncatedSeries:
     """M^s(A): weighted count of index tuples i1 < i2 <= i3 < i4 <= ..."""
-    m, _ = _mn_polys(_weights(A, order), order)
-    return m[s] if s < len(m) else zero(order)
+    return _selection(_mn_lists(_parts(A, order), order)[0], s, order)
 
 
 def n_poly(A, s: int, order: int) -> TruncatedSeries:
     """N^s(A): weighted count of index tuples i1 <= i2 < i3 <= i4 < ..."""
-    _, n = _mn_polys(_weights(A, order), order)
-    return n[s] if s < len(n) else zero(order)
+    return _selection(_mn_lists(_parts(A, order), order)[1], s, order)
 
 
 def m_poly_prefix(A, s: int, order: int) -> TruncatedSeries:
@@ -219,8 +242,8 @@ def nat_closed_forms(kind: str, s_or_p: int, order: int) -> TruncatedSeries:
 
 def word_gf_builders(p: PatternId, k: int, order: int) -> TruncatedSeries:
     """The word series for p over {1..k} from the composition builders run
-    part by part, with each of the k letters weighing x z."""
-    return _check_counts(_GF[p]([_z(order)] * k, _z(order, 0, 1)))
+    part by part, with each of the k letters a part of size 1."""
+    return _check_counts(graded_quotient(*_GRADES[p]([1] * k, order), order))
 
 
 def u_poly(n: int) -> list[int]:

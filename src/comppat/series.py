@@ -22,14 +22,10 @@ are read back as balanced digits, in [-2**(W-1), 2**(W-1)): W comes from
 the operands' absolute sums for ``*``, and for ``/``, which solves
 q = num + t q (den = 1 - t) degree by degree in x with q packed
 throughout, from the exact majorant |num|(x,1,1) / (1 - |t|(x,1,1)).
-``/`` keeps each solved row of q whose m-range lo..hi spans at most the
-order as the list of its packed values, so a row product adds into list
-slots by position, with no key lookup or key sum per pair; a wider row
-(a few terms far apart in m) is a {m: P} dict.  :func:`run_reciprocal`
-solves 1 / (1 - sum of one series in x z at several monomials) the same
-way, at the same width, by a recurrence over the monomials' exponents.
-Every product of two series and every quotient lists its keys in
-ascending (n, m, r) order.
+The builders' quotients go through :func:`graded_quotient`, which takes
+num and t as grades z^s P(y) A(x) / (1 - x^p) of int lists and multiplies
+by each packed P once per x-degree.  Every product of two series and
+every quotient lists its keys in ascending (n, m, r) order.
 
 Values are immutable once constructed: every operation returns a fresh
 series, so they can be shared freely.
@@ -38,11 +34,10 @@ series, so they can be shared freely.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from operator import add
 
 Triple = tuple[int, int, int]
 # n -> m -> y-polynomial packed in one int; a row is a {m: P} dict, or
-# in a quotient (lo, [P at m = lo, lo + 1, ..., hi]) with hi - lo <= order
+# in a graded quotient (lo, [P at m = lo, lo + 1, ...])
 Rows = dict[int, dict[int, int] | tuple[int, list[int]]]
 
 
@@ -216,12 +211,8 @@ class TruncatedSeries:
         quotient is again integer-coefficient.  With the signs of both
         operands flipped if need be, so that the divisor is 1 - t with t
         free of x-degree 0, q = self + t * q is solved degree by degree:
-        q_deg needs only t times the lower degrees of q.  The m-range
-        lo..hi of a solved row bounds its contributions (num's row and
-        every t_d q_{deg-d}); the row is a list over it when
-        hi - lo <= order, so no list holds more than order + 1 slots, and
-        a {m: P} dict otherwise, which keeps those bounds and not the
-        least and largest m left after cancellation.
+        q_deg needs only t times the lower degrees of q, each row a
+        {m: P} dict.
         """
         den = self._coerce(other)
         if den is None:
@@ -240,40 +231,16 @@ class TruncatedSeries:
         t = 1 - den
         width = _quotient_width(num._abs_sums(), t._abs_sums())
         num_rows = num._rows(width)
-        t_rows = [(d, min(row), max(row), row)
-                  for d, row in t._rows(width).items()]
-        # deg -> (lo, hi, row of q): a list over m = lo..hi, or a dict
-        q_rows: dict[int, tuple[int, int, list[int] | dict[int, int]]] = {}
+        t_rows = t._rows(width).items()
+        q_rows: Rows = {}
         for deg in range(order + 1):
             acc = num_rows.pop(deg, {})
-            # (least m, largest m, t's row, q's row) per lower degree
-            lower = [(t_lo + q[0], t_hi + q[1], t_row, q)
-                     for d, t_lo, t_hi, t_row in t_rows
-                     if (q := q_rows.get(deg - d))]
-            if not (acc or lower):
-                continue
-            lo = min([*acc, *[low[0] for low in lower]])
-            hi = max([*acc, *[low[1] for low in lower]])
-            # a dict row's span exceeds the order, and so does the span of
-            # every row it feeds: a list row reads list rows only
-            if hi - lo <= order:
-                row = [0] * (hi - lo + 1)
-                for m, p in acc.items():
-                    row[m - lo] = p
-                for _, _, t_row, (q_lo, _, q) in lower:
-                    for m1, p1 in t_row.items():
-                        for m, p2 in enumerate(q, m1 + q_lo - lo):
-                            row[m] += p1 * p2
-                if any(row):
-                    q_rows[deg] = (lo, hi, row)
-            else:  # a few terms spread over a wide m-range stay a dict
-                for _, _, t_row, (q_lo, _, q) in lower:
-                    _mul_rows_into(acc, t_row, q if isinstance(q, dict)
-                                   else dict(enumerate(q, q_lo)))
-                if row := {m: p for m, p in acc.items() if p}:
-                    q_rows[deg] = (lo, hi, row)
-        return self._unrows({deg: q if isinstance(q, dict) else (lo, q)
-                             for deg, (lo, _, q) in q_rows.items()}, width)
+            for d, t_row in t_rows:
+                if q := q_rows.get(deg - d):
+                    _mul_rows_into(acc, t_row, q)
+            if row := {m: p for m, p in acc.items() if p}:
+                q_rows[deg] = row
+        return self._unrows(q_rows, width)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse within the truncated ring: ``1 / self``."""
@@ -370,76 +337,105 @@ def _quotient_width(num_sums: list[int], t_sums: list[int]) -> int:
     return max(q_sums).bit_length() + 1
 
 
-def run_reciprocal(term: TruncatedSeries,
-                   weights: Sequence[TruncatedSeries]) -> TruncatedSeries:
-    """q = 1 / (1 - sum over the weights b of term(b)), for term a series
-    sum_{k>=1} T_k (x z)^k in x z alone (keys (k, k, r)) and weights unit
-    monomials x^a z^e that share one e; any other term or weight raises
-    ValueError.
+# (s, P, A, p): the term z^s P(y) A(x) / (1 - x^p) of a graded sum, P and A
+# lists of int coefficients (A of x-degree <= order), p = 0 for no period
+Grade = tuple[int, Sequence[int], Sequence[int], int]
 
-    T_k is the same for every weight, so the sum over the weights is taken
-    before the multiply:
 
-        q_n[m] = [n = 0] + sum_k T_k S_k[n][m - e k],
-        S_k[n] = sum over the weights of q_{n - a k}
-               = S_k[n - k] + sum_a (c_a - c_{a-1}) q_{n - a k},
+def _unfold(a: Sequence[int], p: int, order: int) -> list[int]:
+    """A(x) / (1 - x^p) (A for p = 0) as a list of length order + 1."""
+    c = list(a[:order + 1]) + [0] * (order + 1 - len(a))
+    if p:
+        for i in range(p, order + 1):
+            c[i] += c[i - p]
+    return c
 
-    where c_a counts the weights x^a z^e: only the ends of each run of
-    consecutive exponents enter (a = 1 alone for {1..N}), and each S_k
-    keeps its last k rows.  q is solved and packed like a quotient of
-    ``/``, at the width of the same majorant, |t|(x, 1, 1) by x-degree for
-    t = sum over the weights of term(b).
+
+def image_grade(grades: Sequence[Grade], order: int) -> Grade:
+    """The grades' sum at y = 0, z = 1, as the one grade (0, [1], C, 0)."""
+    c = [0] * (order + 1)
+    for _, poly, a, p in grades:
+        for d, v in enumerate(_unfold(a, p, order)):
+            c[d] += poly[0] * v
+    return 0, [1], c, 0
+
+
+def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
+                    order: int) -> TruncatedSeries:
+    """q = sum(num) / (1 - sum(t)) for two lists of grades; a grade of t
+    with an x-degree-0 term raises NormalizationError.
+
+    q is solved degree by degree in x, packed at the width of the majorant
+    of ``/``, with ||P||_1 |A / (1 - x^p)| summed over each side's grades
+    by x-degree.  At degree n a grade of t adds z^s P(y) V_n, where
+    V_n = sum_d A[d] q_{n-d} (+ V_{n-p} for a period p, kept while
+    n + p <= order) sums lower rows of q times ints before the one
+    multiply by the packed P.  Each row of q is a list over its m-range;
+    the keys come out in ascending (n, m, r) order.
     """
-    order = term.order
-    if any(n != m or not n for n, m, _ in term.coeffs):
-        raise ValueError("term must be a series in x z with no constant term")
-    t_norms = term._abs_sums()
-    ends: dict[int, int] = {}  # a -> c_a - c_{a-1}
+    num = [(s, poly, _unfold(a, p, order)) for s, poly, a, p in num]
     t_sums = [0] * (order + 1)
-    z_exps = set()
-    for b in weights:
-        term._check_compatible(b)
-        if not b:  # a weight past the order is 0
+    for s, poly, a, p in t:
+        c = _unfold(a, p, order)
+        if c[0]:
+            raise NormalizationError(
+                f"grade z^{s} has x-degree 0; normalize it before solving")
+        norm = sum(map(abs, poly))
+        t_sums = [u + norm * abs(v) for u, v in zip(t_sums, c)]
+    width = _quotient_width(
+        [sum(sum(map(abs, poly)) * abs(c[d]) for _, poly, c in num)
+         for d in range(order + 1)], t_sums)
+
+    def pack(poly):  # the y-polynomial at y = 2**width
+        return sum(c << width * r for r, c in enumerate(poly))
+    num = [(s, pack(poly), c) for s, poly, c in num]
+    # (s, packed P, A's terms (d, A[d]), p, V_n by n while it is needed);
+    # a one-term A's coefficient goes into P
+    t = [(s, pack(poly), [(d, v) for d, v in enumerate(a[:order + 1]) if v],
+          p, {}) for s, poly, a, p in t if any(poly)]
+    t = [(s, pk * terms[0][1], [(terms[0][0], 1)], p, runs)
+         if len(terms) == 1 else (s, pk, terms, p, runs)
+         for s, pk, terms, p, runs in t]
+    # q[n]: (lo, packed row of q_n over m = lo, lo + 1, ...), or None
+    q: list[tuple[int, list[int]] | None] = [None] * (order + 1)
+    for n in range(order + 1):
+        # (m, P, lo, V): add P V[i] at m + i for every slot i of V
+        adds = [(s, pk, 0, [c[n]]) for s, pk, c in num if c[n]]
+        for s, pk, terms, p, runs in t:
+            rows = [(v, row) for d, v in terms
+                    if d <= n and (row := q[n - d])]
+            if p and (run := runs.pop(n - p, None)):
+                rows.append((1, run))
+            if not rows:
+                continue
+            if len(rows) == 1 and rows[0][0] == 1:
+                lo, vec = rows[0][1]  # one row of q, or the run, as it is
+            else:
+                lo = min([row[0] for _, row in rows])
+                vec = [0] * (max([row[0] + len(row[1]) for _, row in rows])
+                             - lo)
+                for v, (row_lo, row) in rows:
+                    if v == 1:
+                        for i, w in enumerate(row, row_lo - lo):
+                            vec[i] += w
+                    else:
+                        for i, w in enumerate(row, row_lo - lo):
+                            vec[i] += v * w
+            if p and n + p <= order:
+                runs[n] = (lo, vec)
+            adds.append((s, pk, lo, vec))
+        if not adds:
             continue
-        (a, e, r), c = next(iter(b.coeffs.items()))
-        if len(b.coeffs) > 1 or c != 1 or r or not a:
-            raise ValueError(f"weight {b!r} is not a monomial x^a z^e")
-        z_exps.add(e)
-        ends[a] = ends.get(a, 0) + 1
-        ends[a + 1] = ends.get(a + 1, 0) - 1
-        t_sums[a::a] = map(add, t_sums[a::a], t_norms[1:])
-    if len(z_exps) > 1:
-        raise ValueError(f"weights mix the z-exponents {sorted(z_exps)}")
-    e = z_exps.pop() if z_exps else 0
-    ends_by_a = sorted((a, dc) for a, dc in ends.items() if dc)
-    width = _quotient_width([1] + [0] * order, t_sums)
-    t_rows = term._rows(width)
-    t_packed = [t_rows[k][k] if k in t_rows else 0 for k in range(order + 1)]
-    # q[n]: packed q_n over m = 0..e n; runs[k][n % k]: S_k[n], kept while
-    # S_k[n + k] still needs it
-    q = [[1]]
-    runs: list[list[list[int] | None]] = [[None] * k
-                                          for k in range(order + 1)]
-    for n in range(1, order + 1):
-        row = [0] * (e * n + 1)
-        for k in range(1, n + 1):
-            slot = runs[k]
-            size = e * (n - k) + 1
-            s = slot[n % k]
-            s = s + [0] * (size - len(s)) if s else [0] * size
-            for a, dc in ends_by_a:
-                if (j := n - a * k) < 0:
-                    break
-                for m, p in enumerate(q[j]):
-                    if p:
-                        s[m] += dc * p
-            slot[n % k] = s if n + k <= order else None
-            if tk := t_packed[k]:
-                for m, p in enumerate(s, e * k):
-                    if p:
-                        row[m] += tk * p
-        q.append(row)
-    return term._unrows({n: (0, row) for n, row in enumerate(q)}, width)
+        lo = min([s + v_lo for s, _, v_lo, _ in adds])
+        row = [0] * (max([s + v_lo + len(vec) for s, _, v_lo, vec in adds])
+                     - lo)
+        for s, pk, v_lo, vec in adds:
+            for i, w in enumerate(vec, s + v_lo - lo):
+                if w:
+                    row[i] += pk * w
+        q[n] = (lo, row)
+    return TruncatedSeries(order)._unrows(
+        {n: row for n, row in enumerate(q) if row}, width)
 
 
 def make_monomial(order: int, n: int, m: int, r: int,

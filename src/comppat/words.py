@@ -10,18 +10,20 @@ stands for the weight x z of one letter.
 :func:`word_gf` dispatches to the paper's closed forms in k
 (:func:`w111_closed`, :func:`w112_closed`, :func:`w123_closed`,
 :func:`w_peak_closed`); 112/221 and peak/valley share a form through the
-complement i -> k+1-i on {1..k}.  Except for 112, each form is the
-:mod:`comppat.genfun` formula at closed-form selection counts over {1..k}.
-Every loop is bounded by the truncation order, so the cost is flat in k.
+complement i -> k+1-i on {1..k}.  Each form gives the grades of its
+numerator and denominator (as in :mod:`comppat.genfun`) to
+:func:`series.graded_quotient`; 123's and peak's are the builders' grades
+at closed-form selection counts over {1..k}.  Every loop is bounded by
+the truncation order, so the cost is flat in k.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .genfun import _den_123, _num_den_alternating, _term_111
+from .genfun import _ONE, _grades_123, _grades_alternating, _ym1_pow
 from .patterns import PatternId
-from .series import TruncatedSeries, make_monomial, one
+from .series import TruncatedSeries, graded_quotient
 
 
 def word_gf(p: PatternId, k: int, order: int) -> TruncatedSeries:
@@ -42,19 +44,20 @@ def word_table(series: TruncatedSeries) -> dict[tuple[int, int], int]:
     return table
 
 
-def _z(order: int, m: int = 1, r: int = 0, c: int = 1) -> TruncatedSeries:
-    """c (x z)^m y^r: m letters, each weighing x z."""
-    return make_monomial(order, m, m, r, c)
+def _z(m: int, c: int = 1) -> list[int]:
+    """c x^m as an x-series: with the z^m of its grade, m letters."""
+    return [0] * m + [c]
 
 
 def w111_closed(k: int, order: int) -> TruncatedSeries:
-    """111 over {1..k}: the builder's k equal terms numer/denom (b = z)
-    in one division, denom / (denom - k numer), which is
+    """111 over {1..k}: the builder's k equal run terms numer/denom
+    (b = z) over one denominator, denom / (denom - k numer), which is
 
         (1 + z(1+z)(1-y)) / (1 - (k-1+y) z - (k-1)(1-y) z^2).
     """
-    numer, denom = _term_111(_z(order), _z(order, 0, 1))
-    return denom / (denom - k * numer)
+    num = [*_ONE, (1, [1, -1], _z(1), 0), (2, [1, -1], _z(2), 0)]
+    t = [(1, [k - 1, 1], _z(1), 0), (2, [k - 1, 1 - k], _z(2), 0)]
+    return graded_quotient(num, t, order)
 
 
 def w112_closed(k: int, order: int) -> TruncatedSeries:
@@ -64,44 +67,36 @@ def w112_closed(k: int, order: int) -> TruncatedSeries:
     denominator cancels against (1-y)z, which leaves, with g^k expanded
     binomially,
 
-        1 / (1 - k z + sum_{j=2}^{k} (-1)^j C(k, j) (1-y)^{j-1} z^{2j-1}).
+        1 / (1 - sum_{j=1}^{k} C(k, j) (y-1)^{j-1} z^{2j-1}).
     """
-    unit = one(order)
-    omy = unit - _z(order, 0, 1)
-    den = unit - _z(order, 1, 0, k)
-    omy_pow = omy  # (1-y)^{j-1}, starting at j = 2
-    for j in range(2, k + 1):
-        if 2 * j - 1 > order:
-            break
-        sign = 1 if j % 2 == 0 else -1
-        den = den + _z(order, 2 * j - 1, 0, sign * comb(k, j)) * omy_pow
-        omy_pow = omy_pow * omy
-    return den.reciprocal()
+    return graded_quotient(_ONE, [
+        (2 * j - 1, [comb(k, j) * c for c in _ym1_pow(j - 1)],
+         _z(2 * j - 1), 0) for j in range(1, min(k, (order + 1) // 2) + 1)],
+        order)
 
 
 def w123_closed(k: int, order: int) -> TruncatedSeries:
-    """123 over {1..k}: the builder's denominator at t^p([k]) = C(k, p) z^p
+    """123 over {1..k}: the builder's grades at t^p([k]) = C(k, p) z^p
     for p <= min(k, order) (longer selections vanish under truncation):
 
         1 / (1 - k z - sum_{p=3}^{k} sum_{j=0}^{p-3}
                  C(p-3, j) C(k, p+j) z^{p+j} (y-1)^{p-2}).
     """
-    t = [_z(order, p, 0, comb(k, p)) for p in range(min(k, order) + 1)]
-    return _den_123(t, _z(order, 0, 1)).reciprocal()
+    t = [_z(p, comb(k, p)) for p in range(min(k, order) + 1)]
+    return graded_quotient(*_grades_123(t), order)
 
 
 def w_peak_closed(k: int, order: int) -> TruncatedSeries:
-    """peak (equivalently valley) over {1..k}: the builder's pair at
+    """peak (equivalently valley) over {1..k}: the builder's grades at
     M^s([k]) = N^s([k]) = C(k-1+ceil(s/2), s) z^s for s <= min(order, 2k-1)
     (M^s([k]) = 0 from s = 2k on):
 
         N / (N - sum_{j>=0} z^{2j+1} (1-y)^j C(k+j, 2j+1)),
         N = sum_{j>=0} z^{2j} (1-y)^j C(k-1+j, 2j).
     """
-    m = [_z(order, s, 0, comb(k - 1 + (s + 1) // 2, s))
+    m = [_z(s, comb(k - 1 + (s + 1) // 2, s))
          for s in range(min(order, 2 * k - 1) + 1)]
-    num, den = _num_den_alternating(m, m, _z(order, 0, 1))
-    return num / den
+    return graded_quotient(*_grades_alternating(m, m), order)
 
 
 _CLOSED = {

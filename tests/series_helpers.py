@@ -3,10 +3,11 @@
 The package has no production caller for these, so they live here: the
 y := 0, z := 1 and y := 1 substitutions (the avoiders' projection of a
 full series, and the y-free composition series the builders must reduce
-to) and re-truncation to a smaller order.
+to), re-truncation to a smaller order, and the series of a list of
+grades.
 """
 
-from comppat.series import TruncatedSeries
+from comppat.series import TruncatedSeries, make_monomial, one
 
 
 def substitute_y0(s: TruncatedSeries) -> TruncatedSeries:
@@ -38,3 +39,17 @@ def truncate(s: TruncatedSeries, order: int) -> TruncatedSeries:
         raise ValueError(f"cannot extend truncation order {s.order} "
                          f"to {order}")
     return TruncatedSeries(order, s.coeffs)
+
+
+def graded_series(grades, order: int) -> TruncatedSeries:
+    """The sum of z^s P(y) A(x) / (1 - x^p) over the (s, P, A, p) grades
+    as one series, each period divided out with ``/``."""
+    out = TruncatedSeries(order)
+    for s, poly, a, p in grades:
+        term = TruncatedSeries(order, {
+            (n, s, r): c * v for n, v in enumerate(a)
+            for r, c in enumerate(poly)})
+        if p:
+            term = term / (one(order) - make_monomial(order, p, 0, 0))
+        out = out + term
+    return out

@@ -11,14 +11,14 @@ from fractions import Fraction
 
 import pytest
 
-from comppat import asymptotics, genfun, identities
+from comppat import asymptotics, genfun
 from comppat.asymptotics import (EVAL_EPS, AsymptoticsError, DomainError,
                                  UndersamplingError, _evaluate, _parts,
                                  _winding, emit_curve, estimate, eval_f,
                                  find_rho, predict_count, winding_number)
 from comppat.genfun import avoidance_sequence
 from comppat.patterns import PartSet, PatternId
-from comppat.series import zero
+from comppat.series import image_grade
 
 P = PatternId
 
@@ -197,14 +197,11 @@ def test_a_point_value_does_not_depend_on_its_block(p):
 
 
 def builders_pair(p, order):
-    # the genfun builders' (N, D) at y = 0, z = 1 over nat, as int lists;
-    # 111's series is solved without a pair, whose per-part form is kept
-    # as a cross-check
-    num_den = {**genfun._NUM_DEN, P.P111: identities.num_den_111}[p]
-    num, den = num_den(
-        genfun._weights(PartSet.naturals(), order, z_exp=0), zero(order))
-    return [[h.coefficient(n, 0, 0) for n in range(order + 1)]
-            for h in (num, den)]
+    # the genfun builders' (N, D) over nat as int lists: each side's grades
+    # collapsed at y = 0, z = 1, with D = 1 - t
+    num, t = (image_grade(side, order)[2] for side in genfun._GRADES[p](
+        genfun._parts(PartSet.naturals(), order), order))
+    return [num, [1 - t[0]] + [-c for c in t[1:]]]
 
 
 @pytest.mark.parametrize("p", list(P))

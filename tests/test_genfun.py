@@ -5,6 +5,8 @@ test_acceptance.py; these tests keep to small orders so the module suite
 stays fast.
 """
 
+from operator import truediv
+
 import pytest
 
 from comppat import genfun
@@ -14,9 +16,10 @@ from comppat.identities import (d_series, gf_123_recursive,
                                 n_poly, nat_closed_forms, num_den_111,
                                 qpochhammer_inverse, t_poly)
 from comppat.patterns import (PartSet, PatternId, brute_force_table,
-                              count_occurrences, enumerate_compositions)
-from comppat.series import make_monomial, one, zero
-from comppat.words import word_gf
+                              brute_force_word_table, count_occurrences,
+                              enumerate_compositions)
+from comppat.series import graded_quotient, image_grade, make_monomial, one, zero
+from comppat.words import word_gf, word_table
 from series_helpers import (substitute_y0, substitute_y1, substitute_z1,
                             truncate)
 
@@ -70,25 +73,42 @@ def test_gf_111_unit_coefficients():
     assert s.coefficient(3, 3, 1) == 1  # the composition 111
 
 
-@pytest.mark.parametrize("image", [False, True], ids=["xzy", "y0z1"])
-@pytest.mark.parametrize("parts, order", [
+# the cases every builder is checked on: nat at the CLI cap and below,
+# finite sets with runs of consecutive parts and gaps, and an int k for
+# k letters, each a part of size 1 (weighing x z, x in the image)
+BUILDER_CASES = [
     (NAT, 0), (NAT, 1), (NAT, 17), (NAT, 60),
     (PartSet.of(1, 3, 4), 20), (PartSet.of(2, 3, 7), 20),
-    (PartSet.of(1, 2, 5), 20), (PartSet.of(5), 20),
-    # an int k: k letters, each weighing x z (x in the image)
-    (1, 12), (3, 12)])
+    (PartSet.of(1, 2, 5), 20), (PartSet.of(5), 20), (1, 12), (3, 12)]
+
+
+def sizes_of(parts, order):
+    return [1] * parts if isinstance(parts, int) else \
+        genfun._parts(parts, order)
+
+
+def solve(p, sizes, order, image=False):
+    """The builder's series for p over the part sizes: build_gf's route,
+    or in the y = 0, z = 1 image avoidance_sequence's (grades collapsed)."""
+    num, t = genfun._GRADES[p](sizes, order)
+    if image:
+        num, t = [image_grade(num, order)], [image_grade(t, order)]
+    return graded_quotient(num, t, order)
+
+
+@pytest.mark.parametrize("image", [False, True], ids=["xzy", "y0z1"])
+@pytest.mark.parametrize("parts, order", BUILDER_CASES)
 def test_gf_111_run_recurrence_matches_per_part_pair(parts, order, image):
-    # the run recurrence against one division per part, in the trivariate
-    # ring and in the y = 0, z = 1 image: the same terms in the same order
+    # the run grades, solved with their periods, against one division per
+    # part, in the trivariate ring and in the y = 0, z = 1 image: the same
+    # terms in the same order
     z_exp = 0 if image else 1
     y = zero(order) if image else make_monomial(order, 0, 0, 1)
-    if isinstance(parts, int):
-        weights = [make_monomial(order, 1, z_exp, 0)] * parts
-    else:
-        weights = genfun._weights(parts, order, z_exp)
-    num, den = num_den_111(weights, y)
+    sizes = sizes_of(parts, order)
+    num, den = num_den_111(
+        [make_monomial(order, a, z_exp, 0) for a in sizes], y)
     want = num / den
-    got = genfun._gf_111(weights, y)
+    got = solve(P.P111, sizes, order, image)
     assert got == want
     assert list(got.coeffs) == list(want.coeffs)
 
@@ -256,14 +276,34 @@ def test_builder_support_bounds(p):
 
 @pytest.mark.parametrize("p", list(P))
 def test_specialization_chain_matches_collapsed_path(p):
-    # avoidance_sequence builds in the y := 0, z := 1 image and never sees
-    # the trivariate series; projecting that series must give the same counts
-    for A, order in ((NAT, 12), (NAT, 30), (PartSet.of(1, 3), 20),
-                     (PartSet.of(2, 3, 5), 20),
-                     (PartSet.of(1, 2, 3, 4, 5, 6), 20)):
-        full = substitute_z1(substitute_y0(build_gf(p, A, order)))
-        assert [full.coefficient(n, 0, 0) for n in range(order + 1)] == \
-            avoidance_sequence(p, A, order), (A, order)
+    # every builder on every case, in both images: the trivariate series
+    # against the oracle (n <= 20) and the identities route where there is
+    # one (n <= 20; 111's pair at every order above), and the series of the
+    # grades collapsed at y := 0, z := 1 against that series projected
+    routes = {P.P111: lambda A, n: truediv(*num_den_111(
+                  [make_monomial(n, a, 1, 0) for a in genfun._parts(A, n)],
+                  make_monomial(n, 0, 0, 1))),
+              P.P123: gf_123_recursive, P.PEAK: gf_peak_recursive}
+    for parts, order in [*BUILDER_CASES, (NAT, 12), (NAT, 30),
+                         (PartSet.of(1, 3), 20), (PartSet.of(2, 3, 5), 20),
+                         (PartSet.of(1, 2, 3, 4, 5, 6), 20)]:
+        full = solve(p, sizes_of(parts, order), order)
+        low = truncate(full, min(order, 20))
+        if isinstance(parts, int):
+            assert word_table(low) == brute_force_word_table(
+                p, parts, low.order).counts
+            assert full == word_gf(p, parts, order)
+        else:
+            assert low.coeffs == brute_force_table(p, parts,
+                                                   low.order).counts
+            if p in routes:
+                assert low == routes[p](parts, low.order)
+            assert full == build_gf(p, parts, order)
+        image = substitute_z1(substitute_y0(full))
+        assert solve(p, sizes_of(parts, order), order, True) == image
+        if not isinstance(parts, int):
+            assert avoidance_sequence(p, parts, order) == \
+                [image.coefficient(n, 0, 0) for n in range(order + 1)]
 
 
 def test_raw_parts_validated_like_part_sets():

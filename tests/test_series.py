@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from comppat.series import (GradingMismatchError, NonInvertibleError,
                             NormalizationError, OrderRangeError,
-                            TruncatedSeries, make_monomial, one,
-                            run_reciprocal, zero)
-from series_helpers import (substitute_y0, substitute_y1, substitute_z1,
-                            truncate)
+                            TruncatedSeries, graded_quotient, image_grade,
+                            make_monomial, one, zero)
+from series_helpers import (graded_series, substitute_y0, substitute_y1,
+                            substitute_z1, truncate)
+
+ONE = [(0, [1], [1], 0)]  # the numerator 1 as a grade
 
 
 def mono(n, m, r, c=1, order=10):
@@ -319,10 +321,9 @@ def test_divide_keeps_sparse_rows_sparse():
 
 
 def test_divide_dict_row_keeps_its_bounds():
-    # q_1 = z + z^7 spans the order 6 and is a list row; q_2 is solved
-    # over m = 2..14, wider than the order, so it is a dict row, and its
-    # far terms cancel down to z^2.  The rows q_2 feeds must span at
-    # least 2..14 too, or a list row would read the dict row as a list.
+    # q_1 = z + z^7 spans the order 6; q_2 is solved over m = 2..14,
+    # wider than the order, and its far terms cancel down to z^2, which
+    # the rows q_2 feeds must read as it is.
     d = 1 - make_monomial(6, 1, 1, 0) - make_monomial(6, 1, 7, 0)
     num = (1 - make_monomial(6, 2, 8, 0, 2) - make_monomial(6, 2, 14, 0))
     q = num / d
@@ -335,8 +336,8 @@ def test_divide_dict_row_keeps_its_bounds():
 
 @pytest.mark.parametrize("w", [7, 8])
 def test_divide_rows_either_side_of_the_order(w):
-    # at order 6, w = 7 makes the degree-1 row span exactly the order (a
-    # list) and every later row a dict; w = 8 makes every row a dict
+    # at order 6, w = 7 makes the degree-1 row span exactly the order and
+    # every later row wider; w = 8 makes every row wider than the order
     d = 1 - make_monomial(6, 1, 1, 0) - make_monomial(6, 1, w, 0)
     q = one(6) / d
     assert q.coeffs == {(g, g - j + w * j, 0): comb(g, j)
@@ -480,7 +481,50 @@ def test_repr_shows_eight_terms_then_the_count():
         f"TruncatedSeries(order=12, {powers} + ... (13 terms))"
 
 
-# -- run_reciprocal ----------------------------------------------------------
+# -- graded_quotient ---------------------------------------------------------
+
+# (s, P, A, p) grades: signed multi-term P with coefficients up to C, and
+# periods whose run ends are +k and -k (as in 111 over k repeated parts)
+def graded_t(c, z_exp):
+    return [(1 * z_exp, [c, -3, 0, 1], [0, 1, 0, -2], 0),
+            (2 * z_exp, [-c, 5], [0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 7], 2),
+            (3 * z_exp, [0, 0, c], [0, 0, 0, 4, 0, 0, -4], 3),
+            (4 * z_exp, [1], [0, 0, 1, 0, -1, 0, 1, 0, 0, 0, 0, -1], 2),
+            (5 * z_exp, [-1, 2**70], [0, 0, 0, 0, 0, 1], 0)]
+
+
+@pytest.mark.parametrize("z_exp", [0, 1])
+@pytest.mark.parametrize("c", [1, 2**70])
+@pytest.mark.parametrize("order", [0, 1, 9])
+def test_graded_quotient_matches_division(order, c, z_exp):
+    # against one / (1 - t) and num / (1 - t) with the grades summed as
+    # series and the periods divided out by /: the same terms in the
+    # same order; each side's grades collapsed at y = 0, z = 1 give that
+    # quotient's image
+    t = graded_t(c, z_exp)
+    num = [(0, [1], [1], 0), (2 * z_exp, [c, -1], [0, 2, 0, -c], 3)]
+    den = 1 - graded_series(t, order)
+    for top, want in ((ONE, one(order) / den),
+                      (num, graded_series(num, order) / den)):
+        got = graded_quotient(top, t, order)
+        assert got == want
+        assert list(got.coeffs) == list(want.coeffs)
+        assert graded_quotient([image_grade(top, order)],
+                               [image_grade(t, order)], order) \
+            == substitute_z1(substitute_y0(want))
+
+
+def test_graded_quotient_reads_a_grade_up_to_the_order():
+    # terms and periods past the order add nothing
+    t = graded_t(2**70, 1)
+    past = [*t, (1, [1], [0] * 7 + [5], 0), (2, [3], [0] * 7 + [1], 7)]
+    assert graded_quotient(ONE, past, 6) == graded_quotient(ONE, t, 6)
+    cut = [(s, poly, (a + [0] * 4)[:5], p) for s, poly, a, p in t]
+    longer = [(s, poly, a + [9] * 5, p) for s, poly, a, p in cut]
+    assert graded_quotient(ONE, longer, 4) == graded_quotient(ONE, cut, 4)
+
+
+# -- the run reciprocal: 111's sum as period grades ---------------------------
 
 def substituted(term, exps):
     """sum over (a, e) in exps of term(x^a z^e), term's keys (k, k, r)."""
@@ -491,38 +535,48 @@ def substituted(term, exps):
     return out
 
 
+def run_grades(term, exps):
+    """The same sum as grades: z^{e k} T_k(y) sum_a x^{a k}, the sum over
+    the weights given by its run ends (+c at a, -c past a run of c equal
+    exponents a) with period k."""
+    ends = {}
+    for a, _ in exps:
+        ends[a] = ends.get(a, 0) + 1
+        ends[a + 1] = ends.get(a + 1, 0) - 1
+    e = exps[0][1] if exps else 0
+    order = term.order
+    grades = []
+    for k in range(1, order + 1):
+        xs = [0] * (order + 1)
+        for a, dc in ends.items():
+            if a * k <= order:
+                xs[a * k] += dc
+        grades.append((e * k, [term.coefficient(k, k, r) for r in range(4)],
+                       xs, k))
+    return grades
+
+
 @pytest.mark.parametrize("exps", [
     [], [(1, 1)], [(1, 0), (2, 0), (2, 0), (4, 0)], [(2, 2), (3, 2), (9, 2)],
     [(1, 1), (2, 1), (3, 1), (5, 1), (6, 1)]])
 @pytest.mark.parametrize("c", [1, 2**70])
 def test_run_reciprocal_matches_division(exps, c):
-    # signed, multi-term T_k with large coefficients: the recurrence agrees
-    # with dividing by 1 - sum of the substituted terms, keys in order
+    # signed, multi-term T_k with large coefficients, as period grades (at
+    # z^0 too, where the grades share one m): the solver agrees with
+    # dividing by 1 - sum of the substituted terms, keys in order
     order = 9
     term = TruncatedSeries(order, {(1, 1, 0): c, (1, 1, 2): -3,
                                    (2, 2, 1): -c, (3, 3, 0): 5,
                                    (5, 5, 3): c})
-    weights = [mono(a, e, 0, order=order) for a, e in exps]
-    got = run_reciprocal(term, weights)
+    got = graded_quotient(ONE, run_grades(term, exps), order)
     want = one(order) / (1 - substituted(term, exps))
     assert got == want
     assert list(got.coeffs) == list(want.coeffs)
 
 
 def test_run_reciprocal_rejects_other_inputs():
-    term = mono(1, 1, 0) + mono(2, 2, 1, -1)
-    x = mono(1, 1, 0)
-    for weights in ([x, mono(2, 2, 0)],  # two z-exponents
-                    [mono(1, 1, 0, 2)],  # not a unit
-                    [mono(1, 1, 1)],  # carries y
-                    [mono(0, 1, 0)],  # no x
-                    [x + mono(2, 1, 0)]):  # two terms
-        with pytest.raises(ValueError):
-            run_reciprocal(term, weights)
-    for bad in (term + mono(2, 1, 0), term + 1):
-        with pytest.raises(ValueError):
-            run_reciprocal(bad, [x])
-    with pytest.raises(GradingMismatchError):
-        run_reciprocal(term, [mono(1, 1, 0, order=5)])
-    # a weight past the order adds nothing
-    assert run_reciprocal(term, [x, zero(10)]) == run_reciprocal(term, [x])
+    # a grade with an x-degree-0 term (directly or through its period)
+    # would leave the integer ring
+    for a, p in (([1, 1], 0), ([2], 3)):
+        with pytest.raises(NormalizationError):
+            graded_quotient(ONE, [(1, [1], a, p)], 5)
