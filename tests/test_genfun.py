@@ -18,7 +18,8 @@ from comppat.identities import (d_series, gf_123_recursive,
 from comppat.patterns import (PartSet, PatternId, brute_force_table,
                               brute_force_word_table, count_occurrences,
                               enumerate_compositions)
-from comppat.series import graded_quotient, image_grade, make_monomial, one, zero
+from comppat.series import (graded_quotient, image_grade, make_monomial,
+                            one, zero)
 from comppat.words import word_gf, word_table
 from series_helpers import (substitute_y0, substitute_y1, substitute_z1,
                             truncate)
