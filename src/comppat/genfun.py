@@ -10,6 +10,14 @@ the occurrences enter through one fixed y-polynomial P_s.  Each builder in
 those of 1 - D, built as plain int lists, and
 :func:`series.graded_quotient` solves the quotient.
 
+Over the naturals every selection sum is a q-product x^c / prod_p (1 - x^p)
+(Andrews, The Theory of Partitions, Thm 3.3; cross-checked by
+``identities.nat_closed_forms``).  So :func:`build_gf` gives each grade of
+1 - D the periods of that denominator (``_PERIODS``), and the solver runs
+each period as one running sum instead of convolving with the dense A_s;
+:func:`_q_product` keeps them only where they cost less.  111's grades
+carry their run period k on every part set.
+
 The builders see the parts only as a list of sizes in increasing order
 (word series may pass one part of size 1 per letter).
 :func:`avoidance_sequence` collapses each side's grades into one at
@@ -24,13 +32,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import comb
+from operator import sub
 
 from .patterns import PartSet, PatternId, check_parts
 from .series import Grade, TruncatedSeries, graded_quotient, image_grade
 
 Parts = Sequence[int]
 # the numerator 1 as a list of grades
-_ONE: list[Grade] = [(0, [1], [1], 0)]
+_ONE: list[Grade] = [(0, [1], [1], ())]
 
 
 def _parts(A, order: int) -> tuple[int, ...]:
@@ -114,7 +123,8 @@ def _mn_lists(parts: Parts, order: int,
 # builders
 #
 # Each builder takes the parts and the order and returns the grades of
-# N and of 1 - D; a grade z^s P(y) A(x) / (1 - x^p) is (s, P, A, p).
+# N and of 1 - D; a grade z^s P(y) A(x) / prod_p (1 - x^p) is
+# (s, P, A, periods).
 # ---------------------------------------------------------------------------
 
 def _run_terms(order: int) -> list[list[int]]:
@@ -154,7 +164,7 @@ def _grades_111(parts: Parts, order: int):
         for a, dc in ends.items():
             if a * k <= order:
                 xs[a * k] += dc
-        grades.append((k, poly, xs, k))
+        grades.append((k, poly, xs, (k,)))
     return _ONE, grades
 
 
@@ -180,7 +190,7 @@ def _grades_level(parts: Parts, order: int, mirrored: bool):
             _add_shifted(guards[g], guards[g - 1], 2 * a)
         if not any(guards[-1]):
             guards.pop()
-    return _ONE, [(1 + 2 * g, _ym1_pow(g), xs, 0) for g, xs in enumerate(sums)]
+    return _ONE, [(1 + 2 * g, _ym1_pow(g), xs, ()) for g, xs in enumerate(sums)]
 
 
 def _grades_123(t: list[list[int]]):
@@ -191,13 +201,13 @@ def _grades_123(t: list[list[int]]):
 
     so grade s >= 3 is P_s t^s with P_s = sum_p C(p-3, s-p) (y-1)^{p-2}.
     """
-    grades = [(1, [1], t[1], 0)] if len(t) > 1 else []
+    grades = [(1, [1], t[1], ())] if len(t) > 1 else []
     for s in range(3, len(t)):
         poly = [0] * (s - 1)
         for p in range((s + 4) // 2, s + 1):
             for r, c in enumerate(_ym1_pow(p - 2)):
                 poly[r] += comb(p - 3, s - p) * c
-        grades.append((s, poly, t[s], 0))
+        grades.append((s, poly, t[s], ()))
     return _ONE, grades
 
 
@@ -213,11 +223,38 @@ def _grades_alternating(m: list[list[int]], n: list[list[int]],
     """
     top = len(m) - 1
     odd = n if valley else m
-    evens = [(2 * j, _omy_pow(j), m[2 * j], 0) for j in range(top // 2 + 1)]
+    evens = [(2 * j, _omy_pow(j), m[2 * j], ()) for j in range(top // 2 + 1)]
     return evens, (
-        [(s, [-c for c in poly], xs, 0) for s, poly, xs, _ in evens[1:]]
-        + [(2 * j + 1, _omy_pow(j), odd[2 * j + 1], 0)
+        [(s, [-c for c in poly], xs, ()) for s, poly, xs, _ in evens[1:]]
+        + [(2 * j + 1, _omy_pow(j), odd[2 * j + 1], ())
            for j in range((top + 1) // 2)])
+
+
+def _q_product(a: list[int], periods: Sequence[int],
+               order: int) -> tuple[list[int], tuple[int, ...]]:
+    """The x-series A as (B, periods) with A = B / prod_p (1 - x^p), when
+    B's terms plus one running sum per period are fewer than A's terms,
+    and as (A, ()) otherwise (see series.graded_quotient).
+
+    Over the naturals B is one term, x^c (identities.nat_closed_forms);
+    a sparse A, such as one selection sum of k letters, stays as it is
+    without B being formed, since B has at least one term.
+    """
+    periods = tuple(p for p in periods if p <= order)
+    terms = len(a) - a.count(0)
+    if terms <= len(periods) + 1:
+        return a, ()
+    b = a[:order + 1]
+    for p in periods:  # b *= 1 - x^p
+        b[p:] = map(sub, b[p:], b[:-p])
+    if len(b) - b.count(0) + len(periods) < terms:
+        return b, periods
+    return a, ()
+
+
+def _up_to(s: int) -> range:
+    """1, ..., s: (x;x)_s, the denominator of t^s, M^s and N^s."""
+    return range(1, s + 1)
 
 
 _GRADES = {
@@ -230,6 +267,27 @@ _GRADES = {
     PatternId.VALLEY: lambda parts, order: _grades_alternating(
         *_mn_lists(parts, order), valley=True),
 }
+# The periods of nat's denominator for grade s of 1 - D (111's grades
+# carry their run period themselves).  For 112 and 221, s = 1 + 2g:
+#   112: x^{(g+1)^2} / prod_{i<=g} (1 - x^{2i+1}),
+#   221: x^{g^2+3g+1} / ((1 - x^{2g+1}) prod_{1<=i<=g} (1 - x^{2i})).
+_PERIODS = {
+    PatternId.P112: lambda s: range(1, s + 1, 2),
+    PatternId.P221: lambda s: (*range(2, s, 2), s),
+    PatternId.P123: _up_to,
+    PatternId.PEAK: _up_to,
+    PatternId.VALLEY: _up_to,
+}
+
+
+def _solver_grades(p: PatternId, parts: Parts, order: int):
+    """_GRADES[p] with each grade s of 1 - D over _PERIODS[p](s) where that
+    is cheaper; N's grades are read one term per degree and stay dense."""
+    num, t = _GRADES[p](parts, order)
+    if periods := _PERIODS.get(p):
+        t = [(s, poly, *_q_product(a, periods(s), order))
+             for s, poly, a, _ in t]
+    return num, t
 
 
 def _check_counts(series: TruncatedSeries) -> TruncatedSeries:
@@ -242,15 +300,16 @@ def _check_counts(series: TruncatedSeries) -> TruncatedSeries:
 
 def build_gf(p: PatternId, A, order: int) -> TruncatedSeries:
     """The closed-form counting series for statistic p over A."""
-    num, t = _GRADES[p](_parts(A, order), order)
-    return _check_counts(graded_quotient(num, t, order))
+    return _check_counts(graded_quotient(
+        *_solver_grades(p, _parts(A, order), order), order))
 
 
 def avoidance_sequence(p: PatternId, A, order: int) -> list[int]:
     """Counts of p-avoiding compositions of n = 0..order with parts in A.
 
     Collapses each side's grades at y := 0, z := 1 into one and solves
-    that quotient.  Both substitutions are ring homomorphisms of the
+    that quotient; one dense grade has no use for the periods of
+    ``_PERIODS``, so they are not attached.  Both substitutions are ring homomorphisms of the
     x-truncated ring, so this gives the same values as substituting on
     the full trivariate series (the test suite checks this).
     """

@@ -19,7 +19,8 @@ production code computes, or exposes one of its intermediate series:
   the run grades (``genfun._grades_111``, solved with their period by
   ``series.graded_quotient``) that every 111 series runs.
 * :func:`qpochhammer_inverse`, :func:`nat_closed_forms` -- q-Pochhammer
-  closed forms over the naturals; check t^p, M^s and N^s over nat.
+  closed forms over the naturals; check t^p, M^s and N^s over nat, and
+  the periods with which the builders' grades are solved there.
 * :func:`word_gf_builders` -- the composition builders over {1..k} with
   every letter weighing x z (keys (m, m, r)); checks every closed form
   behind ``words.word_gf``.
@@ -219,6 +220,11 @@ def nat_closed_forms(kind: str, s_or_p: int, order: int) -> TruncatedSeries:
 
     The M_odd exponent is the one the dynamic program realizes (the round
     trip is covered by tests against m_poly over {1..order}).
+
+    These are the cross-check of the production periods: over nat,
+    ``genfun.build_gf`` solves the grades of 123, peak and valley as
+    x^c / prod_{p<=s} (1 - x^p) (``genfun._PERIODS``), and the tests
+    match each c to the exponent here.
     """
     s = s_or_p
     if kind == "T":

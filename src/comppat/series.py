@@ -23,9 +23,12 @@ the operands' absolute sums for ``*``, and for ``/``, which solves
 q = num + t q (den = 1 - t) degree by degree in x with q packed
 throughout, from the exact majorant |num|(x,1,1) / (1 - |t|(x,1,1)).
 The builders' quotients go through :func:`graded_quotient`, which takes
-num and t as grades z^s P(y) A(x) / (1 - x^p) of int lists and multiplies
-by each packed P once per x-degree.  Every product of two series and
-every quotient lists its keys in ascending (n, m, r) order.
+num and t as grades z^s P(y) A(x) / prod_p (1 - x^p) of int lists,
+applies each period p as one running sum over the rows of q, and
+multiplies by each packed P once per x-degree; over the naturals every
+selection sum is such a q-product with a one-term A.  Every product of
+two series and every quotient lists its keys in ascending (n, m, r)
+order.
 
 Values are immutable once constructed: every operation returns a fresh
 series, so they can be shared freely.
@@ -337,27 +340,44 @@ def _quotient_width(num_sums: list[int], t_sums: list[int]) -> int:
     return max(q_sums).bit_length() + 1
 
 
-# (s, P, A, p): the term z^s P(y) A(x) / (1 - x^p) of a graded sum, P and A
-# lists of int coefficients (A of x-degree <= order), p = 0 for no period
-Grade = tuple[int, Sequence[int], Sequence[int], int]
+# (s, P, A, periods): the term z^s P(y) A(x) / prod_p (1 - x^p) of a graded
+# sum, P and A lists of int coefficients (A of x-degree <= order) and the
+# periods a tuple of ints >= 1, () for a dense A
+Grade = tuple[int, Sequence[int], Sequence[int], tuple[int, ...]]
+# a slice (lo, [values at m = lo, lo + 1, ...]) of packed y-polynomials
+Slice = tuple[int, list[int]]
 
 
-def _unfold(a: Sequence[int], p: int, order: int) -> list[int]:
-    """A(x) / (1 - x^p) (A for p = 0) as a list of length order + 1."""
+def _unfold(a: Sequence[int], periods: tuple[int, ...],
+            order: int) -> list[int]:
+    """A(x) / prod_p (1 - x^p) as a list of length order + 1."""
     c = list(a[:order + 1]) + [0] * (order + 1 - len(a))
-    if p:
+    for p in periods:
         for i in range(p, order + 1):
             c[i] += c[i - p]
     return c
 
 
+def _slice_sum(a: Slice, b: Slice) -> Slice:
+    """a + b as a new slice over the union of their m-ranges."""
+    if len(a[1]) < len(b[1]):
+        a, b = b, a
+    (a_lo, av), (b_lo, bv) = a, b
+    lo = min(a_lo, b_lo)
+    vec = [0] * (max(a_lo + len(av), b_lo + len(bv)) - lo)
+    vec[a_lo - lo:a_lo - lo + len(av)] = av
+    for i, w in enumerate(bv, b_lo - lo):
+        vec[i] += w
+    return lo, vec
+
+
 def image_grade(grades: Sequence[Grade], order: int) -> Grade:
-    """The grades' sum at y = 0, z = 1, as the one grade (0, [1], C, 0)."""
+    """The grades' sum at y = 0, z = 1, as the one grade (0, [1], C, ())."""
     c = [0] * (order + 1)
-    for _, poly, a, p in grades:
-        for d, v in enumerate(_unfold(a, p, order)):
+    for _, poly, a, periods in grades:
+        for d, v in enumerate(_unfold(a, periods, order)):
             c[d] += poly[0] * v
-    return 0, [1], c, 0
+    return 0, [1], c, ()
 
 
 def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
@@ -366,17 +386,22 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
     with an x-degree-0 term raises NormalizationError.
 
     q is solved degree by degree in x, packed at the width of the majorant
-    of ``/``, with ||P||_1 |A / (1 - x^p)| summed over each side's grades
-    by x-degree.  At degree n a grade of t adds z^s P(y) V_n, where
-    V_n = sum_d A[d] q_{n-d} (+ V_{n-p} for a period p, kept while
-    n + p <= order) sums lower rows of q times ints before the one
-    multiply by the packed P.  Each row of q is a list over its m-range;
-    the keys come out in ascending (n, m, r) order.
+    of ``/``, with ||P||_1 |A / prod (1 - x^p)| summed over each side's
+    grades by x-degree.  At degree n a grade of t adds z^s P(y) V_n, where
+    V = A q / prod (1 - x^p) sums lower rows of q times ints before the
+    one multiply by the packed P: W_n = sum_d A[d] q_{n-d}, then for each
+    period p in turn the running sum W_n += W_{n-p} of that stage (kept
+    while n + p <= order), which for 111's one period is its run
+    recurrence.  Each row of q is allocated before the grades' V_n, over
+    the m-range that the rows below bound, and each V_n is added as it is
+    made; the row keeps the slots that were reached, so the keys come out
+    in ascending (n, m, r) order.
     """
-    num = [(s, poly, _unfold(a, p, order)) for s, poly, a, p in num]
+    num = [(s, poly, _unfold(a, periods, order))
+           for s, poly, a, periods in num]
     t_sums = [0] * (order + 1)
-    for s, poly, a, p in t:
-        c = _unfold(a, p, order)
+    for s, poly, a, periods in t:
+        c = _unfold(a, periods, order)
         if c[0]:
             raise NormalizationError(
                 f"grade z^{s} has x-degree 0; normalize it before solving")
@@ -389,51 +414,65 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
     def pack(poly):  # the y-polynomial at y = 2**width
         return sum(c << width * r for r, c in enumerate(poly))
     num = [(s, pack(poly), c) for s, poly, c in num]
-    # (s, packed P, A's terms (d, A[d]), p, V_n by n while it is needed);
-    # a one-term A's coefficient goes into P
+    # (s, packed P, A's terms (d, A[d]), one (p, {n: W_n}) stage per
+    # period p <= order); a one-term A's coefficient goes into P
     t = [(s, pack(poly), [(d, v) for d, v in enumerate(a[:order + 1]) if v],
-          p, {}) for s, poly, a, p in t if any(poly)]
-    t = [(s, pk * terms[0][1], [(terms[0][0], 1)], p, runs)
-         if len(terms) == 1 else (s, pk, terms, p, runs)
-         for s, pk, terms, p, runs in t]
-    # q[n]: (lo, packed row of q_n over m = lo, lo + 1, ...), or None
-    q: list[tuple[int, list[int]] | None] = [None] * (order + 1)
+          [(p, {}) for p in periods if p <= order])
+         for s, poly, a, periods in t if any(poly)]
+    t = [(s, pk * terms[0][1], [(terms[0][0], 1)], stages)
+         if len(terms) == 1 else (s, pk, terms, stages)
+         for s, pk, terms, stages in t]
+    # q_n lies in m = s_lo .. max(num_hi, t_hi + high) - 1, high the end
+    # of the rows below: a grade of num adds at m = s, one of t at s plus
+    # the m of lower rows
+    s_lo = min([s for s, *_ in num] + [s for s, *_ in t], default=0)
+    num_hi = max([s + 1 for s, *_ in num], default=0)
+    t_hi = max([s for s, *_ in t], default=0)
+    high = 0
+    q: list[Slice | None] = [None] * (order + 1)
     for n in range(order + 1):
-        # (m, P, lo, V): add P V[i] at m + i for every slot i of V
-        adds = [(s, pk, 0, [c[n]]) for s, pk, c in num if c[n]]
-        for s, pk, terms, p, runs in t:
-            rows = [(v, row) for d, v in terms
-                    if d <= n and (row := q[n - d])]
-            if p and (run := runs.pop(n - p, None)):
-                rows.append((1, run))
-            if not rows:
-                continue
+        row = [0] * (max(num_hi, t_hi + high) - s_lo)
+        bottom, top = len(row), 0  # the slots that the grades reach
+        for s, pk, c in num:
+            if c[n]:
+                row[s - s_lo] += pk * c[n]
+                bottom, top = min(bottom, s - s_lo), max(top, s - s_lo + 1)
+        for s, pk, terms, stages in t:
+            rows = [(v, r) for d, v in terms if d <= n and (r := q[n - d])]
             if len(rows) == 1 and rows[0][0] == 1:
-                lo, vec = rows[0][1]  # one row of q, or the run, as it is
-            else:
-                lo = min([row[0] for _, row in rows])
-                vec = [0] * (max([row[0] + len(row[1]) for _, row in rows])
-                             - lo)
-                for v, (row_lo, row) in rows:
+                w = rows[0][1]  # one row of q as it is
+            elif rows:
+                w_lo = min([row_lo for _, (row_lo, _) in rows])
+                vec = [0] * (max([row_lo + len(r) for _, (row_lo, r) in rows])
+                             - w_lo)
+                for v, (row_lo, r) in rows:
                     if v == 1:
-                        for i, w in enumerate(row, row_lo - lo):
-                            vec[i] += w
+                        for i, x in enumerate(r, row_lo - w_lo):
+                            vec[i] += x
                     else:
-                        for i, w in enumerate(row, row_lo - lo):
-                            vec[i] += v * w
-            if p and n + p <= order:
-                runs[n] = (lo, vec)
-            adds.append((s, pk, lo, vec))
-        if not adds:
-            continue
-        lo = min([s + v_lo for s, _, v_lo, _ in adds])
-        row = [0] * (max([s + v_lo + len(vec) for s, _, v_lo, vec in adds])
-                     - lo)
-        for s, pk, v_lo, vec in adds:
-            for i, w in enumerate(vec, s + v_lo - lo):
-                if w:
-                    row[i] += pk * w
-        q[n] = (lo, row)
+                        for i, x in enumerate(r, row_lo - w_lo):
+                            vec[i] += v * x
+                w = w_lo, vec
+            else:
+                w = None
+            for p, runs in stages:
+                if run := runs.pop(n - p, None):
+                    w = _slice_sum(w, run) if w else run
+                if w and n + p <= order:
+                    runs[n] = w
+            if w:
+                w_lo, vec = w
+                at = s + w_lo - s_lo
+                for i, x in enumerate(vec, at):
+                    if x:
+                        row[i] += pk * x
+                if at < bottom:
+                    bottom = at
+                if at + len(vec) > top:
+                    top = at + len(vec)
+        if top:
+            q[n] = (s_lo + bottom, row[bottom:top])
+            high = max(high, s_lo + top)
     return TruncatedSeries(order)._unrows(
         {n: row for n, row in enumerate(q) if row}, width)
 

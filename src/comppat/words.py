@@ -55,8 +55,8 @@ def w111_closed(k: int, order: int) -> TruncatedSeries:
 
         (1 + z(1+z)(1-y)) / (1 - (k-1+y) z - (k-1)(1-y) z^2).
     """
-    num = [*_ONE, (1, [1, -1], _z(1), 0), (2, [1, -1], _z(2), 0)]
-    t = [(1, [k - 1, 1], _z(1), 0), (2, [k - 1, 1 - k], _z(2), 0)]
+    num = [*_ONE, (1, [1, -1], _z(1), ()), (2, [1, -1], _z(2), ())]
+    t = [(1, [k - 1, 1], _z(1), ()), (2, [k - 1, 1 - k], _z(2), ())]
     return graded_quotient(num, t, order)
 
 
@@ -71,7 +71,7 @@ def w112_closed(k: int, order: int) -> TruncatedSeries:
     """
     return graded_quotient(_ONE, [
         (2 * j - 1, [comb(k, j) * c for c in _ym1_pow(j - 1)],
-         _z(2 * j - 1), 0) for j in range(1, min(k, (order + 1) // 2) + 1)],
+         _z(2 * j - 1), ()) for j in range(1, min(k, (order + 1) // 2) + 1)],
         order)
 
 

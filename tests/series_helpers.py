@@ -42,14 +42,15 @@ def truncate(s: TruncatedSeries, order: int) -> TruncatedSeries:
 
 
 def graded_series(grades, order: int) -> TruncatedSeries:
-    """The sum of z^s P(y) A(x) / (1 - x^p) over the (s, P, A, p) grades
-    as one series, each period divided out with ``/``."""
+    """The sum of z^s P(y) A(x) / prod_p (1 - x^p) over the
+    (s, P, A, periods) grades as one series, each period divided out with
+    ``/``."""
     out = TruncatedSeries(order)
-    for s, poly, a, p in grades:
+    for s, poly, a, periods in grades:
         term = TruncatedSeries(order, {
             (n, s, r): c * v for n, v in enumerate(a)
             for r, c in enumerate(poly)})
-        if p:
+        for p in periods:
             term = term / (one(order) - make_monomial(order, p, 0, 0))
         out = out + term
     return out

@@ -18,8 +18,8 @@ from comppat.identities import (d_series, gf_123_recursive,
 from comppat.patterns import (PartSet, PatternId, brute_force_table,
                               brute_force_word_table, count_occurrences,
                               enumerate_compositions)
-from comppat.series import (graded_quotient, image_grade, make_monomial,
-                            one, zero)
+from comppat.series import (_unfold, graded_quotient, image_grade,
+                            make_monomial, one, zero)
 from comppat.words import word_gf, word_table
 from series_helpers import (substitute_y0, substitute_y1, substitute_z1,
                             truncate)
@@ -91,9 +91,11 @@ def sizes_of(parts, order):
 def solve(p, sizes, order, image=False):
     """The builder's series for p over the part sizes: build_gf's route,
     or in the y = 0, z = 1 image avoidance_sequence's (grades collapsed)."""
-    num, t = genfun._GRADES[p](sizes, order)
     if image:
+        num, t = genfun._GRADES[p](sizes, order)
         num, t = [image_grade(num, order)], [image_grade(t, order)]
+    else:
+        num, t = genfun._solver_grades(p, sizes, order)
     return graded_quotient(num, t, order)
 
 
@@ -113,6 +115,68 @@ def test_gf_111_run_recurrence_matches_per_part_pair(parts, order, image):
     assert got == want
     assert list(got.coeffs) == list(want.coeffs)
 
+
+
+@pytest.mark.parametrize("parts, order", BUILDER_CASES)
+@pytest.mark.parametrize("p", list(P))
+def test_period_grades_solve_as_their_unfolded_grades(p, parts, order):
+    # the periods act only inside the solver: each grade of 1 - D unfolded
+    # to A / prod (1 - x^p) and solved densely gives the same terms in the
+    # same order
+    num, t = genfun._solver_grades(p, sizes_of(parts, order), order)
+    dense = [(s, poly, _unfold(a, periods, order), ())
+             for s, poly, a, periods in t]
+    got, want = graded_quotient(num, t, order), graded_quotient(
+        num, dense, order)
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)
+
+
+def nat_lead(p, s, order):
+    """c in nat's grade s of 1 - D, x^c / prod_p (1 - x^p): the leading
+    exponent of its selection sum in identities.nat_closed_forms, and for
+    the guard sums of 112 and 221 (grade s = 2g + 1) (g + 1)^2 and
+    g^2 + 3g + 1."""
+    g = s // 2
+    if p in (P.P112, P.P221):
+        return (g + 1) ** 2 if p == P.P112 else g * g + 3 * g + 1
+    kind, index = (("T", s) if p == P.P123 else ("M_even", g) if s % 2 == 0
+                   else ("N_odd" if p == P.VALLEY else "M_odd", g))
+    return min(nat_closed_forms(kind, index, order).coeffs)[0]
+
+
+NAT_PERIODS = {P.P112: lambda s: tuple(range(1, s + 1, 2)),
+               P.P221: lambda s: (*range(2, s, 2), s)}
+
+
+@pytest.mark.parametrize("p", [P.P112, P.P221, P.P123, P.PEAK, P.VALLEY])
+def test_nat_grades_are_q_products(p):
+    # at the CLI cap each selection sum that keeps its periods is one
+    # term, B = x^c: 1..s for t^s, M^s and N^s, odd p <= s for 112, even
+    # p < s and s itself for 221; the grades that keep A have too few
+    # terms below the order for the periods to pay
+    order = 60
+    _, t = genfun._solver_grades(p, genfun._parts(NAT, order), order)
+    cleared = [s for s, _, _, periods in t if periods]
+    assert len(cleared) >= 6 and 1 in cleared
+    for s, _, b, periods in t:
+        if periods:
+            assert periods == NAT_PERIODS.get(
+                p, lambda s: tuple(range(1, s + 1)))(s)
+            assert [(d, v) for d, v in enumerate(b) if v] == \
+                [(nat_lead(p, s, order), 1)], s
+
+
+@pytest.mark.parametrize("p", [P.P112, P.P221, P.P123, P.PEAK, P.VALLEY])
+def test_periods_are_kept_only_where_they_cost_less(p):
+    # finite sets with gaps and k letters keep every A as it is; on
+    # {1..6} both forms occur
+    order = 20
+    for sizes in ((1, 3, 4), (2, 3, 7), [1] * 3, [1] * 15):
+        _, t = genfun._solver_grades(p, sizes, order)
+        assert all(periods == () for *_, periods in t), sizes
+    _, t = genfun._solver_grades(p, tuple(range(1, 7)), order)
+    assert {bool(periods) for *_, periods in t} == {False, True}
 
 # -- 112 / 221 ---------------------------------------------------------------
 

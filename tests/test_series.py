@@ -14,7 +14,7 @@ from comppat.series import (GradingMismatchError, NonInvertibleError,
 from series_helpers import (graded_series, substitute_y0, substitute_y1,
                             substitute_z1, truncate)
 
-ONE = [(0, [1], [1], 0)]  # the numerator 1 as a grade
+ONE = [(0, [1], [1], ())]  # the numerator 1 as a grade
 
 
 def mono(n, m, r, c=1, order=10):
@@ -483,14 +483,19 @@ def test_repr_shows_eight_terms_then_the_count():
 
 # -- graded_quotient ---------------------------------------------------------
 
-# (s, P, A, p) grades: signed multi-term P with coefficients up to C, and
-# periods whose run ends are +k and -k (as in 111 over k repeated parts)
+# (s, P, A, periods) grades: signed multi-term P with coefficients up to
+# C; no period, one period with run ends +k and -k (as in 111 over k
+# repeated parts), several periods, a repeated one and one past order 9,
+# over signed multi-term A
 def graded_t(c, z_exp):
-    return [(1 * z_exp, [c, -3, 0, 1], [0, 1, 0, -2], 0),
-            (2 * z_exp, [-c, 5], [0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 7], 2),
-            (3 * z_exp, [0, 0, c], [0, 0, 0, 4, 0, 0, -4], 3),
-            (4 * z_exp, [1], [0, 0, 1, 0, -1, 0, 1, 0, 0, 0, 0, -1], 2),
-            (5 * z_exp, [-1, 2**70], [0, 0, 0, 0, 0, 1], 0)]
+    return [(1 * z_exp, [c, -3, 0, 1], [0, 1, 0, -2], ()),
+            (2 * z_exp, [-c, 5], [0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 7], (2,)),
+            (3 * z_exp, [0, 0, c], [0, 0, 0, 4, 0, 0, -4], (3,)),
+            (4 * z_exp, [1], [0, 0, 1, 0, -1, 0, 1, 0, 0, 0, 0, -1], (2,)),
+            (5 * z_exp, [-1, 2**70], [0, 0, 0, 0, 0, 1], ()),
+            (2 * z_exp, [1, -c], [0, 1, -1, 0, 2], (1, 2, 3)),
+            (1 * z_exp, [-2, 1], [0, 0, 0, 1, -3], (2, 2, 5)),
+            (3 * z_exp, [c], [0, 1, 1], (1, 12))]
 
 
 @pytest.mark.parametrize("z_exp", [0, 1])
@@ -502,7 +507,8 @@ def test_graded_quotient_matches_division(order, c, z_exp):
     # same order; each side's grades collapsed at y = 0, z = 1 give that
     # quotient's image
     t = graded_t(c, z_exp)
-    num = [(0, [1], [1], 0), (2 * z_exp, [c, -1], [0, 2, 0, -c], 3)]
+    num = [(0, [1], [1], ()), (2 * z_exp, [c, -1], [0, 2, 0, -c], (3,)),
+           (z_exp, [1, 1], [1, 0, -2], (1, 1, 4))]
     den = 1 - graded_series(t, order)
     for top, want in ((ONE, one(order) / den),
                       (num, graded_series(num, order) / den)):
@@ -517,7 +523,7 @@ def test_graded_quotient_matches_division(order, c, z_exp):
 def test_graded_quotient_reads_a_grade_up_to_the_order():
     # terms and periods past the order add nothing
     t = graded_t(2**70, 1)
-    past = [*t, (1, [1], [0] * 7 + [5], 0), (2, [3], [0] * 7 + [1], 7)]
+    past = [*t, (1, [1], [0] * 7 + [5], ()), (2, [3], [0] * 7 + [1], (7,))]
     assert graded_quotient(ONE, past, 6) == graded_quotient(ONE, t, 6)
     cut = [(s, poly, (a + [0] * 4)[:5], p) for s, poly, a, p in t]
     longer = [(s, poly, a + [9] * 5, p) for s, poly, a, p in cut]
@@ -552,7 +558,7 @@ def run_grades(term, exps):
             if a * k <= order:
                 xs[a * k] += dc
         grades.append((e * k, [term.coefficient(k, k, r) for r in range(4)],
-                       xs, k))
+                       xs, (k,)))
     return grades
 
 
@@ -575,8 +581,8 @@ def test_run_reciprocal_matches_division(exps, c):
 
 
 def test_run_reciprocal_rejects_other_inputs():
-    # a grade with an x-degree-0 term (directly or through its period)
+    # a grade with an x-degree-0 term (directly or through its periods)
     # would leave the integer ring
-    for a, p in (([1, 1], 0), ([2], 3)):
+    for a, p in (([1, 1], ()), ([2], (3,)), ([-1, 0, 1], (1, 2, 2))):
         with pytest.raises(NormalizationError):
             graded_quotient(ONE, [(1, [1], a, p)], 5)
