@@ -24,9 +24,10 @@ q = num + t q (den = 1 - t) degree by degree in x with q packed
 throughout, from the exact majorant |num|(x,1,1) / (1 - |t|(x,1,1)).
 The builders' quotients go through :func:`graded_quotient`, which takes
 num and t as grades z^s P(y) A(x) / prod_p (1 - x^p) of int lists,
-applies each period p as one running sum over the rows of q, and
-multiplies by each packed P once per x-degree; over the naturals every
-selection sum is such a q-product with a one-term A.  Every product of
+applies each period p as one running sum over the rows of q (shared by
+the grades whose periods start alike), and multiplies by each packed P
+once per x-degree; over the naturals every selection sum is such a
+q-product with a one-term A.  Every product of
 two series and every quotient lists its keys in ascending (n, m, r)
 order.
 
@@ -388,14 +389,16 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
     q is solved degree by degree in x, packed at the width of the majorant
     of ``/``, with ||P||_1 |A / prod (1 - x^p)| summed over each side's
     grades by x-degree.  At degree n a grade of t adds z^s P(y) V_n, where
-    V = A q / prod (1 - x^p) sums lower rows of q times ints before the
-    one multiply by the packed P: W_n = sum_d A[d] q_{n-d}, then for each
-    period p in turn the running sum W_n += W_{n-p} of that stage (kept
-    while n + p <= order), which for 111's one period is its run
-    recurrence.  Each row of q is allocated before the grades' V_n, over
-    the m-range that the rows below bound, and each V_n is added as it is
-    made; the row keeps the slots that were reached, so the keys come out
-    in ascending (n, m, r) order.
+    V = A q / prod (1 - x^p) sums lower rows of U = q / prod (1 - x^p)
+    times ints before the one multiply by the packed P:
+    V_n = sum_d A[d] U_{n-d}.  U for the periods P is a chain of running
+    sums, U_P[m] = U_P'[m] + U_P[m - p] with P = P' + (p,) and U_() = q,
+    extended once per degree and shared by every grade whose periods
+    start with P; for 111's one period it is the run recurrence.  Each
+    row of q is allocated before the grades' V_n, over the m-range that
+    the rows below bound, and each V_n is added as it is made; the row
+    keeps the slots that were reached, so the keys come out in ascending
+    (n, m, r) order.
     """
     num = [(s, poly, _unfold(a, periods, order))
            for s, poly, a, periods in num]
@@ -414,14 +417,32 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
     def pack(poly):  # the y-polynomial at y = 2**width
         return sum(c << width * r for r, c in enumerate(poly))
     num = [(s, pack(poly), c) for s, poly, c in num]
-    # (s, packed P, A's terms (d, A[d]), one (p, {n: W_n}) stage per
-    # period p <= order); a one-term A's coefficient goes into P
+    # (s, packed P, A's terms (d, A[d]), the periods <= order); a one-term
+    # A's coefficient goes into P
     t = [(s, pack(poly), [(d, v) for d, v in enumerate(a[:order + 1]) if v],
-          [(p, {}) for p in periods if p <= order])
+          tuple(p for p in periods if p <= order))
          for s, poly, a, periods in t if any(poly)]
-    t = [(s, pk * terms[0][1], [(terms[0][0], 1)], stages)
-         if len(terms) == 1 else (s, pk, terms, stages)
-         for s, pk, terms, stages in t]
+    t = [(s, pk * terms[0][1], [(terms[0][0], 1)], periods)
+         if len(terms) == 1 else (s, pk, terms, periods)
+         for s, pk, terms, periods in t if terms]
+    # chains[P][m] = (q / prod_{p in P} (1 - x^p))_m for each grade's
+    # periods P and their prefixes, chains[()] being q: made while some
+    # grade reads it (m <= limit[P]) and kept for span[P] degrees, until
+    # neither the running sum nor a grade's A reaches back to it
+    limit, span = {(): order}, {}
+    for _, _, terms, periods in t:
+        for i in range(1, len(periods) + 1):
+            key = periods[:i]
+            limit[key] = max(limit.get(key, 0), order - terms[0][0])
+            span[key] = max(span.get(key, 0), key[-1])
+        if periods:
+            span[periods] = max(span[periods], terms[-1][0])
+    chains: dict[tuple[int, ...], dict[int, Slice]] = {
+        key: {} for key in sorted(limit, key=len)}
+    stages = [(chains[key[:-1]], chains[key], key[-1], limit[key], span[key])
+              for key in chains if key]
+    t = [(s, pk, terms, chains[periods]) for s, pk, terms, periods in t]
+    q = chains[()]
     # q_n lies in m = s_lo .. max(num_hi, t_hi + high) - 1, high the end
     # of the rows below: a grade of num adds at m = s, one of t at s plus
     # the m of lower rows
@@ -429,7 +450,6 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
     num_hi = max([s + 1 for s, *_ in num], default=0)
     t_hi = max([s for s, *_ in t], default=0)
     high = 0
-    q: list[Slice | None] = [None] * (order + 1)
     for n in range(order + 1):
         row = [0] * (max(num_hi, t_hi + high) - s_lo)
         bottom, top = len(row), 0  # the slots that the grades reach
@@ -437,11 +457,13 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
             if c[n]:
                 row[s - s_lo] += pk * c[n]
                 bottom, top = min(bottom, s - s_lo), max(top, s - s_lo + 1)
-        for s, pk, terms, stages in t:
-            rows = [(v, r) for d, v in terms if d <= n and (r := q[n - d])]
+        for s, pk, terms, chain in t:
+            rows = [(v, r) for d, v in terms if (r := chain.get(n - d))]
+            if not rows:
+                continue
             if len(rows) == 1 and rows[0][0] == 1:
-                w = rows[0][1]  # one row of q as it is
-            elif rows:
+                w_lo, vec = rows[0][1]  # one row as it is
+            else:
                 w_lo = min([row_lo for _, (row_lo, _) in rows])
                 vec = [0] * (max([row_lo + len(r) for _, (row_lo, r) in rows])
                              - w_lo)
@@ -452,29 +474,24 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
                     else:
                         for i, x in enumerate(r, row_lo - w_lo):
                             vec[i] += v * x
-                w = w_lo, vec
-            else:
-                w = None
-            for p, runs in stages:
-                if run := runs.pop(n - p, None):
-                    w = _slice_sum(w, run) if w else run
-                if w and n + p <= order:
-                    runs[n] = w
-            if w:
-                w_lo, vec = w
-                at = s + w_lo - s_lo
-                for i, x in enumerate(vec, at):
-                    if x:
-                        row[i] += pk * x
-                if at < bottom:
-                    bottom = at
-                if at + len(vec) > top:
-                    top = at + len(vec)
+            at = s + w_lo - s_lo
+            for i, x in enumerate(vec, at):
+                if x:
+                    row[i] += pk * x
+            if at < bottom:
+                bottom = at
+            if at + len(vec) > top:
+                top = at + len(vec)
         if top:
             q[n] = (s_lo + bottom, row[bottom:top])
             high = max(high, s_lo + top)
-    return TruncatedSeries(order)._unrows(
-        {n: row for n, row in enumerate(q) if row}, width)
+        for prev, chain, p, last, keep in stages:
+            if n <= last:
+                w, run = prev.get(n), chain.get(n - p)
+                if w := (_slice_sum(w, run) if w and run else w or run):
+                    chain[n] = w
+            chain.pop(n - keep, None)
+    return TruncatedSeries(order)._unrows(q, width)
 
 
 def make_monomial(order: int, n: int, m: int, r: int,
