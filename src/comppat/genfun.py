@@ -15,8 +15,10 @@ Over the naturals every selection sum is a q-product x^c / prod_p (1 - x^p)
 ``identities.nat_closed_forms``).  So :func:`build_gf` gives each grade of
 1 - D the periods of that denominator (``_PERIODS``), and the solver runs
 each period as one running sum instead of convolving with the dense A_s;
-:func:`_q_product` keeps them only where they cost less.  111's grades
-carry their run period k on every part set.
+:func:`_q_product` keeps them only where they cost less.  111 is the
+paper's sum of one term per part, T(x^a z): its two grades per part carry
+that term's denominator as a factor on every part set, which the solver
+runs as a recurrence with steps of y - 1.
 
 The builders see the parts only as a list of sizes in increasing order
 (word series may pass one part of size 1 per letter).
@@ -127,44 +129,26 @@ def _mn_lists(parts: Parts, order: int,
 # (s, P, A, periods).
 # ---------------------------------------------------------------------------
 
-def _run_terms(order: int) -> list[list[int]]:
-    """T_0, ..., T_order: one part's run term in 111's sum,
-
-        T(b) = b (1 + (1-y) b) / (1 + b (1+b) (1-y)) = sum_k T_k b^k,
-
-    by T_k = [k = 1] - (1-y) (T_{k-1} + T_{k-2} - [k = 2])."""
-    terms = [[0], [1]]
-    for k in range(2, order + 1):
-        acc = terms[k - 1] + [0]
-        for r, c in enumerate(terms[k - 2]):
-            acc[r] += c
-        if k == 2:
-            acc[0] -= 1
-        terms.append([b - a for a, b in zip(acc, [0] + acc)])  # -(1-y) acc
-    return terms[:order + 1]
-
-
 def _grades_111(parts: Parts, order: int):
     """111 (level + level): 1 / (1 - sum over the parts a of T(x^a z)),
     with one run term for every part (the run substitution; Flajolet &
-    Sedgewick, Analytic Combinatorics, Ex. III.24).
+    Sedgewick, Analytic Combinatorics, Ex. III.24),
 
-    T_k does not depend on the part, so grade k is z^k T_k(y) sum_a x^{ak}.
-    That sum is given by the ends of each run of consecutive parts,
-    sum_a (c_a - c_{a-1}) x^{ak} / (1 - x^k) with c_a the count of part a,
-    so over {1..N} it is x^k / (1 - x^k).
+        T(b) = b (1 + (1-y) b) / (1 + (1-y) b (1 + b)).
+
+    A part a, taken c times, gives the grades c z x^a and c (1-y) z^2
+    x^{2a} over the one factor D_a = 1 - (y-1) (z x^a + z^2 x^{2a}), so
+    the solver multiplies its rows by y - 1 and by c and 1 - y, never by
+    T's dense coefficients.
     """
-    ends: dict[int, int] = {}  # a -> c_a - c_{a-1}
+    counts: dict[int, int] = {}
     for a in parts:
-        ends[a] = ends.get(a, 0) + 1
-        ends[a + 1] = ends.get(a + 1, 0) - 1
+        counts[a] = counts.get(a, 0) + 1
     grades = []
-    for k, poly in enumerate(_run_terms(order)[1:], 1):
-        xs = [0] * (order + 1)
-        for a, dc in ends.items():
-            if a * k <= order:
-                xs[a * k] += dc
-        grades.append((k, poly, xs, (k,)))
+    for a, c in counts.items():
+        factor = (((-1, 1), 1, a), ((-1, 1), 2, 2 * a))
+        grades += [(1, [c], [0] * a + [1], (factor,)),
+                   (2, [c, -c], [0] * (2 * a) + [1], (factor,))]
     return _ONE, grades
 
 
@@ -268,7 +252,7 @@ _GRADES = {
         *_mn_lists(parts, order), valley=True),
 }
 # The periods of nat's denominator for grade s of 1 - D (111's grades
-# carry their run period themselves).  For 112 and 221, s = 1 + 2g:
+# carry their factor themselves).  For 112 and 221, s = 1 + 2g:
 #   112: x^{(g+1)^2} / prod_{i<=g} (1 - x^{2i+1}),
 #   221: x^{g^2+3g+1} / ((1 - x^{2g+1}) prod_{1<=i<=g} (1 - x^{2i})).
 _PERIODS = {

@@ -16,8 +16,10 @@ production code computes, or exposes one of its intermediate series:
 * :func:`gf_123_recursive`, :func:`gf_peak_recursive` -- the 123 and peak
   series grown one part at a time; check ``build_gf`` for those patterns.
 * :func:`num_den_111` -- the 111 pair with one division per part; checks
-  the run grades (``genfun._grades_111``, solved with their period by
-  ``series.graded_quotient``) that every 111 series runs.
+  the per-part grades (``genfun._grades_111``, each part's two grades
+  solved over its factor by ``series.graded_quotient``) that every 111
+  series runs, and so the run terms T_k that the solver's majorant reads
+  from those factors.
 * :func:`qpochhammer_inverse`, :func:`nat_closed_forms` -- q-Pochhammer
   closed forms over the naturals; check t^p, M^s and N^s over nat, and
   the periods with which the builders' grades are solved there.

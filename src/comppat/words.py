@@ -50,8 +50,10 @@ def _z(m: int, c: int = 1) -> list[int]:
 
 
 def w111_closed(k: int, order: int) -> TruncatedSeries:
-    """111 over {1..k}: the builder's k equal run terms numer/denom
-    (b = z) over one denominator, denom / (denom - k numer), which is
+    """111 over {1..k}: the builder's factor D = 1 + (1-y) z (1 + z) of
+    one part of size 1 (b = z), with its k equal parts merged over that
+    one denominator: 1 / (1 - k T(z)) = D / (D - k z (1 + (1-y) z)),
+    which is
 
         (1 + z(1+z)(1-y)) / (1 - (k-1+y) z - (k-1)(1-y) z^2).
     """

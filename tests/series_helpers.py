@@ -42,15 +42,23 @@ def truncate(s: TruncatedSeries, order: int) -> TruncatedSeries:
 
 
 def graded_series(grades, order: int) -> TruncatedSeries:
-    """The sum of z^s P(y) A(x) / prod_p (1 - x^p) over the
-    (s, P, A, periods) grades as one series, each period divided out with
-    ``/``."""
+    """The sum of z^s P(y) A(x) / prod over the periods of their factors
+    over the (s, P, A, periods) grades as one series, each factor divided
+    out with ``/``: 1 - x^p for an int period p, and
+    1 - sum C(y) z^e x^p for a tuple of terms (C, e, p)."""
     out = TruncatedSeries(order)
     for s, poly, a, periods in grades:
         term = TruncatedSeries(order, {
             (n, s, r): c * v for n, v in enumerate(a)
             for r, c in enumerate(poly)})
-        for p in periods:
-            term = term / (one(order) - make_monomial(order, p, 0, 0))
+        for period in periods:
+            if isinstance(period, int):
+                term = term / (one(order) - make_monomial(order, period, 0, 0))
+                continue
+            den = one(order)
+            for cs, e, p in period:
+                den = den - TruncatedSeries(
+                    order, {(p, e, r): c for r, c in enumerate(cs)})
+            term = term / den
         out = out + term
     return out

@@ -18,11 +18,11 @@ from comppat.identities import (d_series, gf_123_recursive,
 from comppat.patterns import (PartSet, PatternId, brute_force_table,
                               brute_force_word_table, count_occurrences,
                               enumerate_compositions)
-from comppat.series import (_unfold, graded_quotient, image_grade,
-                            make_monomial, one, zero)
+from comppat.series import (TruncatedSeries, _unfold, graded_quotient,
+                            image_grade, make_monomial, one, zero)
 from comppat.words import word_gf, word_table
-from series_helpers import (substitute_y0, substitute_y1, substitute_z1,
-                            truncate)
+from series_helpers import (graded_series, substitute_y0, substitute_y1,
+                            substitute_z1, truncate)
 
 P = PatternId
 NAT = PartSet.naturals()
@@ -102,9 +102,9 @@ def solve(p, sizes, order, image=False):
 @pytest.mark.parametrize("image", [False, True], ids=["xzy", "y0z1"])
 @pytest.mark.parametrize("parts, order", BUILDER_CASES)
 def test_gf_111_run_recurrence_matches_per_part_pair(parts, order, image):
-    # the run grades, solved with their periods, against one division per
-    # part, in the trivariate ring and in the y = 0, z = 1 image: the same
-    # terms in the same order
+    # the per-part grades, solved over each part's factor, against one
+    # division per part, in the trivariate ring and in the y = 0, z = 1
+    # image: the same terms in the same order
     z_exp = 0 if image else 1
     y = zero(order) if image else make_monomial(order, 0, 0, 1)
     sizes = sizes_of(parts, order)
@@ -122,14 +122,37 @@ def test_gf_111_run_recurrence_matches_per_part_pair(parts, order, image):
 def test_period_grades_solve_as_their_unfolded_grades(p, parts, order):
     # the periods act only inside the solver: each grade of 1 - D unfolded
     # to A / prod (1 - x^p) and solved densely gives the same terms in the
-    # same order
+    # same order; 111's factors carry y and z, so its grades are summed as
+    # series with each factor divided out by / instead
     num, t = genfun._solver_grades(p, sizes_of(parts, order), order)
-    dense = [(s, poly, _unfold(a, periods, order), ())
-             for s, poly, a, periods in t]
-    got, want = graded_quotient(num, t, order), graded_quotient(
-        num, dense, order)
+    got = graded_quotient(num, t, order)
+    if p == P.P111:
+        want = graded_series(num, order) / (1 - graded_series(t, order))
+    else:
+        want = graded_quotient(num, [(s, poly, _unfold(a, periods, order), ())
+                                     for s, poly, a, periods in t], order)
     assert got == want
     assert list(got.coeffs) == list(want.coeffs)
+
+
+# the packing width, in bits, of each order-60 build over nat: a looser
+# majorant, such as 1 / (1 - |D_a - 1|) for 111's factors, would widen it
+NAT_60_WIDTHS = {P.P111: 81, P.P112: 69, P.P221: 64, P.P123: 64,
+                 P.PEAK: 79, P.VALLEY: 81}
+
+
+@pytest.mark.parametrize("p", list(P))
+def test_nat_order_60_packing_width_does_not_grow(p, monkeypatch):
+    # the quotient's rows are decoded last, at the solver's width
+    widths = []
+    unrows = TruncatedSeries._unrows
+
+    def spy(self, rows, width):
+        widths.append(width)
+        return unrows(self, rows, width)
+    monkeypatch.setattr(TruncatedSeries, "_unrows", spy)
+    build_gf(p, NAT, 60)
+    assert widths[-1] <= NAT_60_WIDTHS[p]
 
 
 def nat_lead(p, s, order):

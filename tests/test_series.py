@@ -530,7 +530,73 @@ def test_graded_quotient_reads_a_grade_up_to_the_order():
     assert graded_quotient(ONE, longer, 4) == graded_quotient(ONE, cut, 4)
 
 
-# -- the run reciprocal: 111's sum as period grades ---------------------------
+# -- graded_quotient over factors 1 - sum C(y) z^e x^p ------------------------
+
+def part_factor(a, z_exp):
+    """111's factor for a part a: 1 - (y-1) (z x^a + z^2 x^{2a})."""
+    return ((-1, 1), z_exp, a), ((-1, 1), 2 * z_exp, 2 * a)
+
+
+def part_grades(a, z_exp, count=1):
+    """111's two grades of a part a taken count times, over its factor."""
+    factor = part_factor(a, z_exp)
+    return [(z_exp, [count], [0] * a + [1], (factor,)),
+            (2 * z_exp, [count, -count], [0] * (2 * a) + [1], (factor,))]
+
+
+# (s, P, A, periods) grades over factors: one factor shared by two grades
+# (111's part 1), the same factor repeated (part 1 again, as with two
+# letters of size 1) and scaled (parts 2 and 3, whose majorants are read
+# from part 1's expansion), factors with signed multi-term C carrying y
+# and z, a term past order 9 and factors mixed with int periods on either
+# side
+def factor_t(c, z_exp):
+    signed = (((2, -c, 1), z_exp, 2), ((0, 0, -1), 0, 3),
+              ((5,), 2 * z_exp, 12))
+    mixed = (((1, 1), 2 * z_exp, 1), ((-3,), z_exp, 4))
+    return [*part_grades(1, z_exp), *part_grades(1, z_exp),
+            *part_grades(2, z_exp, 3), *part_grades(3, z_exp),
+            (2 * z_exp, [c, 1], [0, 1, 0, -2], (signed,)),
+            (z_exp, [-1, 2], [0, 0, 1, 1], (3, mixed)),
+            (3 * z_exp, [1, -c], [0, 0, 0, 1], (mixed, 2, signed))]
+
+
+@pytest.mark.parametrize("z_exp", [0, 1])
+@pytest.mark.parametrize("c", [1, 2**70])
+@pytest.mark.parametrize("order", [0, 1, 2, 9])
+def test_graded_quotient_over_factors_matches_division(order, c, z_exp):
+    # against one / (1 - t) and num / (1 - t) with the grades summed as
+    # series and each factor divided out by /: the same terms in the same
+    # order, alone and with the plain-period grades; the grades collapsed
+    # at y = 0, z = 1 give that quotient's image
+    t = factor_t(c, z_exp)
+    num = [(0, [1], [1], ()), (z_exp, [1, 1], [1, 0, -2], (1, 1, 4))]
+    for grades in (t, t + graded_t(c, z_exp)):
+        den = 1 - graded_series(grades, order)
+        for top, want in ((ONE, one(order) / den),
+                          (num, graded_series(num, order) / den)):
+            got = graded_quotient(top, grades, order)
+            assert got == want
+            assert list(got.coeffs) == list(want.coeffs)
+            assert graded_quotient([image_grade(top, order)],
+                                   [image_grade(grades, order)], order) \
+                == substitute_z1(substitute_y0(want))
+
+
+def test_graded_quotient_refuses_a_factor_of_x_degree_0():
+    # a factor term without x would leave the x-truncated ring, in the
+    # solver and in the image; num's grades take int periods only
+    for factor in ((((1,), 1, 0),), (((-1, 1), 1, 2), ((1,), 0, 0))):
+        grade = [(1, [1], [0, 1], (factor,))]
+        with pytest.raises(NormalizationError):
+            graded_quotient(ONE, grade, 5)
+        with pytest.raises(NormalizationError):
+            image_grade(grade, 5)
+    with pytest.raises(ValueError):
+        graded_quotient([(0, [1], [1], (part_factor(1, 1),))], [], 5)
+
+
+# -- run-term grades: a sum over weights as period grades ---------------------
 
 def substituted(term, exps):
     """sum over (a, e) in exps of term(x^a z^e), term's keys (k, k, r)."""
