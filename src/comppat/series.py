@@ -586,18 +586,29 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
          for s, pk, terms, periods in t]
     # chains[F][m] = (q / prod over F)_m for each grade's periods F and
     # their prefixes, chains[()] being q: made while some grade reads it
-    # (m <= limit[F]) and kept for span[F] degrees, until neither the step
-    # nor a grade's A reaches back to it
-    limit, span = {(): order}, {}
+    # (m <= limit[F]); reads[F][r] is the last degree at which F's step
+    # or a grade reaches back r to it
+    limit, reads = {(): order}, {}
     for _, _, terms, periods in t:
         for i in range(1, len(periods) + 1):
             key = periods[:i]
             limit[key] = max(limit.get(key, 0), order - terms[0][0])
-            reach = key[-1] if isinstance(key[-1], int) else \
-                max(_exponents(key[-1]))
-            span[key] = max(span.get(key, 0), reach)
         if periods:
-            span[periods] = max(span[periods], terms[-1][0])
+            reads.setdefault(periods, {}).update((d, order) for d, _ in terms)
+    for key in limit:
+        if key:
+            reach = reads.setdefault(key, {})
+            for p in _exponents(key[-1]):
+                reach[p] = max(reach.get(p, 0), limit[key])
+
+    def drops(key):
+        """(r, b) for each reach r of F: at degree n, entry n - r is
+        dropped if n - r > b, the last entry that a longer reach reads."""
+        out, bound = [], -1
+        for r in sorted(reads[key], reverse=True):
+            out.append((r, bound))
+            bound = max(bound, reads[key][r] - r)
+        return out
 
     def step(period):  # an int period, or a factor's terms by packed C
         if isinstance(period, int):
@@ -609,7 +620,7 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
     chains: dict[tuple, dict[int, Slice]] = {
         key: {} for key in sorted(limit, key=len)}
     stages = [(chains[key[:-1]], chains[key], step(key[-1]), limit[key],
-               span[key]) for key in chains if key]
+               drops(key)) for key in chains if key]
     # a one-term A, x^d, reads one row: its terms become d
     t = [(s, pk, terms[0][0] if len(terms) == 1 else terms, chains[periods])
          for s, pk, terms, periods in t]
@@ -652,7 +663,7 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
         if top:
             q[n] = (s_lo + bottom, row[bottom:top])
             high = max(high, s_lo + top)
-        for prev, chain, p, last, keep in stages:
+        for prev, chain, p, last, gone in stages:
             if n <= last:
                 w = prev.get(n)
                 if isinstance(p, int):
@@ -662,9 +673,9 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
                     w = _factor_step(w, chain, n, p)
                 if w:
                     chain[n] = w
-            chain.pop(n - keep, None)
-    for _, chain, *_ in stages:  # what the last degrees kept
-        chain.clear()
+            for r, bound in gone:
+                if n - r > bound:
+                    chain.pop(n - r, None)
     return TruncatedSeries(order)._unrows(q, width)
 
 
