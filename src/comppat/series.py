@@ -651,7 +651,8 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
             w_lo, vec = w
             at = s + w_lo - s_lo
             if pk == 1:
-                row[at:at + len(vec)] = map(add, row[at:at + len(vec)], vec)
+                for i, x in enumerate(vec, at):
+                    row[i] += x
             else:
                 for i, x in enumerate(vec, at):
                     if x:
