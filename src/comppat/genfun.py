@@ -6,9 +6,9 @@ occurrences of the statistic, truncated at a given x-order.  In the paper
 each statistic's series is N / D with D = 1 - sum_s z^s P_s(y) A_s(x):
 the sums over part selections A_s hold no y, and at each selection size s
 the occurrences enter through one fixed y-polynomial P_s.  Each builder in
-``_GRADES`` returns these pieces as grades (``series.Grade``), N's and
+``_GRADES`` returns these pieces as grades (``graded.Grade``), N's and
 those of 1 - D, built as plain int lists, and
-:func:`series.graded_quotient` solves the quotient.
+:func:`graded.graded_quotient` solves the quotient.
 
 Over the naturals every selection sum is a q-product x^c / prod_p (1 - x^p)
 (Andrews, The Theory of Partitions, Thm 3.3; cross-checked by
@@ -23,7 +23,7 @@ runs as a recurrence with steps of y - 1.
 The builders see the parts only as a list of sizes in increasing order
 (word series may pass one part of size 1 per letter).
 :func:`avoidance_sequence` collapses each side's grades into one at
-y := 0, z := 1 (:func:`series.image_grade`) and solves that quotient.
+y := 0, z := 1 (:func:`graded.image_grade`) and solves that quotient.
 
 The naturals are handled by materializing A = {1..order}: parts larger than
 the truncation order cannot appear in any composition that survives the
@@ -36,8 +36,9 @@ from collections.abc import Sequence
 from math import comb
 from operator import sub
 
+from .graded import Grade, graded_quotient, image_grade
 from .patterns import PartSet, PatternId, check_parts
-from .series import Grade, TruncatedSeries, graded_quotient, image_grade
+from .series import TruncatedSeries
 
 Parts = Sequence[int]
 # the numerator 1 as a list of grades
@@ -218,7 +219,7 @@ def _q_product(a: list[int], periods: Sequence[int],
                order: int) -> tuple[list[int], tuple[int, ...]]:
     """The x-series A as (B, periods) with A = B / prod_p (1 - x^p), when
     B's terms plus one running sum per period are fewer than A's terms,
-    and as (A, ()) otherwise (see series.graded_quotient).
+    and as (A, ()) otherwise (see graded.graded_quotient).
 
     Over the naturals B is one term, x^c (identities.nat_closed_forms);
     a sparse A, such as one selection sum of k letters, stays as it is

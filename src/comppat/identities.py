@@ -17,7 +17,7 @@ production code computes, or exposes one of its intermediate series:
   series grown one part at a time; check ``build_gf`` for those patterns.
 * :func:`num_den_111` -- the 111 pair with one division per part; checks
   the per-part grades (``genfun._grades_111``, each part's two grades
-  solved over its factor by ``series.graded_quotient``) that every 111
+  solved over its factor by ``graded.graded_quotient``) that every 111
   series runs, and so the run terms T_k that the solver's majorant reads
   from those factors.
 * :func:`qpochhammer_inverse`, :func:`nat_closed_forms` -- q-Pochhammer
@@ -39,8 +39,9 @@ from math import comb
 
 from .genfun import (_GRADES, _check_counts, _mn_lists, _parts, _t_lists,
                      build_gf)
+from .graded import graded_quotient
 from .patterns import PatternId
-from .series import TruncatedSeries, graded_quotient, make_monomial, one, zero
+from .series import TruncatedSeries, make_monomial, one, zero
 
 
 def _z(order: int, m: int = 1, r: int = 0, c: int = 1) -> TruncatedSeries:

@@ -12,7 +12,7 @@ stands for the weight x z of one letter.
 :func:`w_peak_closed`); 112/221 and peak/valley share a form through the
 complement i -> k+1-i on {1..k}.  Each form gives the grades of its
 numerator and denominator (as in :mod:`comppat.genfun`) to
-:func:`series.graded_quotient`; 123's and peak's are the builders' grades
+:func:`graded.graded_quotient`; 123's and peak's are the builders' grades
 at closed-form selection counts over {1..k}.  Every loop is bounded by
 the truncation order, so the cost is flat in k.
 """
@@ -22,8 +22,9 @@ from __future__ import annotations
 from math import comb
 
 from .genfun import _ONE, _grades_123, _grades_alternating, _ym1_pow
+from .graded import graded_quotient
 from .patterns import PatternId
-from .series import TruncatedSeries, graded_quotient
+from .series import TruncatedSeries
 
 
 def word_gf(p: PatternId, k: int, order: int) -> TruncatedSeries:

@@ -17,8 +17,8 @@ from comppat.asymptotics import (EVAL_EPS, AsymptoticsError, DomainError,
                                  _winding, emit_curve, estimate, eval_f,
                                  find_rho, predict_count, winding_number)
 from comppat.genfun import avoidance_sequence
+from comppat.graded import image_grade
 from comppat.patterns import PartSet, PatternId
-from comppat.series import image_grade
 
 P = PatternId
 

@@ -18,8 +18,8 @@ from comppat.identities import (d_series, gf_123_recursive,
 from comppat.patterns import (PartSet, PatternId, brute_force_table,
                               brute_force_word_table, count_occurrences,
                               enumerate_compositions)
-from comppat.series import (TruncatedSeries, _unfold, graded_quotient,
-                            image_grade, make_monomial, one, zero)
+from comppat.graded import _unfold, graded_quotient, image_grade
+from comppat.series import TruncatedSeries, make_monomial, one, zero
 from comppat.words import word_gf, word_table
 from series_helpers import (graded_series, substitute_y0, substitute_y1,
                             substitute_z1, truncate)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comppat.graded import graded_quotient, image_grade
 from comppat.series import (GradingMismatchError, NonInvertibleError,
                             NormalizationError, OrderRangeError,
-                            TruncatedSeries, graded_quotient, image_grade,
-                            make_monomial, one, zero)
+                            TruncatedSeries, make_monomial, one, zero)
 from series_helpers import (graded_series, substitute_y0, substitute_y1,
                             substitute_z1, truncate)
 
