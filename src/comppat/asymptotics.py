@@ -29,7 +29,6 @@ every |f| exceeds the certified bound.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from itertools import accumulate, repeat
@@ -209,8 +208,7 @@ def _coefficients(p: PatternId, n: int) -> list[list[float]]:
 
 def _qpoch_lower(ax: float) -> float:
     """Rigorous positive lower bound for prod_{j>=1} (1 - ax^j)."""
-    prod = 1.0
-    j = 1
+    prod, j = 1.0, 1
     while ax ** j > 1e-19:
         prod *= 1 - ax ** j
         j += 1
@@ -344,24 +342,28 @@ def find_rho(p: PatternId) -> float:
 
 # |computed exp(2 pi i k / n) - exp(2 pi i k / n)| for 0 <= k < n, and per
 # unit radius for the circle's points: pi's error and two roundings of an
-# angle below 2 pi (1.64e-15), and one ulp in each part of cmath.exp
+# angle below 2 pi (1.64e-15), and one ulp in each of its cos and sin
 _ROOT_ERR = 2e-15
 
 
-def _fft(x: list, roots: list) -> list:
+def _fft(x: list, stages: list) -> list:
     """sum_k x_k w^(jk) for j = 0 .. n - 1, where n = len(x) is a power of
-    two and roots[k] = w^k for k < n / 2: Stockham's radix-2 FFT, by
-    decimation in frequency with the output in natural order."""
-    n, m = len(x), 1
-    while m < n:
-        c0, c1 = x[:n // 2], x[n // 2:]
-        w = [wj for wj in roots[::m] for _ in range(m)]
-        sums = [a + b for a, b in zip(c0, c1)]
-        diffs = [wj * (a - b) for wj, a, b in zip(w, c0, c1)]
-        x = [0j] * n
-        for k in range(m):
-            x[k::2 * m], x[k + m::2 * m] = sums[k::m], diffs[k::m]
-        m *= 2
+    two and stages[h][j] = w^(m floor(j / m)) for j < n / 2, m = 2^h:
+    Stockham's radix-2 FFT, by decimation in frequency with the output in
+    natural order, assembled by the m-long blocks when they are fewer."""
+    half = len(x) // 2
+    for h, w in enumerate(stages):
+        m, c0, c1 = 1 << h, x[:half], x[half:]
+        sums = list(map(add, c0, c1))
+        diffs = list(map(mul, w, map(sub, c0, c1)))
+        if m * m > half:
+            x = []
+            for j in range(0, half, m):
+                x += sums[j:j + m] + diffs[j:j + m]
+        else:
+            x = [0j] * (2 * half)
+            for k in range(m):
+                x[k::2 * m], x[k + m::2 * m] = sums[k::m], diffs[k::m]
     return x
 
 
@@ -383,18 +385,19 @@ def _sample_circle(p: PatternId, radius: float, samples: int):
     if not 0 < radius <= _MAX_ABS:  # also rejects NaN
         raise ValueError(f"radius must be in (0, {_MAX_ABS}]")
     # exp(2 pi i k / samples): the points, the size-P roots and the twiddles
-    unit = [cmath.exp(2j * cmath.pi * k / samples)
-            for k in range(samples // 2 + 1)]
+    unit = [complex(math.cos(a), math.sin(a)) for a in
+            (2 * math.pi * k / samples for k in range(samples // 2 + 1))]
     points = [radius * w for w in unit]
     n, tail = _order(p, radius)
     size = min(samples & -samples, 1 << n.bit_length())
-    if size == 1:
-        # |x| may pass radius by an ulp
+    if size == 1:  # |x| may pass radius by an ulp
         return (points, *_quotient(
             points, *_parts(p, points, max(map(abs, points)))))
     stride, fold = samples // size, -(-(n + 1) // size)
     twiddles = unit + [w.conjugate() for w in unit[(samples - 1) // 2:0:-1]]
     roots = unit[:samples // 2:stride]
+    stages = [[wj for wj in roots[::m] for _ in range(m)]  # per FFT stage
+              for m in (1 << h for h in range(size.bit_length() - 1))]
     # |h'| <= M R / (R - r)^2 on |x| = r (Cauchy), times a point's error
     slope = _majorant(p) * _MAJORANT_RADIUS * radius * _ROOT_ERR \
         / (_MAJORANT_RADIUS - radius) ** 2
@@ -408,8 +411,9 @@ def _sample_circle(p: PatternId, radius: float, samples: int):
         for s in range(stride // 2 + 1):
             twiddled = [t * twiddles[i * s % samples]
                         for i, t in enumerate(terms)]
-            wide[s::stride] = _fft([sum(twiddled[k::size])
-                                    for k in range(size)], roots)
+            wide[s::stride] = _fft(  # 0 + t and 0: sum's bits, unfolded
+                [0 + t for t in twiddled] + [0] * (size - n - 1) if n < size
+                else [sum(twiddled[k::size]) for k in range(size)], stages)
         for s in range(stride // 2 + 1, stride):
             wide[s::stride] = [v.conjugate() for v in
                                reversed(wide[stride - s::stride])]
@@ -433,7 +437,8 @@ def _winding(values: list[complex]) -> int:
     samples = len(values)
     total = 0.0
     for idx in range(samples):
-        step = cmath.phase(values[(idx + 1) % samples] / values[idx])
+        ratio = values[(idx + 1) % samples] / values[idx]
+        step = math.atan2(ratio.imag, ratio.real)
         if abs(step) > math.pi / 2:
             raise UndersamplingError(
                 f"phase step {step:.3f} at sample {idx} exceeds pi/2; "
@@ -476,15 +481,10 @@ def estimate(p: PatternId, radius: float = WINDING_RADIUS,
     k = -1 / (rho * fprime)
     curve, values = _curve(p, radius, samples)
     return AsymptoticEstimate(
-        pattern=p,
-        rho=rho,
-        growth_v=1 / rho,
-        constant_K=k,
-        winding=_winding(values),
+        pattern=p, rho=rho, growth_v=1 / rho, constant_K=k,
+        winding=_winding(values), curve=curve,
         tolerances={"tail_eps": EVAL_EPS, "winding_samples": samples,
-                    "winding_radius": radius},
-        curve=curve,
-    )
+                    "winding_radius": radius})
 
 
 def predict_count(p: PatternId, n: int,

@@ -66,14 +66,9 @@ def _add_shifted(dst: list[int], src: list[int], a: int) -> None:
             dst[d] += c
 
 
-def _omy_pow(j: int) -> list[int]:
-    """(1 - y)^j."""
-    return [(-1) ** r * comb(j, r) for r in range(j + 1)]
-
-
-def _ym1_pow(j: int) -> list[int]:
-    """(y - 1)^j."""
-    return [(-1) ** (j - r) * comb(j, r) for r in range(j + 1)]
+def _level(e: int, a: int = 1) -> list[int]:
+    """a (y - 1)^e, in powers of y - 1."""
+    return [0] * e + [a]
 
 
 def _t_lists(parts: Parts, order: int) -> list[list[int]]:
@@ -139,17 +134,17 @@ def _grades_111(parts: Parts, order: int):
 
     A part a, taken c times, gives the grades c z x^a and c (1-y) z^2
     x^{2a} over the one factor D_a = 1 - (y-1) (z x^a + z^2 x^{2a}), so
-    the solver multiplies its rows by y - 1 and by c and 1 - y, never by
-    T's dense coefficients.
+    the solver multiplies its rows by c and y - 1, never by T's dense
+    coefficients.
     """
     counts: dict[int, int] = {}
     for a in parts:
         counts[a] = counts.get(a, 0) + 1
     grades = []
     for a, c in counts.items():
-        factor = (((-1, 1), 1, a), ((-1, 1), 2, 2 * a))
+        factor = (((0, 1), 1, a), ((0, 1), 2, 2 * a))  # C = y - 1
         grades += [(1, [c], [0] * a + [1], (factor,)),
-                   (2, [c, -c], [0] * (2 * a) + [1], (factor,))]
+                   (2, _level(1, -c), [0] * (2 * a) + [1], (factor,))]
     return _ONE, grades
 
 
@@ -175,7 +170,7 @@ def _grades_level(parts: Parts, order: int, mirrored: bool):
             _add_shifted(guards[g], guards[g - 1], 2 * a)
         if not any(guards[-1]):
             guards.pop()
-    return _ONE, [(1 + 2 * g, _ym1_pow(g), xs, ()) for g, xs in enumerate(sums)]
+    return _ONE, [(1 + 2 * g, _level(g), xs, ()) for g, xs in enumerate(sums)]
 
 
 def _grades_123(t: list[list[int]]):
@@ -188,10 +183,8 @@ def _grades_123(t: list[list[int]]):
     """
     grades = [(1, [1], t[1], ())] if len(t) > 1 else []
     for s in range(3, len(t)):
-        poly = [0] * (s - 1)
-        for p in range((s + 4) // 2, s + 1):
-            for r, c in enumerate(_ym1_pow(p - 2)):
-                poly[r] += comb(p - 3, s - p) * c
+        poly = [0] * ((s + 4) // 2 - 2)
+        poly += [comb(p - 3, s - p) for p in range((s + 4) // 2, s + 1)]
         grades.append((s, poly, t[s], ()))
     return _ONE, grades
 
@@ -208,10 +201,11 @@ def _grades_alternating(m: list[list[int]], n: list[list[int]],
     """
     top = len(m) - 1
     odd = n if valley else m
-    evens = [(2 * j, _omy_pow(j), m[2 * j], ()) for j in range(top // 2 + 1)]
+    evens = [(2 * j, _level(j, (-1) ** j), m[2 * j], ())
+             for j in range(top // 2 + 1)]
     return evens, (
         [(s, [-c for c in poly], xs, ()) for s, poly, xs, _ in evens[1:]]
-        + [(2 * j + 1, _omy_pow(j), odd[2 * j + 1], ())
+        + [(2 * j + 1, _level(j, (-1) ** j), odd[2 * j + 1], ())
            for j in range((top + 1) // 2)])
 
 
@@ -278,7 +272,7 @@ def _solver_grades(p: PatternId, parts: Parts, order: int):
 def _check_counts(series: TruncatedSeries) -> TruncatedSeries:
     # Builder outputs are counting series: every coefficient must be a
     # nonnegative count even though (y-1)-expansions go negative inside.
-    if any(c < 0 for c in series.coeffs.values()):
+    if min(series.coeffs.values(), default=0) < 0:
         raise RuntimeError("builder produced a negative coefficient")
     return series
 

@@ -1,16 +1,19 @@
 """Quotients of z-graded sums: q = sum(num) / (1 - sum(t)).
 
 The builders give num and t as grades, terms z^s P(y) A(x) / prod of
-factors with int lists P and A.  A factor is 1 - x^p for a period p,
+factors with int lists P and A, P listing its coefficients in powers of
+y - 1 (every occurrence is marked by y, so a grade's P is a power of
+y - 1 or a short sum of them).  A factor is 1 - x^p for a period p,
 applied as one running sum over the rows of q, or
-1 - sum_j C_j(y) z^e_j x^p_j, applied as a recurrence whose steps
-multiply by the small packed C_j (111's per-part denominator, with
-C_j = y - 1); either is shared by the grades whose factors start alike,
-and each packed P is multiplied in once per x-degree.  Over the naturals
-every selection sum is a q-product with a one-term A.  q is packed and
-read back as by ``/`` in :mod:`series` (one int per (n, m) row, at the
-width of the exact majorant), so its keys come out in ascending
-(n, m, r) order.
+1 - sum_j C_j(y) z^e_j x^p_j, C_j in powers of y - 1 too, applied as a
+recurrence (111's per-part denominator, with C_j = y - 1); either is
+shared by the grades whose factors start alike.  At each x-degree the
+grades of t are added level by level in y - 1 by Horner's rule, so a
+row is multiplied only by ints and by y - 1, a shift and a subtract.
+Over the naturals every selection sum is a q-product with a one-term A.
+q is packed and read back as by ``/`` in :mod:`series` (one int per
+(n, m) row, at the width of the exact majorant), so its keys come out
+in ascending (n, m, r) order.
 """
 
 from __future__ import annotations
@@ -25,14 +28,57 @@ from .series import (NormalizationError, Triple, TruncatedSeries,
                      _quotient_width)
 
 # (s, P, A, periods): the term z^s P(y) A(x) / prod of the periods' factors
-# of a graded sum, P and A lists of int coefficients (A of x-degree <=
-# order).  A period is an int p >= 1, the factor 1 - x^p, or a Factor,
-# the factor 1 - sum_j C_j(y) z^e_j x^p_j given by its terms (C_j, e_j,
-# p_j), C_j a tuple of ints and p_j >= 1; the periods are () for a dense A
+# of a graded sum, A a list of int coefficients (of x-degree <= order) and
+# P one of the coefficients a_e of P = sum_e a_e (y - 1)^e.  A period is
+# an int p >= 1, the factor 1 - x^p, or a Factor, the factor
+# 1 - sum_j C_j(y) z^e_j x^p_j given by its terms (C_j, e_j, p_j), C_j a
+# tuple of ints in powers of y - 1 like P and p_j >= 1; the periods are
+# () for a dense A
 Factor = tuple[tuple[tuple[int, ...], int, int], ...]
 Grade = tuple[int, Sequence[int], Sequence[int], tuple["int | Factor", ...]]
 # a slice (lo, [values at m = lo, lo + 1, ...]) of packed y-polynomials
 Slice = tuple[int, list[int]]
+
+
+def _pack(poly: Sequence[int], width: int) -> int:
+    """P = sum_e poly[e] (y - 1)^e at y = 2**width, by Horner's rule."""
+    v = 0
+    for a in reversed(poly):
+        v = (v << width) - v + a
+    return v
+
+
+def _in_y(poly: Sequence[int]) -> list[int]:
+    """P's coefficients in y, lowest first, each at most sum_e |a_e| 2^e:
+    P packed at a width that holds them, plus half a field in each field,
+    so that every field reads as its coefficient plus that half."""
+    width = max(map(abs, poly)).bit_length() + len(poly) + 1
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    v = _pack(poly, width) + half * ((1 << width * len(poly)) - 1) // mask
+    return [(v >> width * r & mask) - half for r in range(len(poly))]
+
+
+def _norm(poly: Sequence[int]) -> int:
+    """||P||_1, the sum of |coefficient| of P in y: |a| 2^e for one level
+    a (y - 1)^e."""
+    if len(poly) - list(poly).count(0) > 1:
+        return sum(map(abs, _in_y(poly)))
+    return sum(abs(a) << e for e, a in enumerate(poly))
+
+
+def _at_0(poly: Sequence[int]) -> int:
+    """P(0) = sum_e a_e (-1)^e."""
+    return sum(poly[::2]) - sum(poly[1::2])
+
+
+def _times(poly: Sequence[int], vec: list[int], width: int) -> list[int]:
+    """P x at y = 2**width for each packed x in vec, P's top level nonzero,
+    by Horner's rule: v (y - 1) is (v << width) - v."""
+    out = vec if poly[-1] == 1 else [poly[-1] * x for x in vec]
+    for a in reversed(poly[:-1]):
+        out = ([(v << width) - v + a * x for v, x in zip(out, vec)] if a
+               else [(v << width) - v for v in out])
+    return out
 
 
 def _exponents(period: "int | Factor") -> list[int]:
@@ -70,7 +116,7 @@ def _unfold(a: Sequence[int], periods: tuple, order: int) -> list[int]:
             for i in range(period, order + 1):
                 c[i] += c[i - period]
         else:
-            terms = [(cy[0], p) for cy, _, p in period if cy[0]]
+            terms = [(v, p) for cy, _, p in period if (v := _at_0(cy))]
             for i in range(order + 1):
                 c[i] += sum([v * c[i - p] for v, p in terms if p <= i])
     return c
@@ -92,7 +138,7 @@ def _factor(period: "int | Factor", order: int) -> TruncatedSeries:
     coeffs = {(0, 0, 0): 1}
     for c, e, p in (((1,), 0, period),) if isinstance(period, int) \
             else period:
-        for r, v in enumerate(c):
+        for r, v in enumerate(_in_y(c)):
             coeffs[p, e, r] = coeffs.get((p, e, r), 0) - v
     return TruncatedSeries(order, coeffs)
 
@@ -113,6 +159,7 @@ def _factor_sums(groups: dict, order: int) -> list[int]:
         top = order // min(gs)
         terms: dict[Triple, int] = {}
         for s, poly, a in grades:
+            poly = _in_y(poly)
             for d, v in enumerate(a[:top + 1]):
                 for r, c in enumerate(poly):
                     terms[d, s, r] = terms.get((d, s, r), 0) + c * v
@@ -156,15 +203,15 @@ def _weighted_sum(rows: list[tuple[int, Slice]]) -> Slice:
 
 
 def _factor_step(w: "Slice | None", chain: dict[int, Slice], n: int,
-                 step: list) -> "Slice | None":
+                 step: list, width: int) -> "Slice | None":
     """w + sum_j C_j z^e_j chain[n - p_j] for a factor's terms, given as
-    (packed C, [(e, p), ...]) by C: the shifted rows of one C are summed,
-    then multiplied by it once."""
-    for pk, shifts in step:
+    (C, [(e, p), ...]) by C: the shifted rows of one C are summed, then
+    multiplied by it once, by Horner's rule."""
+    for c, shifts in step:
         if runs := [(r[0] + e, r[1]) for e, p in shifts
                     if (r := chain.get(n - p))]:
             lo, s = reduce(_slice_sum, runs)
-            s = lo, [pk * x for x in s]
+            s = lo, _times(c, s, width)
             w = _slice_sum(w, s) if w else s
     return w
 
@@ -179,8 +226,9 @@ def image_grade(grades: Sequence[Grade], order: int) -> Grade:
     for _, poly, a, periods in grades:
         if (c := sums.get(periods)) is None:
             c = sums[periods] = [0] * (order + 1)
+        v = _at_0(poly)
         for d in compress(range(order + 1), a):
-            c[d] += poly[0] * a[d]
+            c[d] += v * a[d]
     out = [0] * (order + 1)
     for periods, c in sums.items():
         g, periods = _coarse(compress(range(order + 1), c),
@@ -197,25 +245,29 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
 
     q is solved degree by degree in x, packed at the width of the majorant
     of ``/``, with the sums of |coefficient| per x-degree of each side's
-    grades: ||P||_1 |A / prod (1 - x^p)| for int periods, and for the
-    grades with a factor the exact expansion of their sum over the same
-    periods (for 111's parts, the run terms T_k).  At degree n a grade of
-    t adds z^s P(y) V_n, where V = A q / prod over its periods sums lower
-    rows of U = q / prod over the periods times ints before the one
-    multiply by the packed P: V_n = sum_d A[d] U_{n-d}.  U for the
-    periods F is a chain, extended once per degree and shared by every
-    grade whose periods start with F: U_() = q, and for F = F' + (f,),
-    U_F[m] = U_F'[m] + U_F[m - p] for an int f = p, a running sum, or
-    U_F[m] = U_F'[m] + sum_j C_j z^e_j U_F[m - p_j] for a factor, each
-    C_j packed; a row is dropped once neither the step nor a grade
-    reaches back to it.  Each row of q is allocated before the grades'
-    V_n, over the m-range that the rows below bound, and each V_n is
-    added as it is made; the row keeps the slots that were reached, so
-    the keys come out in ascending (n, m, r) order.
+    grades: ||P||_1 |A / prod (1 - x^p)| for int periods, ||P||_1 that of
+    P expanded in y, and for the grades with a factor the exact expansion
+    of their sum over the same periods (for 111's parts, the run terms
+    T_k).  At degree n a grade of t adds z^s P(y) V_n, where V = A q /
+    prod over its periods sums lower rows of U = q / prod over the periods
+    times ints: V_n = sum_d A[d] U_{n-d}.  The grades' V_n are added by
+    Horner's rule over the levels e of P = sum_e a_e (y - 1)^e, from the
+    top down: acc <- acc (y - 1) + sum_grades a_e V_n, each a_e V_n
+    reusing the grade's one V_n, and acc (y - 1) at y = 2**width is
+    (x << width) - x for each slot x, so no step multiplies two packed
+    polynomials.  U for the periods F is a chain, extended once per
+    degree and shared by every grade whose periods start with F:
+    U_() = q, and for F = F' + (f,), U_F[m] = U_F'[m] + U_F[m - p] for an
+    int f = p, a running sum, or U_F[m] = U_F'[m] + sum_j C_j z^e_j
+    U_F[m - p_j] for a factor, each C_j applied by Horner's rule too; a
+    row is dropped once neither the step nor a grade reaches back to it.
+    Each row of q is allocated before the grades' V_n, over the m-range
+    that the rows below bound; the row keeps the slots that were reached,
+    so the keys come out in ascending (n, m, r) order.
     """
     if not all(isinstance(p, int) for *_, periods in num for p in periods):
         raise ValueError("a grade of num takes int periods only")
-    num = [(s, poly, _unfold(a, periods, order))
+    num = [(s, poly, _norm(poly), _unfold(a, periods, order))
            for s, poly, a, periods in num]
     t_sums = [0] * (order + 1)
     groups: dict[tuple, list] = {}  # periods with a factor -> their grades
@@ -229,7 +281,7 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
             continue
         live.append((s, poly, a, periods))
         if all(isinstance(p, int) for p in periods):
-            norm = sum(map(abs, poly))
+            norm = _norm(poly)
             t_sums = [u + norm * abs(v)
                       for u, v in zip(t_sums, _unfold(a, periods, order))]
         else:
@@ -237,25 +289,33 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
     if groups:
         t_sums = list(map(add, t_sums, _factor_sums(groups, order)))
     width = _quotient_width(
-        [sum(sum(map(abs, poly)) * abs(c[d]) for _, poly, c in num)
+        [sum(norm * abs(c[d]) for _, _, norm, c in num)
          for d in range(order + 1)], t_sums)
-
-    def pack(poly):  # the y-polynomial at y = 2**width
-        return sum(c << width * r for r, c in enumerate(poly))
-    num = [(s, pack(poly), c) for s, poly, c in num]
-    # (s, packed P, A's terms (d, A[d]), the live periods); a one-term
-    # A's coefficient goes into P
-    t = [(s, pack(poly), [(d, a[d]) for d in compress(range(len(a)), a)],
-          periods) for s, poly, a, periods in live]
-    t = [(s, pk * terms[0][1], [(terms[0][0], 1)], periods)
-         if len(terms) == 1 else (s, pk, terms, periods)
-         for s, pk, terms, periods in t]
+    num = [(s, _pack(poly, width), c) for s, poly, _, c in num]
+    # (s, scale, A's terms (d, A[d]), the live periods, P's levels
+    # (e, a_e)): a one-term A's coefficient scales V_n, or goes into a
+    # one-level P's a_e
+    t = []
+    for s, poly, a, periods in live:
+        terms = [(d, a[d]) for d in compress(range(len(a)), a)]
+        levels = [(e, v) for e, v in enumerate(poly) if v]
+        scale = terms[0][1] if len(terms) == 1 else 1
+        if len(levels) == 1:
+            levels, scale = [(levels[0][0], levels[0][1] * scale)], 1
+        t.append((s, scale, terms, periods, levels))
+    # by_level[e]: (i, a_e) for the grades t[i] with level e
+    by_level: list[list[tuple[int, int]]] = [
+        [] for _ in range(max([e for *_, levels in t for e, _ in levels],
+                              default=-1) + 1)]
+    for i, (*_, levels) in enumerate(t):
+        for e, v in levels:
+            by_level[e].append((i, v))
     # chains[F][m] = (q / prod over F)_m for each grade's periods F and
     # their prefixes, chains[()] being q: made while some grade reads it
     # (m <= limit[F]); reads[F][r] is the last degree at which F's step
     # or a grade reaches back r to it
     limit, reads = {(): order}, {}
-    for _, _, terms, periods in t:
+    for _, _, terms, periods, _ in t:
         for i in range(1, len(periods) + 1):
             key = periods[:i]
             limit[key] = max(limit.get(key, 0), order - terms[0][0])
@@ -276,20 +336,23 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
             bound = max(bound, reads[key][r] - r)
         return out
 
-    def step(period):  # an int period, or a factor's terms by packed C
+    def step(period):  # an int period, or a factor's terms by C
         if isinstance(period, int):
             return period
-        by_c: dict[int, list[tuple[int, int]]] = {}
+        by_c: dict[tuple, list[tuple[int, int]]] = {}
         for c, e, p in period:
-            by_c.setdefault(pack(c), []).append((e, p))
+            c = tuple(c)
+            while not c[-1]:
+                c = c[:-1]
+            by_c.setdefault(c, []).append((e, p))
         return list(by_c.items())
     chains: dict[tuple, dict[int, Slice]] = {
         key: {} for key in sorted(limit, key=len)}
     stages = [(chains[key[:-1]], chains[key], step(key[-1]), limit[key],
                drops(key)) for key in chains if key]
     # a one-term A, x^d, reads one row: its terms become d
-    t = [(s, pk, terms[0][0] if len(terms) == 1 else terms, chains[periods])
-         for s, pk, terms, periods in t]
+    t = [(s, scale, terms[0][0] if len(terms) == 1 else terms,
+          chains[periods]) for s, scale, terms, periods, _ in t]
     q = chains[()]
     # q_n lies in m = s_lo .. max(num_hi, t_hi + high) - 1, high the end
     # of the rows below: a grade of num adds at m = s, one of t at s plus
@@ -300,33 +363,51 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
     high = 0
     for n in range(order + 1):
         row = [0] * (max(num_hi, t_hi + high) - s_lo)
-        bottom, top = len(row), 0  # the slots that the grades reach
+        # Horner's rule over the levels, acc in the slots reached so far;
+        # vs[i] is t[i]'s (slot, scale V_n) once made, None without one
+        bottom, top = len(row), 0
+        vs: list = [0] * len(t)
+        for level in reversed(by_level):
+            if top - bottom == 1:  # acc (y - 1)
+                x = row[bottom]
+                row[bottom] = (x << width) - x
+            elif top:
+                row[bottom:top] = [(x << width) - x for x in row[bottom:top]]
+            for i, v in level:
+                if (slot := vs[i]) == 0:  # V_n, read at t[i]'s top level
+                    s, scale, terms, chain = t[i]
+                    if isinstance(terms, int):  # x^d: U_{n-d} as it is
+                        w = chain.get(n - terms)
+                    elif rows := [(c, r) for d, c in terms
+                                  if (r := chain.get(n - d))]:
+                        w = _weighted_sum(rows)
+                    else:
+                        w = None
+                    if not w:
+                        vs[i] = None
+                        continue
+                    at, vec = s + w[0] - s_lo, w[1]
+                    if scale != 1:
+                        vec = [scale * x for x in vec]
+                    slot = vs[i] = at, vec
+                    if at < bottom:
+                        bottom = at
+                    if at + len(vec) > top:
+                        top = at + len(vec)
+                elif not slot:
+                    continue
+                at, vec = slot
+                if v == 1:
+                    for j, x in enumerate(vec, at):
+                        row[j] += x
+                else:
+                    for j, x in enumerate(vec, at):
+                        if x:
+                            row[j] += v * x
         for s, pk, c in num:
             if c[n]:
                 row[s - s_lo] += pk * c[n]
                 bottom, top = min(bottom, s - s_lo), max(top, s - s_lo + 1)
-        for s, pk, terms, chain in t:
-            if isinstance(terms, int):  # x^d: the row U_{n-d} as it is
-                if not (w := chain.get(n - terms)):
-                    continue
-            elif rows := [(v, r) for d, v in terms
-                          if (r := chain.get(n - d))]:
-                w = _weighted_sum(rows)
-            else:
-                continue
-            w_lo, vec = w
-            at = s + w_lo - s_lo
-            if pk == 1:
-                for i, x in enumerate(vec, at):
-                    row[i] += x
-            else:
-                for i, x in enumerate(vec, at):
-                    if x:
-                        row[i] += pk * x
-            if at < bottom:
-                bottom = at
-            if at + len(vec) > top:
-                top = at + len(vec)
         if top:
             q[n] = (s_lo + bottom, row[bottom:top])
             high = max(high, s_lo + top)
@@ -337,7 +418,7 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
                     run = chain.get(n - p)
                     w = _slice_sum(w, run) if w and run else w or run
                 else:
-                    w = _factor_step(w, chain, n, p)
+                    w = _factor_step(w, chain, n, p, width)
                 if w:
                     chain[n] = w
             for r, bound in gone:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .genfun import _ONE, _grades_123, _grades_alternating, _ym1_pow
+from .genfun import _ONE, _grades_123, _grades_alternating, _level
 from .graded import graded_quotient
 from .patterns import PatternId
 from .series import TruncatedSeries
@@ -58,8 +58,8 @@ def w111_closed(k: int, order: int) -> TruncatedSeries:
 
         (1 + z(1+z)(1-y)) / (1 - (k-1+y) z - (k-1)(1-y) z^2).
     """
-    num = [*_ONE, (1, [1, -1], _z(1), ()), (2, [1, -1], _z(2), ())]
-    t = [(1, [k - 1, 1], _z(1), ()), (2, [k - 1, 1 - k], _z(2), ())]
+    num = [*_ONE, (1, _level(1, -1), _z(1), ()), (2, _level(1, -1), _z(2), ())]
+    t = [(1, [k, 1], _z(1), ()), (2, _level(1, 1 - k), _z(2), ())]
     return graded_quotient(num, t, order)
 
 
@@ -73,8 +73,8 @@ def w112_closed(k: int, order: int) -> TruncatedSeries:
         1 / (1 - sum_{j=1}^{k} C(k, j) (y-1)^{j-1} z^{2j-1}).
     """
     return graded_quotient(_ONE, [
-        (2 * j - 1, [comb(k, j) * c for c in _ym1_pow(j - 1)],
-         _z(2 * j - 1), ()) for j in range(1, min(k, (order + 1) // 2) + 1)],
+        (2 * j - 1, _level(j - 1, comb(k, j)), _z(2 * j - 1), ())
+        for j in range(1, min(k, (order + 1) // 2) + 1)],
         order)
 
 

@@ -7,6 +7,8 @@ to), re-truncation to a smaller order, and the series of a list of
 grades.
 """
 
+from math import comb
+
 from comppat.series import TruncatedSeries, make_monomial, one
 
 
@@ -41,16 +43,25 @@ def truncate(s: TruncatedSeries, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, s.coeffs)
 
 
+def in_y(poly) -> list[int]:
+    """The coefficients in y of sum_e poly[e] (y - 1)^e, lowest first, by
+    the binomial theorem."""
+    return [sum(a * comb(e, r) * (-1) ** (e - r)
+                for e, a in enumerate(poly) if e >= r)
+            for r in range(len(poly))]
+
+
 def graded_series(grades, order: int) -> TruncatedSeries:
     """The sum of z^s P(y) A(x) / prod over the periods of their factors
     over the (s, P, A, periods) grades as one series, each factor divided
     out with ``/``: 1 - x^p for an int period p, and
-    1 - sum C(y) z^e x^p for a tuple of terms (C, e, p)."""
+    1 - sum C(y) z^e x^p for a tuple of terms (C, e, p); P and each C
+    list their coefficients in powers of y - 1."""
     out = TruncatedSeries(order)
     for s, poly, a, periods in grades:
         term = TruncatedSeries(order, {
             (n, s, r): c * v for n, v in enumerate(a)
-            for r, c in enumerate(poly)})
+            for r, c in enumerate(in_y(poly))})
         for period in periods:
             if isinstance(period, int):
                 term = term / (one(order) - make_monomial(order, period, 0, 0))
@@ -58,7 +69,7 @@ def graded_series(grades, order: int) -> TruncatedSeries:
             den = one(order)
             for cs, e, p in period:
                 den = den - TruncatedSeries(
-                    order, {(p, e, r): c for r, c in enumerate(cs)})
+                    order, {(p, e, r): c for r, c in enumerate(in_y(cs))})
             term = term / den
         out = out + term
     return out

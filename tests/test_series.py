@@ -483,18 +483,20 @@ def test_repr_shows_eight_terms_then_the_count():
 
 # -- graded_quotient ---------------------------------------------------------
 
-# (s, P, A, periods) grades: signed multi-term P with coefficients up to
-# C; no period, one period with run ends +k and -k (as in 111 over k
-# repeated parts), several periods, a repeated one and one past order 9,
-# over signed multi-term A
+# (s, P, A, periods) grades, P in powers of y - 1: signed multi-term P
+# with coefficients up to C (in y: c - 3y + y^3, -c + 5y, c y^2, 1,
+# -1 + 2^70 y, 1 - c y, -2 + y and c); no period, one period with run
+# ends +k and -k (as in 111 over k repeated parts), several periods, a
+# repeated one and one past order 9, over signed multi-term A
 def graded_t(c, z_exp):
-    return [(1 * z_exp, [c, -3, 0, 1], [0, 1, 0, -2], ()),
-            (2 * z_exp, [-c, 5], [0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 7], (2,)),
-            (3 * z_exp, [0, 0, c], [0, 0, 0, 4, 0, 0, -4], (3,)),
+    return [(1 * z_exp, [c - 2, 0, 3, 1], [0, 1, 0, -2], ()),
+            (2 * z_exp, [5 - c, 5],
+             [0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 7], (2,)),
+            (3 * z_exp, [c, 2 * c, c], [0, 0, 0, 4, 0, 0, -4], (3,)),
             (4 * z_exp, [1], [0, 0, 1, 0, -1, 0, 1, 0, 0, 0, 0, -1], (2,)),
-            (5 * z_exp, [-1, 2**70], [0, 0, 0, 0, 0, 1], ()),
-            (2 * z_exp, [1, -c], [0, 1, -1, 0, 2], (1, 2, 3)),
-            (1 * z_exp, [-2, 1], [0, 0, 0, 1, -3], (2, 2, 5)),
+            (5 * z_exp, [2**70 - 1, 2**70], [0, 0, 0, 0, 0, 1], ()),
+            (2 * z_exp, [1 - c, -c], [0, 1, -1, 0, 2], (1, 2, 3)),
+            (1 * z_exp, [-1, 1], [0, 0, 0, 1, -3], (2, 2, 5)),
             (3 * z_exp, [c], [0, 1, 1], (1, 12))]
 
 
@@ -507,8 +509,9 @@ def test_graded_quotient_matches_division(order, c, z_exp):
     # same order; each side's grades collapsed at y = 0, z = 1 give that
     # quotient's image
     t = graded_t(c, z_exp)
-    num = [(0, [1], [1], ()), (2 * z_exp, [c, -1], [0, 2, 0, -c], (3,)),
-           (z_exp, [1, 1], [1, 0, -2], (1, 1, 4))]
+    # P in y: 1, c - y and 1 + y
+    num = [(0, [1], [1], ()), (2 * z_exp, [c - 1, -1], [0, 2, 0, -c], (3,)),
+           (z_exp, [2, 1], [1, 0, -2], (1, 1, 4))]
     den = 1 - graded_series(t, order)
     for top, want in ((ONE, one(order) / den),
                       (num, graded_series(num, order) / den)):
@@ -534,31 +537,33 @@ def test_graded_quotient_reads_a_grade_up_to_the_order():
 
 def part_factor(a, z_exp):
     """111's factor for a part a: 1 - (y-1) (z x^a + z^2 x^{2a})."""
-    return ((-1, 1), z_exp, a), ((-1, 1), 2 * z_exp, 2 * a)
+    return ((0, 1), z_exp, a), ((0, 1), 2 * z_exp, 2 * a)
 
 
 def part_grades(a, z_exp, count=1):
-    """111's two grades of a part a taken count times, over its factor."""
+    """111's two grades of a part a taken count times, over its factor:
+    count z x^a and count (1 - y) z^2 x^{2a}."""
     factor = part_factor(a, z_exp)
     return [(z_exp, [count], [0] * a + [1], (factor,)),
-            (2 * z_exp, [count, -count], [0] * (2 * a) + [1], (factor,))]
+            (2 * z_exp, [0, -count], [0] * (2 * a) + [1], (factor,))]
 
 
 # (s, P, A, periods) grades over factors: one factor shared by two grades
 # (111's part 1), the same factor repeated (part 1 again, as with two
 # letters of size 1) and scaled (parts 2 and 3, whose majorants are read
 # from part 1's expansion), factors with signed multi-term C carrying y
-# and z, a term past order 9 and factors mixed with int periods on either
-# side
+# and z (in y: 2 - c y + y^2, -y^2, 5, 1 + y and -3), a term past order
+# 9 and factors mixed with int periods on either side; P in y: c + y,
+# -1 + 2y and 1 - c y
 def factor_t(c, z_exp):
-    signed = (((2, -c, 1), z_exp, 2), ((0, 0, -1), 0, 3),
+    signed = (((3 - c, 2 - c, 1), z_exp, 2), ((-1, -2, -1), 0, 3),
               ((5,), 2 * z_exp, 12))
-    mixed = (((1, 1), 2 * z_exp, 1), ((-3,), z_exp, 4))
+    mixed = (((2, 1), 2 * z_exp, 1), ((-3,), z_exp, 4))
     return [*part_grades(1, z_exp), *part_grades(1, z_exp),
             *part_grades(2, z_exp, 3), *part_grades(3, z_exp),
-            (2 * z_exp, [c, 1], [0, 1, 0, -2], (signed,)),
-            (z_exp, [-1, 2], [0, 0, 1, 1], (3, mixed)),
-            (3 * z_exp, [1, -c], [0, 0, 0, 1], (mixed, 2, signed))]
+            (2 * z_exp, [c + 1, 1], [0, 1, 0, -2], (signed,)),
+            (z_exp, [1, 2], [0, 0, 1, 1], (3, mixed)),
+            (3 * z_exp, [1 - c, -c], [0, 0, 0, 1], (mixed, 2, signed))]
 
 
 @pytest.mark.parametrize("z_exp", [0, 1])
@@ -570,7 +575,7 @@ def test_graded_quotient_over_factors_matches_division(order, c, z_exp):
     # order, alone and with the plain-period grades; the grades collapsed
     # at y = 0, z = 1 give that quotient's image
     t = factor_t(c, z_exp)
-    num = [(0, [1], [1], ()), (z_exp, [1, 1], [1, 0, -2], (1, 1, 4))]
+    num = [(0, [1], [1], ()), (z_exp, [2, 1], [1, 0, -2], (1, 1, 4))]
     for grades in (t, t + graded_t(c, z_exp)):
         den = 1 - graded_series(grades, order)
         for top, want in ((ONE, one(order) / den),
@@ -586,7 +591,7 @@ def test_graded_quotient_over_factors_matches_division(order, c, z_exp):
 def test_graded_quotient_refuses_a_factor_of_x_degree_0():
     # a factor term without x would leave the x-truncated ring, in the
     # solver and in the image; num's grades take int periods only
-    for factor in ((((1,), 1, 0),), (((-1, 1), 1, 2), ((1,), 0, 0))):
+    for factor in ((((1,), 1, 0),), (((0, 1), 1, 2), ((1,), 0, 0))):
         grade = [(1, [1], [0, 1], (factor,))]
         with pytest.raises(NormalizationError):
             graded_quotient(ONE, grade, 5)
@@ -610,7 +615,8 @@ def substituted(term, exps):
 def run_grades(term, exps):
     """The same sum as grades: z^{e k} T_k(y) sum_a x^{a k}, the sum over
     the weights given by its run ends (+c at a, -c past a run of c equal
-    exponents a) with period k."""
+    exponents a) with period k; T_k in powers of y - 1, each y^r being
+    sum_e C(r, e) (y - 1)^e."""
     ends = {}
     for a, _ in exps:
         ends[a] = ends.get(a, 0) + 1
@@ -623,8 +629,9 @@ def run_grades(term, exps):
         for a, dc in ends.items():
             if a * k <= order:
                 xs[a * k] += dc
-        grades.append((e * k, [term.coefficient(k, k, r) for r in range(4)],
-                       xs, (k,)))
+        cs = [term.coefficient(k, k, r) for r in range(4)]
+        grades.append((e * k, [sum(c * comb(r, j) for r, c in enumerate(cs))
+                               for j in range(4)], xs, (k,)))
     return grades
 
 
