@@ -5,9 +5,11 @@ x^n z^m y^r counts compositions of n with m parts in A and exactly r
 occurrences of the statistic, truncated at a given x-order.  In the paper
 each statistic's series is N / D with D = 1 - sum_s z^s P_s(y) A_s(x):
 the sums over part selections A_s hold no y, and at each selection size s
-the occurrences enter through one fixed y-polynomial P_s.  Each builder in
-``_GRADES`` returns these pieces as grades (``graded.Grade``), N's and
-those of 1 - D, built as plain int lists, and
+the occurrences enter through one fixed y-polynomial P_s.  Every
+occurrence is marked by y, so P_s is a power of y - 1 (``_level``) or,
+for 123, a short sum of them.  Each builder in ``_GRADES`` returns these
+pieces as grades (``graded.Grade``), N's and those of 1 - D, built as
+plain int lists with each P_s in powers of y - 1, and
 :func:`graded.graded_quotient` solves the quotient.
 
 Over the naturals every selection sum is a q-product x^c / prod_p (1 - x^p)

@@ -29,7 +29,7 @@ from .series import (NormalizationError, Triple, TruncatedSeries,
 
 # (s, P, A, periods): the term z^s P(y) A(x) / prod of the periods' factors
 # of a graded sum, A a list of int coefficients (of x-degree <= order) and
-# P one of the coefficients a_e of P = sum_e a_e (y - 1)^e.  A period is
+# P the list of the int a_e of P = sum_e a_e (y - 1)^e.  A period is
 # an int p >= 1, the factor 1 - x^p, or a Factor, the factor
 # 1 - sum_j C_j(y) z^e_j x^p_j given by its terms (C_j, e_j, p_j), C_j a
 # tuple of ints in powers of y - 1 like P and p_j >= 1; the periods are
@@ -262,8 +262,9 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
     U_F[m - p_j] for a factor, each C_j applied by Horner's rule too; a
     row is dropped once neither the step nor a grade reaches back to it.
     Each row of q is allocated before the grades' V_n, over the m-range
-    that the rows below bound; the row keeps the slots that were reached,
-    so the keys come out in ascending (n, m, r) order.
+    that the rows below, of q and of the chains, bound; the row keeps the
+    slots that were reached, so the keys come out in ascending (n, m, r)
+    order.
     """
     if not all(isinstance(p, int) for *_, periods in num for p in periods):
         raise ValueError("a grade of num takes int periods only")
@@ -341,7 +342,6 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
             return period
         by_c: dict[tuple, list[tuple[int, int]]] = {}
         for c, e, p in period:
-            c = tuple(c)
             while not c[-1]:
                 c = c[:-1]
             by_c.setdefault(c, []).append((e, p))
@@ -355,8 +355,9 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
           chains[periods]) for s, scale, terms, periods, _ in t]
     q = chains[()]
     # q_n lies in m = s_lo .. max(num_hi, t_hi + high) - 1, high the end
-    # of the rows below: a grade of num adds at m = s, one of t at s plus
-    # the m of lower rows
+    # of the rows below, of q and of the chains (a factor's z^e moves its
+    # chain's rows past q's): a grade of num adds at m = s, one of t at s
+    # plus the m of lower rows
     s_lo = min([s for s, *_ in num] + [s for s, *_ in t], default=0)
     num_hi = max([s + 1 for s, *_ in num], default=0)
     t_hi = max([s for s, *_ in t], default=0)
@@ -421,6 +422,7 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
                     w = _factor_step(w, chain, n, p, width)
                 if w:
                     chain[n] = w
+                    high = max(high, w[0] + len(w[1]))
             for r, bound in gone:
                 if n - r > bound:
                     chain.pop(n - r, None)

@@ -25,7 +25,10 @@ throughout, from the exact majorant |num|(x,1,1) / (1 - |t|(x,1,1)).
 Every product of two series and every quotient lists its keys in
 ascending (n, m, r) order.  The builders' quotients go through
 :func:`graded.graded_quotient`, which solves sums of z-graded terms with
-the same packed rows, width bound and decoding.
+the same packed rows, width bound and decoding, but takes each term's
+y-polynomial in powers of y - 1 and applies it by Horner's rule, so that
+it multiplies a packed row only by ints and by y - 1 (a shift and a
+subtract), never by another packed polynomial.
 
 Values are immutable once constructed: every operation returns a fresh
 series, so they can be shared freely.

@@ -51,6 +51,13 @@ def in_y(poly) -> list[int]:
             for r in range(len(poly))]
 
 
+def in_ym1(cs) -> list[int]:
+    """The y-polynomial sum_r cs[r] y^r in powers of y - 1, each y^r being
+    sum_e C(r, e) (y - 1)^e."""
+    return [sum(c * comb(r, e) for r, c in enumerate(cs))
+            for e in range(len(cs))]
+
+
 def graded_series(grades, order: int) -> TruncatedSeries:
     """The sum of z^s P(y) A(x) / prod over the periods of their factors
     over the (s, P, A, periods) grades as one series, each factor divided

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from comppat.graded import graded_quotient, image_grade
 from comppat.series import (GradingMismatchError, NonInvertibleError,
                             NormalizationError, OrderRangeError,
                             TruncatedSeries, make_monomial, one, zero)
-from series_helpers import (graded_series, substitute_y0, substitute_y1,
-                            substitute_z1, truncate)
+from series_helpers import (graded_series, in_ym1, substitute_y0,
+                            substitute_y1, substitute_z1, truncate)
 
 ONE = [(0, [1], [1], ())]  # the numerator 1 as a grade
 
@@ -533,6 +534,56 @@ def test_graded_quotient_reads_a_grade_up_to_the_order():
     assert graded_quotient(ONE, longer, 4) == graded_quotient(ONE, cut, 4)
 
 
+# P in powers of y - 1 with several levels, signed and up to 2^70; a
+# factor 1 - sum C z^e x^p with C drawn the same way, or an int period
+levels = st.lists(st.integers(-3, 3) | st.sampled_from([2**70, -2**70]),
+                  min_size=1, max_size=4)
+factors = st.lists(st.tuples(levels.map(tuple), st.integers(0, 2),
+                             st.integers(1, 3)), min_size=1, max_size=2)
+
+
+def drawn_grades(order, periods, x_free):
+    """Lists of (s, P, A, periods) grades at z^0 .. z^3 (so that rows
+    hold several slots), A dense and signed, with an x-degree-0 term only
+    if x_free is False."""
+    a = st.lists(st.integers(-3, 3), min_size=1, max_size=order + 1)
+    return st.lists(st.tuples(
+        st.integers(0, 3), levels, a.map(lambda a: [0] + a) if x_free else a,
+        st.lists(periods, max_size=2).map(tuple)), max_size=4)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_graded_quotient_matches_division_on_drawn_grades(data):
+    # against num / (1 - t) with the grades summed as series and every
+    # period and factor divided out by /: the same terms in the same order
+    order = data.draw(st.integers(0, 6))
+    num = data.draw(drawn_grades(order, st.integers(1, 4), False))
+    t = data.draw(drawn_grades(
+        order, st.integers(1, 4) | factors.map(tuple), True))
+    want = graded_series(num, order) / (1 - graded_series(t, order))
+    got = graded_quotient(num, t, order)
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)
+
+
+@given(st.integers(1, 2**70), st.sampled_from([1, -1]), st.integers(0, 3),
+       st.integers(1, 3), st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_graded_quotient_fills_its_width(c, sign, r, d, order):
+    # one grade z (+-c y^r) x^d, P in powers of y - 1: q's terms (+-c)^k
+    # reach the majorant itself, so the largest fills the packing width
+    # (its bit length is the width less the sign bit) and a looser ||P||_1
+    # than that of P in y would widen it
+    t = [(1, in_ym1([0] * r + [sign * c]), [0] * d + [1], ())]
+    widths, unrows = [], TruncatedSeries._unrows
+    with patch.object(TruncatedSeries, "_unrows", lambda self, rows, width:
+                      widths.append(width) or unrows(self, rows, width)):
+        got = graded_quotient(ONE, t, order)
+    assert got == one(order) / (1 - graded_series(t, order))
+    assert max(map(abs, got.coeffs.values())).bit_length() == widths[0] - 1
+
+
 # -- graded_quotient over factors 1 - sum C(y) z^e x^p ------------------------
 
 def part_factor(a, z_exp):
@@ -615,8 +666,7 @@ def substituted(term, exps):
 def run_grades(term, exps):
     """The same sum as grades: z^{e k} T_k(y) sum_a x^{a k}, the sum over
     the weights given by its run ends (+c at a, -c past a run of c equal
-    exponents a) with period k; T_k in powers of y - 1, each y^r being
-    sum_e C(r, e) (y - 1)^e."""
+    exponents a) with period k; T_k in powers of y - 1."""
     ends = {}
     for a, _ in exps:
         ends[a] = ends.get(a, 0) + 1
@@ -629,9 +679,8 @@ def run_grades(term, exps):
         for a, dc in ends.items():
             if a * k <= order:
                 xs[a * k] += dc
-        cs = [term.coefficient(k, k, r) for r in range(4)]
-        grades.append((e * k, [sum(c * comb(r, j) for r, c in enumerate(cs))
-                               for j in range(4)], xs, (k,)))
+        grades.append((e * k, in_ym1([term.coefficient(k, k, r)
+                                      for r in range(4)]), xs, (k,)))
     return grades
 
 

@@ -4,7 +4,7 @@ cross-identities."""
 import pytest
 
 from comppat.patterns import PatternId, brute_force_word_table
-from comppat.series import make_monomial
+from comppat.series import TruncatedSeries, make_monomial
 from comppat.identities import (u_poly, u_poly_generating_function,
                                 w123_avoid_aj, w123_chebyshev,
                                 word_gf_builders)
@@ -33,6 +33,27 @@ def test_word_series_x_exponent_is_length(p, k):
     s = word_gf(p, k, 20)
     assert s.coeffs
     assert all(n == m for (n, m, r) in s.coeffs)
+
+
+# the packing width, in bits, of each word series at k = 1600, order 40 (the
+# benchmark's): a looser ||P||_1 than that of each grade's P expanded in
+# y, such as sum_e |a_e| 2^e over P = sum_e a_e (y - 1)^e, would widen it
+WORD_1600_WIDTHS = {P.P111: 427, P.P112: 427, P.P221: 427, P.P123: 441,
+                    P.PEAK: 459, P.VALLEY: 459}
+
+
+@pytest.mark.parametrize("p", list(P))
+def test_word_packing_width_does_not_grow(p, monkeypatch):
+    # the quotient's rows are decoded last, at the solver's width
+    widths = []
+    unrows = TruncatedSeries._unrows
+
+    def spy(self, rows, width):
+        widths.append(width)
+        return unrows(self, rows, width)
+    monkeypatch.setattr(TruncatedSeries, "_unrows", spy)
+    word_gf(p, 1600, 40)
+    assert widths[-1] <= WORD_1600_WIDTHS[p]
 
 
 def test_one_letter_alphabet():
