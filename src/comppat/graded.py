@@ -72,10 +72,10 @@ def _at_0(poly: Sequence[int]) -> int:
 
 
 def _times(poly: Sequence[int], vec: list[int], width: int) -> list[int]:
-    """P x at y = 2**width for each packed x in vec, P's top level nonzero,
-    by Horner's rule: v (y - 1) is (v << width) - v."""
+    """P x at y = 2**width for each packed x in vec, by Horner's rule:
+    v (y - 1) is (v << width) - v."""
     out = vec if poly[-1] == 1 else [poly[-1] * x for x in vec]
-    for a in reversed(poly[:-1]):
+    for a in poly[-2::-1]:
         out = ([(v << width) - v + a * x for v, x in zip(out, vec)] if a
                else [(v << width) - v for v in out])
     return out
@@ -293,30 +293,26 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
         [sum(norm * abs(c[d]) for _, _, norm, c in num)
          for d in range(order + 1)], t_sums)
     num = [(s, _pack(poly, width), c) for s, poly, _, c in num]
-    # (s, scale, A's terms (d, A[d]), the live periods, P's levels
-    # (e, a_e)): a one-term A's coefficient scales V_n, or goes into a
-    # one-level P's a_e
-    t = []
+    # t[i] = (s, scale, A's terms (d, A[d]), the live periods), a one-term
+    # A's coefficient the scale of V_n or, for a P of one level, in its
+    # a_e; by_level[e] lists (i, a_e) for the grades with a level e
+    t, by_level = [], []
     for s, poly, a, periods in live:
         terms = [(d, a[d]) for d in compress(range(len(a)), a)]
         levels = [(e, v) for e, v in enumerate(poly) if v]
         scale = terms[0][1] if len(terms) == 1 else 1
         if len(levels) == 1:
             levels, scale = [(levels[0][0], levels[0][1] * scale)], 1
-        t.append((s, scale, terms, periods, levels))
-    # by_level[e]: (i, a_e) for the grades t[i] with level e
-    by_level: list[list[tuple[int, int]]] = [
-        [] for _ in range(max([e for *_, levels in t for e, _ in levels],
-                              default=-1) + 1)]
-    for i, (*_, levels) in enumerate(t):
         for e, v in levels:
-            by_level[e].append((i, v))
+            by_level += [[] for _ in range(e + 1 - len(by_level))]
+            by_level[e].append((len(t), v))
+        t.append((s, scale, terms, periods))
     # chains[F][m] = (q / prod over F)_m for each grade's periods F and
     # their prefixes, chains[()] being q: made while some grade reads it
     # (m <= limit[F]); reads[F][r] is the last degree at which F's step
     # or a grade reaches back r to it
     limit, reads = {(): order}, {}
-    for _, _, terms, periods, _ in t:
+    for _, _, terms, periods in t:
         for i in range(1, len(periods) + 1):
             key = periods[:i]
             limit[key] = max(limit.get(key, 0), order - terms[0][0])
@@ -342,8 +338,6 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
             return period
         by_c: dict[tuple, list[tuple[int, int]]] = {}
         for c, e, p in period:
-            while not c[-1]:
-                c = c[:-1]
             by_c.setdefault(c, []).append((e, p))
         return list(by_c.items())
     chains: dict[tuple, dict[int, Slice]] = {
@@ -352,7 +346,7 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
                drops(key)) for key in chains if key]
     # a one-term A, x^d, reads one row: its terms become d
     t = [(s, scale, terms[0][0] if len(terms) == 1 else terms,
-          chains[periods]) for s, scale, terms, periods, _ in t]
+          chains[periods]) for s, scale, terms, periods in t]
     q = chains[()]
     # q_n lies in m = s_lo .. max(num_hi, t_hi + high) - 1, high the end
     # of the rows below, of q and of the chains (a factor's z^e moves its
