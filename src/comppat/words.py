@@ -58,7 +58,9 @@ def w111_closed(k: int, order: int) -> TruncatedSeries:
 
         (1 + z(1+z)(1-y)) / (1 - (k-1+y) z - (k-1)(1-y) z^2).
     """
-    num = [*_ONE, (1, _level(1, -1), _z(1), ()), (2, _level(1, -1), _z(2), ())]
+    num = [*_ONE, (1, _level(1, -1), _z(1), ()),
+           (2, _level(1, -1), _z(2), ())]
+    # k - 1 + y = k + (y - 1)
     t = [(1, [k, 1], _z(1), ()), (2, _level(1, 1 - k), _z(2), ())]
     return graded_quotient(num, t, order)
 
