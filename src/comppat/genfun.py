@@ -18,8 +18,10 @@ Over the naturals every selection sum is a q-product x^c / prod_p (1 - x^p)
 1 - D the periods of that denominator (``_PERIODS``), and the solver runs
 each period as one running sum instead of convolving with the dense A_s;
 :func:`_q_product` keeps them only where they cost less.  111 is the
-paper's sum of one term per part, T(x^a z): its two grades per part carry
-that term's denominator as a factor on every part set, which the solver
+paper's sum of one term per part, T(x^a z) = x^a z plus a cubic
+remainder: the parts' terms x^a z are one level-0 grade, over the
+period 1 on the naturals, and each part's remainder is one grade that
+carries T's denominator as a factor on every part set, which the solver
 runs as a recurrence with steps of y - 1.
 
 The builders see the parts only as a list of sizes in increasing order
@@ -132,21 +134,26 @@ def _grades_111(parts: Parts, order: int):
     with one run term for every part (the run substitution; Flajolet &
     Sedgewick, Analytic Combinatorics, Ex. III.24),
 
-        T(b) = b (1 + (1-y) b) / (1 + (1-y) b (1 + b)).
+        T(b) = b (1 + (1-y) b) / (1 + (1-y) b (1 + b))
+             = b + (y-1) b^3 / (1 - (y-1) (b + b^2)).
 
-    A part a, taken c times, gives the grades c z x^a and c (1-y) z^2
-    x^{2a} over the one factor D_a = 1 - (y-1) (z x^a + z^2 x^{2a}), so
-    the solver multiplies its rows by c and y - 1, never by T's dense
-    coefficients.
+    The terms b sum to the level-0 grade z A(x), A = sum_a c x^a for a
+    part a taken c times, over the period 1 where that costs less (nat's
+    A is x / (1 - x)).  Each part with 3a <= order (the others' remainders
+    lie past the order) adds the grade c (y-1) z^3 x^{3a} over its factor
+    D_a = 1 - (y-1) (z x^a + z^2 x^{2a}), so the solver multiplies its
+    rows by c and y - 1, never by T's dense coefficients, and its
+    majorant reads |A| plus the exact expansion of each remainder.
     """
-    counts: dict[int, int] = {}
+    linear = [0] * (order + 1)  # A, its coefficient at x^a the count c
     for a in parts:
-        counts[a] = counts.get(a, 0) + 1
-    grades = []
-    for a, c in counts.items():
-        factor = (((0, 1), 1, a), ((0, 1), 2, 2 * a))  # C = y - 1
-        grades += [(1, [c], [0] * a + [1], (factor,)),
-                   (2, _level(1, -c), [0] * (2 * a) + [1], (factor,))]
+        if a <= order:
+            linear[a] += 1
+    grades = [(1, [1], *_q_product(linear, (1,), order))]
+    for a in range(1, order // 3 + 1):
+        if c := linear[a]:
+            factor = (((0, 1), 1, a), ((0, 1), 2, 2 * a))  # C = y - 1
+            grades.append((3, _level(1, c), [0] * (3 * a) + [1], (factor,)))
     return _ONE, grades
 
 
@@ -248,8 +255,9 @@ _GRADES = {
     PatternId.VALLEY: lambda parts, order: _grades_alternating(
         *_mn_lists(parts, order), valley=True),
 }
-# The periods of nat's denominator for grade s of 1 - D (111's grades
-# carry their factor themselves).  For 112 and 221, s = 1 + 2g:
+# The periods of nat's denominator for grade s of 1 - D (111's builder
+# attaches its grades' period and factors itself, which _solver_grades
+# would drop).  For 112 and 221, s = 1 + 2g:
 #   112: x^{(g+1)^2} / prod_{i<=g} (1 - x^{2i+1}),
 #   221: x^{g^2+3g+1} / ((1 - x^{2g+1}) prod_{1<=i<=g} (1 - x^{2i})).
 _PERIODS = {

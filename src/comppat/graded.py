@@ -6,8 +6,10 @@ y - 1 (every occurrence is marked by y, so a grade's P is a power of
 y - 1 or a short sum of them).  A factor is 1 - x^p for a period p,
 applied as one running sum over the rows of q, or
 1 - sum_j C_j(y) z^e_j x^p_j, C_j in powers of y - 1 too, applied as a
-recurrence (111's per-part denominator, with C_j = y - 1); either is
-shared by the grades whose factors start alike.  At each x-degree the
+recurrence (111's per-part denominator D_a, with C_j = y - 1, under
+the part's one grade (y - 1) z^3 x^{3a}; the parts' level-0 grade
+z A(x) takes the period 1 over the naturals); either is shared by the
+grades whose factors start alike.  At each x-degree the
 grades of t are added level by level in y - 1 by Horner's rule, so a
 row is multiplied only by ints and by y - 1, a shift and a subtract.
 Over the naturals every selection sum is a q-product with a one-term A.
@@ -247,10 +249,11 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
     of ``/``, with the sums of |coefficient| per x-degree of each side's
     grades: ||P||_1 |A / prod (1 - x^p)| for int periods, ||P||_1 that of
     P expanded in y, and for the grades with a factor the exact expansion
-    of their sum over the same periods (for 111's parts, the run terms
-    T_k).  At degree n a grade of t adds z^s P(y) V_n, where V = A q /
-    prod over its periods sums lower rows of U = q / prod over the periods
-    times ints: V_n = sum_d A[d] U_{n-d}.  The grades' V_n are added by
+    of their sum over the same periods (for 111's part a, that of
+    (y - 1) z^3 x^{3a} / D_a, next to |A| of the level-0 grade).  At
+    degree n a grade of t adds z^s P(y) V_n, where V = A q / prod over
+    its periods sums lower rows of U = q / prod over the periods times
+    ints: V_n = sum_d A[d] U_{n-d}.  The grades' V_n are added by
     Horner's rule over the levels e of P = sum_e a_e (y - 1)^e, from the
     top down: acc <- acc (y - 1) + sum_grades a_e V_n, each a_e V_n
     reusing the grade's one V_n, and acc (y - 1) at y = 2**width is

@@ -16,10 +16,11 @@ production code computes, or exposes one of its intermediate series:
 * :func:`gf_123_recursive`, :func:`gf_peak_recursive` -- the 123 and peak
   series grown one part at a time; check ``build_gf`` for those patterns.
 * :func:`num_den_111` -- the 111 pair with one division per part; checks
-  the per-part grades (``genfun._grades_111``, each part's two grades
-  solved over its factor by ``graded.graded_quotient``) that every 111
-  series runs, and so the run terms T_k that the solver's majorant reads
-  from those factors.
+  the grades that every 111 series runs (``genfun._grades_111``: the
+  parts' level-0 grade z A(x), and each part's remainder (y - 1) z^3
+  x^{3a} solved over its factor by ``graded.graded_quotient``), and so
+  the majorant that the solver reads from them, |A| plus the exact
+  expansion of each remainder.
 * :func:`qpochhammer_inverse`, :func:`nat_closed_forms` -- q-Pochhammer
   closed forms over the naturals; check t^p, M^s and N^s over nat, and
   the periods with which the builders' grades are solved there.

@@ -472,6 +472,49 @@ def test_folded_transforms_are_within_their_bound():
         assert interpolation_is_honest(p, 0.79, 1024), p
 
 
+def circle_part_errors(p, radius, samples):
+    # each part's error term on the sampled circle, recomputed: the tail,
+    # the points' error, the inputs' error E and the FFT's, t eta /
+    # (1 - t eta) sqrt(P) (A + E)
+    n, tail = asymptotics._order(p, radius)
+    size = min(samples & -samples, 1 << n.bit_length())
+    fold = -(-(n + 1) // size)
+    root_err, u = asymptotics._ROOT_ERR, asymptotics._U
+    slope = asymptotics._majorant(p) * 0.8 * radius * root_err \
+        / (0.8 - radius) ** 2
+    t_eta = (size.bit_length() - 1) * (
+        root_err + 4 * u / (1 - 4 * u) * (math.sqrt(2) + root_err))
+    errors = []
+    for cs in asymptotics._coefficients(p, n):
+        powers = [1.0]
+        for _ in range(n):
+            powers.append(powers[-1] * radius)
+        terms = [c * r for c, r in zip(cs, powers)]
+        underflow = (n + 1) * (1 + sum(map(abs, cs[:n + 1]))) \
+            * asymptotics._TINY
+        a = (sum(map(abs, terms)) + underflow) \
+            * (1 + asymptotics._gamma(2 * n + 3))
+        inputs = (asymptotics._gamma(n + fold + 4) + 2 * root_err) * a \
+            + underflow
+        errors.append(tail + slope + inputs + t_eta / (1 - t_eta)
+                      * math.sqrt(size) * (a + inputs))
+    return errors
+
+
+@pytest.mark.parametrize("radius, samples", [
+    (0.3, 1024), (0.7, 4096), (0.79, 1024)])
+def test_circle_bound_holds_every_error_term(radius, samples):
+    # 112's f is its D, so the bound is D's error term itself, float for
+    # float, and leaving out any of its terms fails; peak's f is D / N,
+    # whose bound (db + |f| nb) / |N| at its worst point on these circles
+    # is at least either part's term
+    (error,) = circle_part_errors(P.P112, radius, samples)
+    assert asymptotics._sample_circle(P.P112, radius, samples)[2] == error
+    bound = asymptotics._sample_circle(P.PEAK, radius, samples)[2]
+    assert all(bound >= e for e in circle_part_errors(P.PEAK, radius,
+                                                      samples))
+
+
 # the order rule's n at |x| = 0.7, the default circle
 ORDERS_AT_DEFAULT_RADIUS = {P.P111: 313, P.P112: 298, P.P221: 298,
                             P.P123: 319, P.PEAK: 333, P.VALLEY: 333}

@@ -74,6 +74,17 @@ def test_gf_111_unit_coefficients():
     assert s.coefficient(3, 3, 1) == 1  # the composition 111
 
 
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_run_term_less_its_part_is_cubic_over_the_factor(a):
+    # T(b) - b = (y - 1) b^3 / (1 - (y - 1) (b + b^2)) for b = z x^a: the
+    # split behind 111's grades, the parts' level-0 grade and one cubic
+    # grade per part over its factor
+    for order in range(13):
+        b, u = xz(order, a), make_monomial(order, 0, 0, 1) - 1
+        run = b * (1 - u * b) / (1 - u * b * (1 + b))
+        assert run - b == u * b * b * b / (1 - u * (b + b * b)), order
+
+
 # the cases every builder is checked on: nat at the CLI cap and below,
 # finite sets with runs of consecutive parts and gaps, and an int k for
 # k letters, each a part of size 1 (weighing x z, x in the image)

@@ -599,19 +599,30 @@ def part_grades(a, z_exp, count=1):
             (2 * z_exp, [0, -count], [0] * (2 * a) + [1], (factor,))]
 
 
+def cubic_grade(a, z_exp, count=1):
+    """The grade that genfun gives 111's part a taken count times:
+    count (y - 1) z^3 x^{3a} over the part's factor."""
+    return (3 * z_exp, [0, count], [0] * (3 * a) + [1],
+            (part_factor(a, z_exp),))
+
+
 # (s, P, A, periods) grades over factors: one factor shared by two grades
 # (111's part 1), the same factor repeated (part 1 again, as with two
 # letters of size 1) and scaled (parts 2 and 3, whose majorants are read
-# from part 1's expansion), factors with signed multi-term C carrying y
-# and z (in y: 2 - c y + y^2, -y^2, 5, 1 + y and -3), a term past order
-# 9 and factors mixed with int periods on either side; P in y: c + y,
-# -1 + 2y and 1 - c y
+# from part 1's expansion), the production shape for 111 (the parts'
+# level-0 grade over the period 1 next to level-1 grades z^3 x^{3a} over
+# the factors of parts 1, 2 and 3, part 3's landing on order 9), factors
+# with signed multi-term C carrying y and z (in y: 2 - c y + y^2, -y^2,
+# 5, 1 + y and -3), a term past order 9 and factors mixed with int
+# periods on either side; P in y: c + y, -1 + 2y and 1 - c y
 def factor_t(c, z_exp):
     signed = (((3 - c, 2 - c, 1), z_exp, 2), ((-1, -2, -1), 0, 3),
               ((5,), 2 * z_exp, 12))
     mixed = (((2, 1), 2 * z_exp, 1), ((-3,), z_exp, 4))
     return [*part_grades(1, z_exp), *part_grades(1, z_exp),
             *part_grades(2, z_exp, 3), *part_grades(3, z_exp),
+            (z_exp, [1], [0, 1], (1,)), cubic_grade(1, z_exp),
+            cubic_grade(2, z_exp, 2), cubic_grade(3, z_exp),
             (2 * z_exp, [c + 1, 1], [0, 1, 0, -2], (signed,)),
             (z_exp, [1, 2], [0, 0, 1, 1], (3, mixed)),
             (3 * z_exp, [1 - c, -c], [0, 0, 0, 1], (mixed, 2, signed))]
