@@ -13,9 +13,10 @@ grades whose factors start alike.  At each x-degree the
 grades of t are added level by level in y - 1 by Horner's rule, so a
 row is multiplied only by ints and by y - 1, a shift and a subtract.
 Over the naturals every selection sum is a q-product with a one-term A.
-q is packed and read back as by ``/`` in :mod:`series` (one int per
-(n, m) row, at the width of the exact majorant), so its keys come out
-in ascending (n, m, r) order.
+q is packed, one int per (n, m) row at the width of the exact majorant
+(:func:`series._quotient_width`), and read back as balanced digits by
+:meth:`series.TruncatedSeries._unrows`, so its keys come out in
+ascending (n, m, r) order.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from itertools import compress
 from math import gcd
 from operator import add
 
-from .series import (NormalizationError, Triple, TruncatedSeries,
-                     _quotient_width)
+from .series import NormalizationError, TruncatedSeries, _quotient_width
 
 # (s, P, A, periods): the term z^s P(y) A(x) / prod of the periods' factors
 # of a graded sum, A a list of int coefficients (of x-degree <= order) and
@@ -135,20 +135,21 @@ def _coarse(exponents, periods: tuple) -> tuple[int, tuple]:
                     tuple((c, e, q // g) for c, e, q in p) for p in periods)
 
 
-def _factor(period: "int | Factor", order: int) -> TruncatedSeries:
-    """A period's factor as a series."""
-    coeffs = {(0, 0, 0): 1}
-    for c, e, p in (((1,), 0, period),) if isinstance(period, int) \
-            else period:
-        for r, v in enumerate(_in_y(c)):
-            coeffs[p, e, r] = coeffs.get((p, e, r), 0) - v
-    return TruncatedSeries(order, coeffs)
+def _negated_product(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """-(a b) for two polynomials in y - 1, by convolution."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] -= u * v
+    return tuple(out)
 
 
 def _factor_sums(groups: dict, order: int) -> list[int]:
     """The sums of |coefficient| per x-degree of each group's quotient
     sum z^s P(y) A(x) / prod over its periods, added up: each expanded
-    exactly by ``/``, once for the groups that agree over x^g."""
+    exactly by :func:`graded_quotient`, its grades over their int periods
+    as num and the product of its factors as t, once for the groups that
+    agree over x^g."""
     shared: dict = {}
     for periods, grades in groups.items():
         g, periods = _coarse([d for _, _, a in grades
@@ -159,16 +160,19 @@ def _factor_sums(groups: dict, order: int) -> list[int]:
     sums = [0] * (order + 1)
     for (grades, periods), gs in shared.items():
         top = order // min(gs)
-        terms: dict[Triple, int] = {}
-        for s, poly, a in grades:
-            poly = _in_y(poly)
-            for d, v in enumerate(a[:top + 1]):
-                for r, c in enumerate(poly):
-                    terms[d, s, r] = terms.get((d, s, r), 0) + c * v
-        series = TruncatedSeries(top, terms)
-        for period in periods:
-            series = series / _factor(period, top)
-        expansion = series._abs_sums()
+        ints = tuple(p for p in periods if isinstance(p, int))
+        # -prod of the factors as (C, e, p) terms: 1 - sum(t) is the
+        # product, so t is every term past the constant -1
+        prod = [((-1,), 0, 0)]
+        for factor in periods:
+            if not isinstance(factor, int):
+                prod += [(_negated_product(c0, c), e0 + e, p0 + p)
+                         for c0, e0, p0 in prod for c, e, p in factor
+                         if p0 + p <= top]
+        expansion = graded_quotient(
+            [(s, poly, a, ints) for s, poly, a in grades],
+            [(e, c, [0] * p + [1], ()) for c, e, p in prod[1:]],
+            top)._abs_sums()
         for g in gs:
             sums[::g] = map(add, sums[::g], expansion)
     return sums
@@ -245,13 +249,15 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
     grade of num raises ValueError, and a grade of t or a period with an
     x-degree-0 term raises NormalizationError.
 
-    q is solved degree by degree in x, packed at the width of the majorant
-    of ``/``, with the sums of |coefficient| per x-degree of each side's
-    grades: ||P||_1 |A / prod (1 - x^p)| for int periods, ||P||_1 that of
-    P expanded in y, and for the grades with a factor the exact expansion
-    of their sum over the same periods (for 111's part a, that of
-    (y - 1) z^3 x^{3a} / D_a, next to |A| of the level-0 grade).  At
-    degree n a grade of t adds z^s P(y) V_n, where V = A q / prod over
+    q is solved degree by degree in x, packed at the width of the exact
+    majorant |num| / (1 - |t|) at x = z = y = 1, with the sums of
+    |coefficient| per x-degree of each side's grades: ||P||_1
+    |A / prod (1 - x^p)| for int periods, ||P||_1 that of P expanded in
+    y, and for the grades with a factor the exact expansion of their sum
+    over the same periods, solved by this function over the product of
+    the factors (for 111's part a, that of (y - 1) z^3 x^{3a} / D_a,
+    next to |A| of the level-0 grade).  At degree n a grade of t adds
+    z^s P(y) V_n, where V = A q / prod over
     its periods sums lower rows of U = q / prod over the periods times
     ints: V_n = sum_d A[d] U_{n-d}.  The grades' V_n are added by
     Horner's rule over the levels e of P = sum_e a_e (y - 1)^e, from the

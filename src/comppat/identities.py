@@ -2,7 +2,12 @@
 
 Nothing in the production path imports this module; the tests (and the
 words demo) do.  Each form here is an independent route to a quantity the
-production code computes, or exposes one of its intermediate series:
+production code computes, or exposes one of its intermediate series.
+Their arithmetic is the series ring's ``+``, ``-``, ``*`` and ``/``,
+which are plain and unpacked, so a form shares no row packing, width or
+decoding with the production solver ``graded.graded_quotient`` unless
+it calls that solver (:func:`d_series` and :func:`word_gf_builders`
+do).  The forms:
 
 * :func:`t_poly`, :func:`m_poly`, :func:`n_poly` -- the selection
   sums inside ``genfun.build_gf`` for 123 and peak/valley (int lists

@@ -13,22 +13,19 @@ stored sparsely as a map from exponent triples ``(n, m, r)`` to nonzero
 coefficients; zero is never stored, which makes equality structural, and
 callers read the tuple-keyed ``coeffs`` map directly.
 
-A product with a one-term factor c x^a z^b y^e shifts the other
-operand's keys by (a, b, e) and scales them by c.  Any other ``*``, and
-every ``/``, packs each (n, m) row's y-polynomial into one int, its
-value at y = 2**W, so a row product is one big-int multiply (Kronecker
-substitution in y only, whose rows are dense; Harvey, JSC 2009).  Rows
-are read back as balanced digits, in [-2**(W-1), 2**(W-1)): W comes from
-the operands' absolute sums for ``*``, and for ``/``, which solves
-q = num + t q (den = 1 - t) degree by degree in x with q packed
-throughout, from the exact majorant |num|(x,1,1) / (1 - |t|(x,1,1)).
-Every product of two series and every quotient lists its keys in
-ascending (n, m, r) order.  The builders' quotients go through
-:func:`graded.graded_quotient`, which solves sums of z-graded terms with
-the same packed rows, width bound and decoding, but takes each term's
-y-polynomial in powers of y - 1 and applies it by Horner's rule, so that
-it multiplies a packed row only by ints and by y - 1 (a shift and a
-subtract), never by another packed polynomial.
+The ring's ``+``, ``-``, ``*`` and ``/`` are the plain, unpacked
+reference arithmetic that the cross-checks (:mod:`identities` and the
+tests) are written in; no production path uses them.  ``*`` adds the
+product of every pair of terms up to the order, and ``/`` solves
+q = num + t q (den = 1 - t) degree by degree in x, term by term on
+each (n, m) cell's y-coefficients; both list their keys in ascending
+(n, m, r) order.  The builders' quotients go through
+:func:`graded.graded_quotient`, which packs each (n, m) row's
+y-polynomial into one int, its value at y = 2**W (Kronecker
+substitution in y only; Harvey, JSC 2009), with W from the exact
+majorant |num|(x,1,1) / (1 - |t|(x,1,1)) that :func:`_quotient_width`
+bounds; :meth:`TruncatedSeries._unrows` reads its rows back as
+balanced digits, in [-2**(W-1), 2**(W-1)).
 
 Values are immutable once constructed: every operation returns a fresh
 series, so they can be shared freely.
@@ -37,25 +34,12 @@ series, so they can be shared freely.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import mul
 
 Triple = tuple[int, int, int]
-# n -> m -> y-polynomial packed in one int; a row is a {m: P} dict, or
-# in a graded quotient (lo, [P at m = lo, lo + 1, ...])
-Rows = dict[int, dict[int, int] | tuple[int, list[int]]]
-
-
-def _mul_rows_into(acc: dict[int, int], a: dict[int, int],
-                   b: dict[int, int]) -> None:
-    """Add the product of two x-slices {m: packed y-polynomial} into acc.
-
-    Zero sums stay in acc; the caller drops them once, not per product.
-    """
-    get = acc.get
-    b_items = b.items()
-    for m1, p1 in a.items():
-        for m2, p2 in b_items:
-            m = m1 + m2
-            acc[m] = get(m, 0) + p1 * p2
+# n -> the row (lo, [P at m = lo, lo + 1, ...]) of y-polynomials P, each
+# packed in one int
+Rows = dict[int, tuple[int, list[int]]]
 
 
 class SeriesError(ValueError):
@@ -184,25 +168,16 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        for mono, rest in ((self, other), (other, self)):
-            if len(mono.coeffs) == 1:
-                # c x^a z^b y^e shifts the other's keys by (a, b, e)
-                ((a, b, e), c), = mono.coeffs.items()
-                top = self.order - a
-                return self._wrap({(n + a, m + b, r + e): c * v
-                                   for (n, m, r), v in sorted(
-                                       rest.coeffs.items()) if n <= top})
-        # No coefficient exceeds the product of the operands' absolute sums.
-        width = (sum(self._abs_sums())
-                 * sum(other._abs_sums())).bit_length() + 1
-        a_rows, b_rows = self._rows(width), other._rows(width)
         order = self.order
-        out: Rows = {}
-        for da, a in a_rows.items():
-            for db, b in b_rows.items():
-                if da + db <= order:
-                    _mul_rows_into(out.setdefault(da + db, {}), a, b)
-        return self._unrows(out, width)
+        rhs = sorted(other.coeffs.items())
+        out: dict[Triple, int] = {}
+        for (n1, m1, r1), c1 in self.coeffs.items():
+            for (n2, m2, r2), c2 in rhs:
+                if n1 + n2 > order:
+                    break
+                key = n1 + n2, m1 + m2, r1 + r2
+                out[key] = out.get(key, 0) + c1 * c2
+        return self._wrap({k: c for k, c in sorted(out.items()) if c})
 
     __rmul__ = __mul__
 
@@ -211,11 +186,11 @@ class TruncatedSeries:
 
         Requires the divisor's constant term to be +1 or -1 and every other
         term to carry a positive x-exponent; under these conditions the
-        quotient is again integer-coefficient.  With the signs of both
-        operands flipped if need be, so that the divisor is 1 - t with t
-        free of x-degree 0, q = self + t * q is solved degree by degree:
-        q_deg needs only t times the lower degrees of q, each row a
-        {m: P} dict.
+        quotient is again integer-coefficient.  With both operands scaled
+        by that unit, so that the divisor is 1 - t with t free of x-degree
+        0, q = self + t * q is solved degree by degree: q's row at x^deg
+        needs only t times its rows below, each (n, m) cell of a row the
+        list of its y-polynomial's nonzero (r, c).
         """
         den = self._coerce(other)
         if den is None:
@@ -224,26 +199,42 @@ class TruncatedSeries:
         if c0 not in (1, -1):
             raise NonInvertibleError(
                 f"constant term {c0} is not a unit (need +1 or -1)")
-        order = self.order
         for key in den.coeffs:
             if key[0] == 0 and key != (0, 0, 0):
                 raise NormalizationError(
                     f"term {key} has x-degree 0; "
                     "normalize the denominator before inverting")
-        num, den = (self, den) if c0 == 1 else (-self, -den)
-        t = 1 - den
-        width = _quotient_width(num._abs_sums(), t._abs_sums())
-        num_rows = num._rows(width)
-        t_rows = t._rows(width).items()
-        q_rows: Rows = {}
-        for deg in range(order + 1):
-            acc = num_rows.pop(deg, {})
-            for d, t_row in t_rows:
-                if q := q_rows.get(deg - d):
-                    _mul_rows_into(acc, t_row, q)
-            if row := {m: p for m, p in acc.items() if p}:
-                q_rows[deg] = row
-        return self._unrows(q_rows, width)
+        # x-degree -> m -> the nonzero (r, c) of that y-polynomial, r
+        # ascending: the rows of num (then of q) and of t
+        rows: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        t: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        for (n, m, r), c in sorted(self.coeffs.items()):
+            rows.setdefault(n, {}).setdefault(m, []).append((r, c0 * c))
+        for (n, m, r), c in sorted(den.coeffs.items()):
+            if n:
+                t.setdefault(n, {}).setdefault(m, []).append((r, -c0 * c))
+        out: dict[Triple, int] = {}
+        for deg in range(self.order + 1):
+            # num's row times 1, then each row of t times q's row below;
+            # acc maps m to its y-polynomial's coefficients from r = 0
+            pairs = [({0: [(0, 1)]}, rows.get(deg, {}))]
+            pairs += [(t_row, rows.get(deg - d, {})) for d, t_row in t.items()]
+            acc: dict[int, list[int]] = {}
+            for t_row, q_row in pairs:
+                for m2, cell in q_row.items():
+                    for m1, terms in t_row.items():
+                        sums = acc.setdefault(m1 + m2, [])
+                        if len(sums) <= (top := terms[-1][0] + cell[-1][0]):
+                            sums += [0] * (top + 1 - len(sums))
+                        for r1, c1 in terms:
+                            for r2, c2 in cell:
+                                sums[r1 + r2] += c1 * c2
+            rows[deg] = row = {}
+            for m in sorted(acc):
+                if cell := [(r, c) for r, c in enumerate(acc[m]) if c]:
+                    row[m] = cell
+                    out.update(((deg, m, r), c) for r, c in cell)
+        return self._wrap(out)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse within the truncated ring: ``1 / self``."""
@@ -264,15 +255,6 @@ class TruncatedSeries:
             sums[n] += abs(c)
         return sums
 
-    def _rows(self, width: int) -> Rows:
-        """The terms as {n: {m: P}}, where P is the (n, m) row's
-        y-polynomial evaluated at y = 2**width."""
-        rows: Rows = {}
-        for (n, m, r), c in self.coeffs.items():
-            row = rows.setdefault(n, {})
-            row[m] = row.get(m, 0) + (c << width * r)
-        return rows
-
     def _unrows(self, rows: Rows, width: int) -> "TruncatedSeries":
         """The series of packed rows, read as balanced base-2**width digits
         (a field of 2**(width-1) or more is negative and borrows one), with
@@ -283,8 +265,7 @@ class TruncatedSeries:
         out: dict[Triple, int] = {}
         for n in sorted(rows):
             row = rows.pop(n)
-            for m, p in (sorted(row.items()) if isinstance(row, dict)
-                         else enumerate(row[1], row[0])):
+            for m, p in enumerate(row[1], row[0]):
                 # for width >= 2, a top digit r has |p| > 2**(width*r - 2)
                 for r in range(abs(p).bit_length() // width + 2):
                     c = p & mask
@@ -325,18 +306,17 @@ class TruncatedSeries:
 
 def _quotient_width(num_sums: list[int], t_sums: list[int]) -> int:
     """The packing width that holds every coefficient of num / (1 - t),
-    given the sums of |coefficient| per x-degree of num and of t (t free
-    of x-degree 0): the bit length of a bound, plus one sign bit.
+    given the sums of |coefficient| per x-degree 0..order of num and of t
+    (t free of x-degree 0): the bit length of a bound, plus one sign bit.
 
     The quotient's absolute sum at x-degree g is at most Q_g, where
     Q = |num| / (1 - |t|) at x = z = y = 1 (the exact majorant):
     Q_g = N_g + sum over d >= 1 of T_d Q_{g-d}.
     """
-    t_terms = [(d, s) for d, s in enumerate(t_sums) if s]
     q_sums: list[int] = []
     for g, n_sum in enumerate(num_sums):
-        q_sums.append(n_sum + sum(s * q_sums[g - d]
-                                  for d, s in t_terms if d <= g))
+        # T_g, ..., T_1 against Q_0, ..., Q_{g-1}
+        q_sums.append(n_sum + sum(map(mul, t_sums[g:0:-1], q_sums)))
     return max(q_sums).bit_length() + 1
 
 

@@ -457,3 +457,24 @@ def test_tables_list_their_keys_in_order(p):
     for s in (build_gf(p, NAT, 20), build_gf(p, PartSet.of(1, 3, 4), 20),
               word_gf(p, 5, 12)):
         assert list(s.coeffs) == sorted(s.coeffs)
+
+
+RING_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                   "__mul__", "__rmul__", "__truediv__")
+
+
+def test_production_never_uses_the_ring_arithmetic(monkeypatch):
+    # the ring's + - * / are the cross-checks' reference: every builder,
+    # the word series and the avoiders solve through graded_quotient and
+    # read its coefficients, so none of them reaches an operator (nor
+    # reciprocal, which divides)
+    def refuse(*args):
+        raise AssertionError("production used the series ring's arithmetic")
+    for name in RING_ARITHMETIC:
+        monkeypatch.setattr(TruncatedSeries, name, refuse)
+    for p in P:
+        for parts, order in ((NAT, 60), (PartSet.of(1, 3, 4), 20),
+                             (PartSet.of(2, 3, 7), 20)):
+            build_gf(p, parts, order)
+        word_gf(p, 1600, 40)
+        avoidance_sequence(p, NAT, 60)

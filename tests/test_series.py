@@ -2,13 +2,15 @@
 
 import tracemalloc
 from math import comb
+from operator import add
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comppat.graded import graded_quotient, image_grade
+from comppat.graded import (_factor_sums, _live, graded_quotient,
+                            image_grade)
 from comppat.series import (GradingMismatchError, NonInvertibleError,
                             NormalizationError, OrderRangeError,
                             TruncatedSeries, make_monomial, one, zero)
@@ -240,7 +242,7 @@ def test_reciprocal_round_trip_random(tail, unit):
     assert s * s.reciprocal() == one(tail.order)
 
 
-# -- packed keys against a schoolbook reference ----------------------------
+# -- wide exponents against a schoolbook reference --------------------------
 
 WIDE = 500  # widest z- and y-exponent drawn
 
@@ -661,6 +663,43 @@ def test_graded_quotient_refuses_a_factor_of_x_degree_0():
             image_grade(grade, 5)
     with pytest.raises(ValueError):
         graded_quotient([(0, [1], [1], (part_factor(1, 1),))], [], 5)
+
+
+def scaled(grades, periods, g):
+    """The grades and periods with x replaced by x^g."""
+    return ([(s, poly, [v for c in a for v in [c] + [0] * (g - 1)])
+             for s, poly, a in grades],
+            tuple(p * g if isinstance(p, int) else
+                  tuple((c, e, q * g) for c, e, q in p) for p in periods))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_factor_sums_match_each_group_divided_out(data):
+    # each group's expansion, solved over the product of its factors,
+    # against the group summed as a series with every period divided out
+    # by the ring's plain /: groups over several factors mixed with int
+    # periods, and copies of a group over x^g, which share one expansion
+    order = data.draw(st.integers(0, 8))
+    groups: dict = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        periods = tuple(data.draw(st.permutations(
+            data.draw(st.lists(factors.map(tuple), min_size=1, max_size=3))
+            + data.draw(st.lists(st.integers(1, 4), max_size=2)))))
+        grades = data.draw(st.lists(st.tuples(
+            st.integers(0, 3), levels.filter(any),
+            st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any)),
+            min_size=1, max_size=3))
+        for g in {1, data.draw(st.integers(1, 3))}:
+            g_grades, g_periods = scaled(grades, periods, g)
+            groups.setdefault(_live(g_periods, order), []).extend(
+                (s, poly, a[:order + 1]) for s, poly, a in g_grades)
+    want = [0] * (order + 1)
+    for periods, grades in groups.items():
+        want = list(map(add, want, graded_series(
+            [(s, poly, a, periods) for s, poly, a in grades],
+            order)._abs_sums()))
+    assert _factor_sums(groups, order) == want
 
 
 # -- run-term grades: a sum over weights as period grades ---------------------
