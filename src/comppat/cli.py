@@ -24,7 +24,7 @@ import contextlib
 import itertools
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from types import SimpleNamespace
 
 # A launch loads only what its subcommand runs: genfun, words and
@@ -140,22 +140,59 @@ def _emit_json(report: dict, entries: Iterable[str] = ()) -> None:
     sys.stdout.write(tail + "\n")
 
 
+def _table_entries(rows: dict, width: int, row_text,
+                   r_text: list[tuple[str, str]]) -> Iterator[str]:
+    """One entry per nonzero count of packed rows (``series.Rows``), in
+    ascending (n, m, r) order: left + lead + count + right + tail, with
+    (left, right) = row_text(n, m), made once per (n, m) row, and
+    (lead, tail) = r_text[r].  The rows are only read.
+
+    A row's fields are read as non-negative base-2**width digits, which
+    are its counts while each is below 2**(width-1) (the packing width
+    holds every count's sign).  So a negative row, or a field at or above
+    2**(width-1), raises build_gf's negative-count RuntimeError: below
+    that bound the lowest negative count of a row always reads as such a
+    field, and a negative row is refused before any of its entries."""
+    from .genfun import NEGATIVE_COUNT
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    for n, (lo, row) in sorted(rows.items()):
+        for m, p in enumerate(row, lo):
+            if p < 0:
+                raise RuntimeError(NEGATIVE_COUNT)
+            left, right = row_text(n, m)
+            r = 0
+            while p:
+                if c := p & mask:
+                    if c >= half:
+                        raise RuntimeError(NEGATIVE_COUNT)
+                    lead, tail = r_text[r]
+                    yield f"{left}{lead}{c}{right}{tail}"
+                p >>= width
+                r += 1
+
+
 def cmd_expand(args, argv: list[str]) -> int:
+    # written straight from the quotient's packed rows, so no (n, m, r)
+    # dict is built or rescanned
     from . import genfun
     part_set = parse_set_spec(args.set)
-    series = genfun.build_gf(args.pattern, part_set, args.order)
-    rows = series.coeffs.items()  # a quotient's keys are in order
+    rows, width = genfun.build_rows(args.pattern, part_set, args.order)
     d = _DECIMAL
     if args.format == "csv":
         sys.stdout.write("n,m,r,count\n")
-        _write_joined(f"{d[n]},{d[m]},{d[r]},{c}\n" for (n, m, r), c in rows)
+        _write_joined(_table_entries(
+            rows, width, lambda n, m: (f"{d[n]},{d[m]},", ""),
+            [(f"{r},", "\n") for r in d]))
         return 0
     _emit_json(_envelope(
         argv, pattern=args.pattern.value, set=str(part_set),
         materialized_parts=list(part_set.materialize(args.order)),
         order=args.order, coefficients=[],
-    ), (f'\n    {{\n      "count": "{c}",\n      "m": {d[m]},\n      "n": '
-         f'{d[n]},\n      "r": {d[r]}\n    }}' for (n, m, r), c in rows))
+    ), _table_entries(
+        rows, width, lambda n, m: (
+            '\n    {\n      "count": "',
+            f'",\n      "m": {d[m]},\n      "n": {d[n]},\n      "r": '),
+        [("", f"{r}\n    }}") for r in d]))
     return 0
 
 

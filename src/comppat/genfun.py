@@ -10,7 +10,9 @@ occurrence is marked by y, so P_s is a power of y - 1 (``_level``) or,
 for 123, a short sum of them.  Each builder in ``_GRADES`` returns these
 pieces as grades (``graded.Grade``), N's and those of 1 - D, built as
 plain int lists with each P_s in powers of y - 1, and
-:func:`graded.graded_quotient` solves the quotient.
+:func:`graded.quotient_rows` solves the quotient into packed rows
+(:func:`build_rows`, from which ``comppat expand`` writes its table);
+:func:`build_gf` reads them back as a series and checks its counts.
 
 Over the naturals every selection sum is a q-product x^c / prod_p (1 - x^p)
 (Andrews, The Theory of Partitions, Thm 3.3; cross-checked by
@@ -40,9 +42,9 @@ from collections.abc import Sequence
 from math import comb
 from operator import sub
 
-from .graded import Grade, graded_quotient, image_grade
+from .graded import Grade, graded_quotient, image_grade, quotient_rows
 from .patterns import PartSet, PatternId, check_parts
-from .series import TruncatedSeries
+from .series import Rows, TruncatedSeries
 
 Parts = Sequence[int]
 # the numerator 1 as a list of grades
@@ -279,18 +281,28 @@ def _solver_grades(p: PatternId, parts: Parts, order: int):
     return num, t
 
 
+# Builder outputs are counting series: every coefficient must be a
+# nonnegative count even though (y-1)-expansions go negative inside.
+# `cli.cmd_expand` checks the packed rows with the same message.
+NEGATIVE_COUNT = "builder produced a negative coefficient"
+
+
 def _check_counts(series: TruncatedSeries) -> TruncatedSeries:
-    # Builder outputs are counting series: every coefficient must be a
-    # nonnegative count even though (y-1)-expansions go negative inside.
     if min(series.coeffs.values(), default=0) < 0:
-        raise RuntimeError("builder produced a negative coefficient")
+        raise RuntimeError(NEGATIVE_COUNT)
     return series
+
+
+def build_rows(p: PatternId, A, order: int) -> tuple[Rows, int]:
+    """:func:`build_gf`'s quotient as its packed rows and their width
+    (:func:`graded.quotient_rows`), before any count is read or checked."""
+    return quotient_rows(*_solver_grades(p, _parts(A, order), order), order)
 
 
 def build_gf(p: PatternId, A, order: int) -> TruncatedSeries:
     """The closed-form counting series for statistic p over A."""
-    return _check_counts(graded_quotient(
-        *_solver_grades(p, _parts(A, order), order), order))
+    return _check_counts(TruncatedSeries(order)._unrows(
+        *build_rows(p, A, order)))
 
 
 def avoidance_sequence(p: PatternId, A, order: int) -> list[int]:

@@ -14,9 +14,11 @@ grades of t are added level by level in y - 1 by Horner's rule, so a
 row is multiplied only by ints and by y - 1, a shift and a subtract.
 Over the naturals every selection sum is a q-product with a one-term A.
 q is packed, one int per (n, m) row at the width of the exact majorant
-(:func:`series._quotient_width`), and read back as balanced digits by
-:meth:`series.TruncatedSeries._unrows`, so its keys come out in
-ascending (n, m, r) order.
+(:func:`series._quotient_width`).  :func:`quotient_rows` returns these
+rows with their width; :func:`graded_quotient` reads them back as
+balanced digits by :meth:`series.TruncatedSeries._unrows`, keys in
+ascending (n, m, r) order, and ``comppat expand`` writes its table
+straight from them (``cli._table_entries``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from itertools import compress
 from math import gcd
 from operator import add
 
-from .series import NormalizationError, TruncatedSeries, _quotient_width
+from .series import (NormalizationError, Rows, TruncatedSeries,
+                     _quotient_width)
 
 # (s, P, A, periods): the term z^s P(y) A(x) / prod of the periods' factors
 # of a graded sum, A a list of int coefficients (of x-degree <= order) and
@@ -245,7 +248,17 @@ def image_grade(grades: Sequence[Grade], order: int) -> Grade:
 
 def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
                     order: int) -> TruncatedSeries:
-    """q = sum(num) / (1 - sum(t)) for two lists of grades; a factor in a
+    """q = sum(num) / (1 - sum(t)) for two lists of grades, as a series:
+    the rows of :func:`quotient_rows` read back as balanced digits by
+    :meth:`series.TruncatedSeries._unrows`, keys in ascending (n, m, r)
+    order."""
+    return TruncatedSeries(order)._unrows(*quotient_rows(num, t, order))
+
+
+def quotient_rows(num: Sequence[Grade], t: Sequence[Grade],
+                  order: int) -> tuple[Rows, int]:
+    """q = sum(num) / (1 - sum(t)) for two lists of grades, as its packed
+    rows (``series.Rows``, in ascending n) and their width; a factor in a
     grade of num raises ValueError, and a grade of t or a period with an
     x-degree-0 term raises NormalizationError.
 
@@ -272,8 +285,8 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
     row is dropped once neither the step nor a grade reaches back to it.
     Each row of q is allocated before the grades' V_n, over the m-range
     that the rows below, of q and of the chains, bound; the row keeps the
-    slots that were reached, so the keys come out in ascending (n, m, r)
-    order.
+    slots that were reached, so q's rows are made in ascending n, each
+    over the m-range lo .. lo + len - 1 of its packed y-polynomials.
     """
     if not all(isinstance(p, int) for *_, periods in num for p in periods):
         raise ValueError("a grade of num takes int periods only")
@@ -429,4 +442,4 @@ def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
             for r, bound in gone:
                 if n - r > bound:
                     chain.pop(n - r, None)
-    return TruncatedSeries(order)._unrows(q, width)
+    return q, width

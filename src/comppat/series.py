@@ -25,7 +25,8 @@ y-polynomial into one int, its value at y = 2**W (Kronecker
 substitution in y only; Harvey, JSC 2009), with W from the exact
 majorant |num|(x,1,1) / (1 - |t|(x,1,1)) that :func:`_quotient_width`
 bounds; :meth:`TruncatedSeries._unrows` reads its rows back as
-balanced digits, in [-2**(W-1), 2**(W-1)).
+balanced digits, in [-2**(W-1), 2**(W-1)) (``comppat expand`` reads a
+counting table's rows itself, as non-negative digits).
 
 Values are immutable once constructed: every operation returns a fresh
 series, so they can be shared freely.
@@ -258,14 +259,12 @@ class TruncatedSeries:
     def _unrows(self, rows: Rows, width: int) -> "TruncatedSeries":
         """The series of packed rows, read as balanced base-2**width digits
         (a field of 2**(width-1) or more is negative and borrows one), with
-        its keys in ascending (n, m, r) order; each x-degree is released
-        once read."""
+        its keys in ascending (n, m, r) order; the rows are only read."""
         mask = (1 << width) - 1
         half = 1 << (width - 1)
         out: dict[Triple, int] = {}
-        for n in sorted(rows):
-            row = rows.pop(n)
-            for m, p in enumerate(row[1], row[0]):
+        for n, (lo, row) in sorted(rows.items()):
+            for m, p in enumerate(row, lo):
                 # for width >= 2, a top digit r has |p| > 2**(width*r - 2)
                 for r in range(abs(p).bit_length() // width + 2):
                     c = p & mask

@@ -17,10 +17,12 @@ def default_estimate():
 
 @pytest.fixture(scope="session")
 def shared_build_gf():
-    """From first use to the end of the session, ``genfun.build_gf`` (the
-    name the CLI calls) is a cache of the original, so the tests that
-    expand and verify the same order-60 series build it once.  Series are
-    immutable and PartSet is hashable, so sharing results is safe."""
+    """From first use to the end of the session, ``genfun.build_rows``
+    (the name that ``expand`` and ``build_gf`` call) is a cache of the
+    original, so the tests that expand and verify the same order-60
+    series solve it once.  Neither caller changes the rows (the test
+    suite checks this) and PartSet is hashable, so sharing results is
+    safe."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(genfun, "build_gf", functools.cache(genfun.build_gf))
+        mp.setattr(genfun, "build_rows", functools.cache(genfun.build_rows))
         yield

@@ -1,5 +1,6 @@
 """CLI surface: formats, determinism, schemas, exit codes."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from comppat import asymptotics, cli
-from comppat.patterns import PatternId
+from comppat import asymptotics, cli, genfun
+from comppat.patterns import PartSet, PatternId
 from enumeration import BATTERY
 from test_asymptotics import (circle, flat_slope, vanishing_numerator,
                               wrong_slope)
@@ -132,6 +135,87 @@ def test_row_output_is_written_in_batches(argv, digest, monkeypatch):
     assert cli.main(argv.split()) == 0
     assert out.writes <= 10
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def expand_entries(*argv):
+    """The ((n, m, r), count) entries that ``expand`` prints for argv,
+    read from its JSON and from its CSV."""
+    tables = []
+    for form in ("json", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["expand", *argv, "--format", form]) == 0
+        tables.append(out.getvalue())
+    report, (head, *lines) = json.loads(tables[0]), tables[1].splitlines()
+    assert head == "n,m,r,count"
+    return ([((c["n"], c["m"], c["r"]), int(c["count"]))
+             for c in report["coefficients"]],
+            [((n, m, r), c) for n, m, r, c in
+             (map(int, line.split(",")) for line in lines)])
+
+
+part_specs = st.one_of(st.just("nat"), st.lists(
+    st.integers(1, 12), min_size=1, max_size=5, unique=True).map(
+        lambda parts: ",".join(map(str, sorted(parts)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(cli.PATTERN_CHOICES), part_specs, st.integers(0, 20))
+def test_expand_entries_are_build_gf_in_key_order(pattern, spec, order):
+    # expand reads the packed rows itself; build_gf reads them through
+    # TruncatedSeries._unrows and _check_counts
+    json_entries, csv_entries = expand_entries(
+        "--pattern", pattern, "--set", spec, "--order", str(order))
+    series = genfun.build_gf(PatternId(pattern), cli.parse_set_spec(spec),
+                             order)
+    assert json_entries == list(series.coeffs.items()) == csv_entries
+
+
+@pytest.mark.usefixtures("shared_build_gf")
+def test_expand_formats_agree_at_order_cap_and_leave_rows_as_built():
+    nat = PartSet.naturals()
+    for pattern in PatternId:
+        # the cached rows that expand and build_gf read
+        rows, width = genfun.build_rows(pattern, nat, cli.MAX_ORDER)
+        before = {n: (lo, list(row)) for n, (lo, row) in rows.items()}
+        json_entries, csv_entries = expand_entries(
+            "--pattern", pattern.value, "--set", "nat",
+            "--order", str(cli.MAX_ORDER))
+        assert json_entries == csv_entries, pattern
+        genfun.build_gf(pattern, nat, cli.MAX_ORDER)
+        assert rows == before, pattern
+
+
+def packed(counts, width):
+    """The packed y-polynomial of counts, lowest r first."""
+    return sum(c << width * r for r, c in enumerate(counts))
+
+
+@pytest.mark.parametrize("counts, written", [
+    # a negative count inside the row: the fields below it are written,
+    # and it reads as 2**8 - 2 = 254 >= 2**7
+    ([4, -2, 5], ["1,0,0,4"]),
+    # a negative top count: the row's int is negative, and it is refused
+    # before any of its fields is read (shifting it never reaches 0)
+    ([2, 3, -1], []),
+], ids=["middle", "top"])
+def test_table_entries_refuse_a_negative_count(counts, written):
+    width = 8
+    rows = {0: (0, [1]), 1: (0, [packed(counts, width)])}
+    entries = cli._table_entries(rows, width, lambda n, m: (f"{n},{m},", ""),
+                                 [(f"{r},", "") for r in range(3)])
+    seen = []
+    with pytest.raises(RuntimeError, match=genfun.NEGATIVE_COUNT):
+        seen.extend(entries)
+    assert seen == ["0,0,0,1", *written]
+
+
+def test_table_entries_refuse_a_field_past_the_sign_bit():
+    # a count of 2**(width-1) does not fit the width's balanced digits
+    rows = {0: (0, [packed([1, 1 << 7], 8)])}
+    with pytest.raises(RuntimeError, match=genfun.NEGATIVE_COUNT):
+        list(cli._table_entries(rows, 8, lambda n, m: ("", ""),
+                                [("", "")] * 2))
 
 
 def test_expand_deterministic():
@@ -749,11 +833,13 @@ def test_launch_usage_error_exits_2_with_its_message():
 
 
 def test_launch_into_a_pipe_closed_early_exits_1_without_a_traceback():
-    # the reader closes the pipe after 100 bytes of the 2.1 MB table
-    with launch(*EXPAND_111_CAP) as proc:
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 1
-    assert "Traceback" not in err.decode()
-    assert err == b"comppat: error: stdout closed by its reader\n"
+    # the reader closes the pipe after 100 bytes of the 2.1 MB table, in
+    # either format; the write fails while the packed rows are being read
+    for form in ("json", "csv"):
+        with launch(*EXPAND_111_CAP, "--format", form) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1, form
+        assert "Traceback" not in err.decode()
+        assert err == b"comppat: error: stdout closed by its reader\n"
