@@ -142,17 +142,14 @@ def _emit_json(report: dict, entries: Iterable[str] = ()) -> None:
 
 def _table_entries(rows: dict, width: int, row_text,
                    r_text: list[tuple[str, str]]) -> Iterator[str]:
-    """One entry per nonzero count of packed rows (``series.Rows``), in
-    ascending (n, m, r) order: left + lead + count + right + tail, with
-    (left, right) = row_text(n, m), made once per (n, m) row, and
-    (lead, tail) = r_text[r].  The rows are only read.
-
-    A row's fields are read as non-negative base-2**width digits, which
-    are its counts while each is below 2**(width-1) (the packing width
-    holds every count's sign).  So a negative row, or a field at or above
-    2**(width-1), raises build_gf's negative-count RuntimeError: below
-    that bound the lowest negative count of a row always reads as such a
-    field, and a negative row is refused before any of its entries."""
+    """One entry left + lead + count + right + tail per nonzero count of
+    packed rows (``series.Rows``), in ascending (n, m, r) order, with
+    (left, right) = row_text(n, m) made once per row and (lead, tail) =
+    r_text[r]; the rows are only read.  Fields are read as non-negative
+    digits, which are the counts below 2**(width-1): a field at or above
+    that, or a negative row (before any of its entries), raises
+    build_gf's negative-count error, and a row's lowest negative count
+    always reads as such a field."""
     from .genfun import NEGATIVE_COUNT
     mask, half = (1 << width) - 1, 1 << (width - 1)
     for n, (lo, row) in sorted(rows.items()):

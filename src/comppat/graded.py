@@ -248,10 +248,8 @@ def image_grade(grades: Sequence[Grade], order: int) -> Grade:
 
 def graded_quotient(num: Sequence[Grade], t: Sequence[Grade],
                     order: int) -> TruncatedSeries:
-    """q = sum(num) / (1 - sum(t)) for two lists of grades, as a series:
-    the rows of :func:`quotient_rows` read back as balanced digits by
-    :meth:`series.TruncatedSeries._unrows`, keys in ascending (n, m, r)
-    order."""
+    """q = sum(num) / (1 - sum(t)) as a series: :func:`quotient_rows`
+    read back by :meth:`series.TruncatedSeries._unrows`."""
     return TruncatedSeries(order)._unrows(*quotient_rows(num, t, order))
 
 
